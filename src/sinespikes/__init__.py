@@ -13,7 +13,6 @@ from .dual_analysis import (
     LocateOptions,
     demix,
     duality_gap,
-    eval_dual_poly,
     locate_frequencies,
     locate_outliers,
     localization_polynomial,
@@ -21,13 +20,9 @@ from .dual_analysis import (
     success,
 )
 from .model import (
-    Atom,
     MixtureInstance,
-    RegularizationConfig,
     atom,
     default_lambda,
-    dual_atomic_norm,
-    group_norms,
     min_separation,
     signal_matrix,
     toeplitz_adjoint,
@@ -63,5 +58,6 @@ from .synthesis import (
     synth_frequencies,
     synth_instance,
 )
+from .trigpoly import dual_atomic_norm
 
 __version__ = "0.1.0"

@@ -6,16 +6,18 @@ Sensor indices j = 0..N-1 map to symmetric indices via l = j - m; because
 the dual polynomial pairs rows against exp(-2i*pi*j*f), a polynomial built
 from the symmetric kernel picks up a modulation exp(-2i*pi*m*f) once its
 coefficients are laid out over sensor rows, and the coefficient that lands
-on row j is the symmetric coefficient at m - j (a reflection).  Both the
-modulation and the reflection are applied here so that the assembled dual
-variable and the kernel-form evaluator agree as functions of f.
+on row j is the symmetric coefficient at m - j (a reflection).  The
+reflection is applied when the dual variable is assembled, and the node
+targets are premodulated, so that the assembled dual variable, read through
+``localization_polynomial``, is exp(-2i*pi*m*f) times the kernel
+combination and interpolates the drawn sign pattern itself.
 
 The construction solves a 2K x 2K linear system that pins the polynomial to
 a drawn sign pattern at the true frequencies with vanishing derivative,
 after subtracting the contribution of the outlier rows, whose dual rows are
-fixed on the ball boundary.  Validation then checks the interpolation
-residual, the off-support bound, the near-region curvature sign, and the
-off-support row norms on finite grids.
+fixed on the ball boundary.  Validation evaluates the assembled dual
+variable and checks the interpolation residual, the off-support bound, the
+near-region curvature sign, and the off-support row norms on finite grids.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trigpoly
+from .dual_analysis import localization_polynomial
 from .errors import CertificateFailureError, InvalidConfigurationError
-from .model import _poly_rows, wrap_distance
+from .model import wrap_distance
 from .synthesis import _streams, _unit_phases
 
 __all__ = [
@@ -61,10 +65,6 @@ class Kernel:
     def n_sensors(self) -> int:
         return 2 * self.half_length + 1
 
-    @property
-    def kept(self) -> np.ndarray:
-        return np.ones(self.n_sensors, dtype=bool)
-
 
 @dataclass(frozen=True)
 class RestrictedKernel:
@@ -84,16 +84,6 @@ class RestrictedKernel:
     @property
     def coefficients(self) -> np.ndarray:
         return self.base.coefficients * self.kept_mask
-
-    @property
-    def kept(self) -> np.ndarray:
-        return self.kept_mask
-
-    @property
-    def complement_support(self) -> np.ndarray:
-        """Kept symmetric indices."""
-        m = self.half_length
-        return np.flatnonzero(self.kept_mask) - m
 
 
 def build_kernel(m: int) -> Kernel:
@@ -156,13 +146,6 @@ class InterpolationSystem:
     omega: np.ndarray           # sensor indices of the outlier rows
     kernel: RestrictedKernel
 
-    def g_vector(self, p: int, f: float) -> np.ndarray:
-        """kappa^p [K^(p)(f - f_k)... , kappa K^(p+1)(f - f_k)...]."""
-        off = np.asarray(f, dtype=float) - self.freqs
-        top = kernel_eval(self.kernel, off, p)
-        bot = self.kappa * kernel_eval(self.kernel, off, p + 1)
-        return self.kappa**p * np.concatenate([top, bot])
-
 
 def build_system(freqs, omega, h, b, r, kernel: RestrictedKernel) -> InterpolationSystem:
     """Fill the interpolation blocks for the given sign pattern.
@@ -208,7 +191,7 @@ def build_system(freqs, omega, h, b, r, kernel: RestrictedKernel) -> Interpolati
 
 @dataclass(frozen=True)
 class CertificateSolution:
-    """Solved coefficients, the assembled dual variable, and the evaluator."""
+    """Solved coefficients and the assembled dual variable."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -225,53 +208,6 @@ class CertificateSolution:
     @property
     def omega(self) -> np.ndarray:
         return self.system.omega
-
-    def _kern_comb(self, f, order: int) -> np.ndarray:
-        """Kernel combination sum_k alpha_k K^(p) + kappa beta_k K^(p+1)."""
-        sys = self.system
-        farr = np.atleast_1d(np.asarray(f, dtype=float))
-        out = np.zeros((farr.size, self.alpha.shape[1]), dtype=complex)
-        for k_idx in range(sys.freqs.size):
-            off = farr - sys.freqs[k_idx]
-            out += np.outer(kernel_eval(sys.kernel, off, order), self.alpha[k_idx])
-            out += sys.kappa * np.outer(
-                kernel_eval(sys.kernel, off, order + 1), self.beta[k_idx]
-            )
-        return out
-
-    def _r_term(self, f, order: int) -> np.ndarray:
-        sys = self.system
-        farr = np.atleast_1d(np.asarray(f, dtype=float))
-        if sys.omega.size == 0:
-            return np.zeros((farr.size, self.alpha.shape[1]), dtype=complex)
-        g = sys.omega - sys.kernel.half_length
-        basis = np.exp(-2j * np.pi * np.outer(farr, g)) * (-2j * np.pi * g) ** order
-        return self.lam * (basis @ sys.r)
-
-    def _symmetric(self, f, order: int = 0) -> np.ndarray:
-        """The unmodulated polynomial P and derivatives (symmetric convention)."""
-        return self._kern_comb(f, order) + self._r_term(f, order)
-
-    def q(self, f, order: int = 0) -> np.ndarray:
-        """The certificate polynomial Q = exp(-2i*pi*m*f) P(f), orders 0..2."""
-        if order not in (0, 1, 2):
-            raise InvalidConfigurationError(f"order must be 0..2, got {order}")
-        farr = np.atleast_1d(np.asarray(f, dtype=float))
-        m = self.system.kernel.half_length
-        w = 2.0 * np.pi * m
-        mod = np.exp(-1j * w * farr)[:, None]
-        p0 = self._symmetric(farr, 0)
-        if order == 0:
-            out = mod * p0
-        elif order == 1:
-            out = mod * (self._symmetric(farr, 1) - 1j * w * p0)
-        else:
-            out = mod * (
-                self._symmetric(farr, 2)
-                - 2j * w * self._symmetric(farr, 1)
-                - w**2 * p0
-            )
-        return out[0] if np.isscalar(f) else out
 
 
 def solve_certificate(system: InterpolationSystem, lam: float | None = None,
@@ -369,51 +305,45 @@ def validate_certificate(cert: CertificateSolution,
                          opts: ValidationOptions | None = None) -> CertificateReport:
     """Check the optimality conditions of a solved certificate on grids.
 
-    The checks are: node values against the drawn sign pattern and node
-    derivatives of the unmodulated polynomial (interpolation residual), the
-    strict bound ||Q(f)|| < 1 away from the near regions, the curvature of
-    ||Q||^2 being negative throughout the near regions, and the off-support
-    rows of the dual variable staying strictly inside the ball. The
-    on-support rows equal lam times the drawn unit rows by construction.
+    All checks read the assembled dual variable through
+    ``localization_polynomial``. They are: node values of Q against the
+    targets and node derivatives of the unmodulated polynomial
+    P = exp(2i*pi*m*f) Q (interpolation residual), the strict bound
+    ||Q(f)|| < 1 away from the near regions, the curvature of ||Q||^2 being
+    negative throughout the near regions, and the off-support rows of the
+    dual variable staying strictly inside the ball. The on-support rows
+    equal lam times the drawn unit rows by construction.
     """
     opts = opts or ValidationOptions()
     sys = cert.system
     m = sys.kernel.half_length
     n = sys.kernel.n_sensors
     freqs = sys.freqs
-    scaled = math.sqrt(n) * cert.gamma  # plain-coefficient polynomial units
+    dp = localization_polynomial(cert.gamma)
 
-    # interpolation residual: values of Q at the nodes against the targets,
-    # and the derivative of the unmodulated polynomial (critical point of ||Q||)
-    node_vals = cert.q(freqs, 0)
-    res_val = float(np.abs(np.linalg.norm(node_vals - cert.targets, axis=1)).max())
-    res_der = float(
-        (sys.kappa * np.linalg.norm(cert._symmetric(freqs, 1), axis=1)).max()
-    )
+    # interpolation residual: Q at the nodes against the targets, and
+    # ||P'|| = ||Q' + 2i*pi*m Q|| (critical point of ||Q||) at the nodes
+    node_vals = dp(freqs, 0)
+    res_val = float(np.linalg.norm(node_vals - cert.targets, axis=1).max())
+    node_der = dp(freqs, 1) + 2j * np.pi * m * node_vals
+    res_der = float((sys.kappa * np.linalg.norm(node_der, axis=1)).max())
     interpolation_residual = max(res_val, res_der)
 
     # off-support bound on a dense grid, excluding the near regions
-    grid = np.arange(opts.grid_size) / opts.grid_size
+    grid, qnorm = trigpoly.scan(dp.gamma, opts.grid_size)
     radius = _near_radius(opts, m)
     dmin = np.min(
         np.stack([wrap_distance(grid, fk) for fk in freqs]), axis=0
     )
-    qnorm = np.linalg.norm(_poly_rows(scaled, grid, 0), axis=1)
     far = dmin > radius
     offgrid_max = float(qnorm[far].max()) if far.any() else math.inf
 
     # curvature of ||Q||^2 over the near regions
-    curv_max = -math.inf
-    for fk in freqs:
-        local = fk + np.linspace(-radius, radius, opts.near_grid)
-        q0 = _poly_rows(scaled, local, 0)
-        q1 = _poly_rows(scaled, local, 1)
-        q2 = _poly_rows(scaled, local, 2)
-        curv = (
-            np.einsum("ij,ij->i", q1, q1.conj()).real
-            + np.real(np.einsum("ij,ij->i", q2, q0.conj()))
-        )
-        curv_max = max(curv_max, float(curv.max()))
+    near = np.linspace(-radius, radius, opts.near_grid)
+    curv_max = max(
+        (float(trigpoly.curvature(dp.gamma, fk + near).max()) for fk in freqs),
+        default=-math.inf,
+    )
 
     # rows outside the support must stay strictly inside the ball
     row_norms = np.linalg.norm(cert.gamma, axis=1)
@@ -433,18 +363,6 @@ def validate_certificate(cert: CertificateSolution,
         outlier_row_margin=outlier_row_margin,
         condition_number_d=cert.condition_number,
         passed=passed,
-    )
-
-
-def failed_report(reason: str, condition_number: float = math.inf) -> CertificateReport:
-    return CertificateReport(
-        interpolation_residual=math.nan,
-        offgrid_max=math.nan,
-        near_curvature_max=math.nan,
-        outlier_row_margin=math.nan,
-        condition_number_d=condition_number,
-        passed=False,
-        failure=reason,
     )
 
 
@@ -484,7 +402,14 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float,
     try:
         cert = solve_certificate(system, lam=lam, condition_limit=opts.condition_limit)
     except CertificateFailureError as exc:
-        cond = float(np.linalg.cond(system.matrix))
-        return None, failed_report(str(exc), cond)
+        return None, CertificateReport(
+            interpolation_residual=math.nan,
+            offgrid_max=math.nan,
+            near_curvature_max=math.nan,
+            outlier_row_margin=math.nan,
+            condition_number_d=float(np.linalg.cond(system.matrix)),
+            passed=False,
+            failure=str(exc),
+        )
     report = validate_certificate(cert, opts)
     return cert, report

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -20,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import certificate as cert_mod
+from . import trigpoly
 from .dual_analysis import LocateOptions, demix, localization_polynomial, success
 from .errors import SineSpikesError
-from .model import MixtureInstance, _default_grid, _poly_rows, default_lambda
+from .model import MixtureInstance, default_lambda
 from .solver import SolverOptions, write_diagnostics_csv
 from .synthesis import SynthesisConfig, synth_instance
 
@@ -118,11 +118,8 @@ def cmd_synth(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _trace_rows(gamma: np.ndarray, grid: int):
-    scaled = math.sqrt(gamma.shape[0]) * gamma
-    f = np.arange(grid) / grid
-    qn = np.linalg.norm(_poly_rows(scaled, f, 0), axis=1)
-    return zip(f, qn)
+def _trace_rows(gamma: np.ndarray, grid: int | None):
+    return zip(*trigpoly.scan(localization_polynomial(gamma).gamma, grid))
 
 
 def cmd_demix(args, config: dict) -> int:
@@ -142,9 +139,8 @@ def cmd_demix(args, config: dict) -> int:
     payload["iterations"] = solution.iterations
     (out / "report.json").write_text(json.dumps(payload, indent=1))
 
-    grid = locate_opts.grid_size or _default_grid(instance.n_sensors)
     _write_csv(out / "dual_poly_trace.csv", ["f", "q_norm"],
-               _trace_rows(solution.gamma, grid))
+               _trace_rows(solution.gamma, locate_opts.grid_size))
     norms = np.linalg.norm(solution.gamma, axis=1)
     _write_csv(out / "row_norms.csv", ["row", "gamma_row_norm", "lambda"],
                ((int(i), norms[i], lam) for i in range(norms.size)))
@@ -253,8 +249,9 @@ def cmd_certificate(args, config: dict) -> int:
     n_snapshots = int(section.get("n_snapshots", 3))
     n_seeds = int(section.get("seeds", 1))
     base_seed = int(args.seed if args.seed is not None else config.get("seed", 0))
+    grid = args.grid if args.grid is not None else section.get("grid_size", 1 << 14)
     opts = cert_mod.ValidationOptions(
-        grid_size=int(args.grid or section.get("grid_size", 1 << 14)),
+        grid_size=int(grid),
         near_radius=float(section.get("near_radius", 0.09)),
         near_radius_scaled=bool(section.get("near_radius_scaled", True)),
     )
@@ -274,9 +271,8 @@ def cmd_certificate(args, config: dict) -> int:
             json.dumps(report.to_json(), indent=1)
         )
         if cert is not None:
-            grid = opts.grid_size
             _write_csv(out / f"certificate_trace{suffix}.csv", ["f", "q_norm"],
-                       _trace_rows(cert.gamma, grid))
+                       _trace_rows(cert.gamma, opts.grid_size))
         print(f"seed={seed} pass={report.passed} "
               f"residual={report.interpolation_residual:.2e} "
               f"offgrid={report.offgrid_max:.4f} "

@@ -4,11 +4,12 @@ The localization object is the vector-valued trigonometric polynomial
 attached to the dual variable Gamma. Two unit conventions appear:
 
 * ``DualPolynomial`` evaluates (1/sqrt(N)) sum_j gamma[j] exp(-2i*pi*j*f),
-  i.e. the pairing with the unit-norm atom;
+  i.e. the pairing with the unit-norm atom (see ``trigpoly``);
 * the SDP's diagonal-sum constraint bounds the plain-coefficient polynomial
   sum_j Gamma[j] exp(-2i*pi*j*f) by one, so localization must look at the
-  dual variable scaled by sqrt(N).  ``localization_polynomial`` applies that
-  scaling; its output peaks at one exactly on the recovered support.
+  dual variable scaled by sqrt(N).  ``localization_polynomial`` is the only
+  place that applies that scaling; its output peaks at one exactly on the
+  recovered support.
 """
 
 from __future__ import annotations
@@ -18,12 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    IllPosedRecoveryError,
-    InvalidConfigurationError,
-    InvalidDimensionError,
-)
-from .model import _default_grid, _poly_rows, _refine_maxima, signal_matrix, wrap_distance
+from . import trigpoly
+from .errors import IllPosedRecoveryError, InvalidDimensionError
+from .model import signal_matrix, wrap_distance
 from .solver import DualSdpProblem, SdpSolution, SolverOptions, solve_dual_sdp
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "LocateOptions",
     "demix",
     "duality_gap",
-    "eval_dual_poly",
     "locate_frequencies",
     "locate_outliers",
     "localization_polynomial",
@@ -52,28 +49,9 @@ class DualPolynomial:
         if g.ndim != 2 or g.size == 0:
             raise InvalidDimensionError(f"gamma must be N x L, got {g.shape}")
 
-    @property
-    def n_sensors(self) -> int:
-        return self.gamma.shape[0]
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.gamma.shape[1]
-
     def __call__(self, f, order: int = 0) -> np.ndarray:
-        return eval_dual_poly(self, f, order)
-
-
-def eval_dual_poly(dp: DualPolynomial, f, order: int = 0) -> np.ndarray:
-    """Evaluate Q or one of its derivatives; rows correspond to the f values.
-
-    Order p multiplies each coefficient by (-2i*pi*j)^p. A scalar f yields
-    one row of length L.
-    """
-    if order not in (0, 1, 2):
-        raise InvalidConfigurationError(f"derivative order must be 0..2, got {order}")
-    out = _poly_rows(dp.gamma, f, order)
-    return out[0] if np.isscalar(f) else out
+        """Q or its derivative of order 0..2; a scalar f yields one row."""
+        return trigpoly.evaluate(self.gamma, f, order)
 
 
 def localization_polynomial(source) -> DualPolynomial:
@@ -104,47 +82,19 @@ class LocateOptions:
     row_tol: float = 1e-3
 
 
-def locate_frequencies(dp: DualPolynomial, opts: LocateOptions | None = None) -> np.ndarray:
-    """Frequencies where ||Q|| attains a refined local maximum near one."""
+def locate_frequencies(dp: DualPolynomial,
+                       opts: LocateOptions | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies where ||Q|| attains a refined local maximum near one.
+
+    Returns the frequencies and the refined values ||Q|| there.
+    """
     opts = opts or LocateOptions()
-    n = dp.n_sensors
-    grid = opts.grid_size or _default_grid(n)
-    f = np.arange(grid) / grid
-    q = _poly_rows(dp.gamma, f, 0)
-    g = np.einsum("ij,ij->i", q, q.conj()).real
-    is_max = (g >= np.roll(g, 1)) & (g > np.roll(g, -1))
-    candidates = np.flatnonzero(is_max & (g >= (1.0 - opts.peak_tol) ** 2))
-    if candidates.size == 0:
-        return np.array([], dtype=float)
-    refined, values = _refine_maxima(dp.gamma, f[candidates], opts.newton_steps)
+    f, vals = trigpoly.scan(dp.gamma, opts.grid_size)
+    candidates = trigpoly.local_maxima(vals)
+    candidates = candidates[vals[candidates] >= 1.0 - opts.peak_tol]
+    refined, values = trigpoly.refine(dp.gamma, f[candidates], opts.newton_steps)
     keep = values >= 1.0 - opts.accept_tol
-    refined, values = refined[keep], values[keep]
-    if refined.size == 0:
-        return np.array([], dtype=float)
-    order = np.argsort(refined)
-    refined, values = refined[order], values[order]
-    merged_f, merged_v = [refined[0]], [values[0]]
-    for fr, vr in zip(refined[1:], values[1:]):
-        if wrap_distance(fr, merged_f[-1]) <= 1.0 / grid:
-            if vr > merged_v[-1]:
-                merged_f[-1], merged_v[-1] = fr, vr
-        else:
-            merged_f.append(fr)
-            merged_v.append(vr)
-    # the first and last cluster may touch across the wrap point
-    if len(merged_f) > 1 and wrap_distance(merged_f[0], merged_f[-1]) <= 1.0 / grid:
-        if merged_v[-1] > merged_v[0]:
-            merged_f[0], merged_v[0] = merged_f[-1], merged_v[-1]
-        merged_f.pop()
-        merged_v.pop()
-    return np.asarray(merged_f, dtype=float)
-
-
-def peak_values(dp: DualPolynomial, freqs) -> np.ndarray:
-    """||Q(f)|| at the given frequencies."""
-    if len(np.atleast_1d(freqs)) == 0:
-        return np.array([], dtype=float)
-    return np.linalg.norm(_poly_rows(dp.gamma, freqs, 0), axis=1)
+    return trigpoly.merge_peaks(refined[keep], values[keep], 1.0 / f.size)
 
 
 def locate_outliers(solution: SdpSolution, lam: float,
@@ -252,14 +202,13 @@ def demix(measurement: np.ndarray, lam: float,
     """
     problem = DualSdpProblem(np.asarray(measurement, dtype=complex), lam)
     solution = solve_dual_sdp(problem, solver_opts)
-    dp = localization_polynomial(solution)
-    freqs = locate_frequencies(dp, locate_opts)
+    freqs, peaks = locate_frequencies(localization_polynomial(solution), locate_opts)
     rows = locate_outliers(solution, lam, locate_opts)
     try:
         amplitudes, outliers = recover_amplitudes(problem.measurement, freqs, rows)
     except IllPosedRecoveryError:
         # best effort: keep the outlier rows, drop the spectral estimate
-        freqs = np.array([], dtype=float)
+        freqs = peaks = np.array([], dtype=float)
         amplitudes, outliers = recover_amplitudes(problem.measurement, freqs, rows)
     if freqs.size:
         signal = signal_matrix(freqs, amplitudes, problem.n_sensors)
@@ -273,7 +222,7 @@ def demix(measurement: np.ndarray, lam: float,
         estimated_outliers=outliers,
         estimated_signal=signal,
         duality_gap=gap,
-        peak_values=peak_values(dp, freqs),
+        peak_values=peaks,
         converged=solution.converged,
     )
     return report, solution

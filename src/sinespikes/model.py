@@ -1,4 +1,4 @@
-"""Core domain types: atoms, mixture instances, norms and adjoints.
+"""Core domain types: atoms, mixture instances, distances and adjoints.
 
 Conventions used throughout the package:
 
@@ -25,13 +25,9 @@ from .errors import (
 )
 
 __all__ = [
-    "Atom",
     "MixtureInstance",
-    "RegularizationConfig",
     "atom",
     "default_lambda",
-    "dual_atomic_norm",
-    "group_norms",
     "min_separation",
     "signal_matrix",
     "toeplitz_adjoint",
@@ -54,36 +50,9 @@ def atom(f: float, phi: float, n_sensors: int) -> np.ndarray:
     return np.exp(1j * (phi + 2.0 * np.pi * j * f)) / math.sqrt(n_sensors)
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A single sinusoid atom; ``realize`` returns its unit-norm vector."""
-
-    frequency: float
-    phase: float
-    length: int
-
-    def realize(self) -> np.ndarray:
-        return atom(self.frequency, self.phase, self.length)
-
-
 def default_lambda(n_sensors: int) -> float:
     """Outlier regularization weight 1/sqrt(N)."""
     return 1.0 / math.sqrt(n_sensors)
-
-
-@dataclass(frozen=True)
-class RegularizationConfig:
-    """Weight of the row-sparsity term in the demixing objective."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise InvalidConfigurationError(f"lambda must be positive, got {self.lam}")
-
-    @classmethod
-    def auto(cls, n_sensors: int) -> "RegularizationConfig":
-        return cls(default_lambda(n_sensors))
 
 
 def wrap_distance(a, b):
@@ -114,16 +83,10 @@ def toeplitz_adjoint(mat: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    return np.array([np.trace(m, offset=k) for k in range(n)])
-
-
-def group_norms(mat: np.ndarray) -> tuple[float, float]:
-    """Return (sum of row 2-norms, max row 2-norm) of a matrix."""
-    m = np.asarray(mat)
-    if m.ndim != 2 or m.size == 0:
-        raise InvalidDimensionError(f"expected a nonempty matrix, got shape {m.shape}")
-    r = np.linalg.norm(m, axis=1)
-    return float(r.sum()), float(r.max())
+    i, j = np.triu_indices(n)
+    upper = m[i, j]
+    sums = np.bincount(j - i, upper.real, n) + 1j * np.bincount(j - i, upper.imag, n)
+    return sums if np.iscomplexobj(m) else sums.real
 
 
 def signal_matrix(freqs, amplitudes, n_sensors: int) -> np.ndarray:
@@ -136,79 +99,6 @@ def signal_matrix(freqs, amplitudes, n_sensors: int) -> np.ndarray:
         )
     j = np.arange(n_sensors)
     return np.exp(2j * np.pi * np.outer(j, f)) @ a
-
-
-# ---------------------------------------------------------------------------
-# Trigonometric-polynomial evaluation shared by the dual-norm and the
-# dual-polynomial machinery: rows of `gamma` are coefficients of
-# (1/sqrt(N)) sum_j gamma[j] exp(-2i*pi*j*f), differentiated `order` times.
-# ---------------------------------------------------------------------------
-
-
-def _poly_rows(gamma: np.ndarray, freqs, order: int = 0) -> np.ndarray:
-    g = np.asarray(gamma, dtype=complex)
-    n = g.shape[0]
-    f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    j = np.arange(n)
-    basis = np.exp(-2j * np.pi * np.outer(f, j))
-    if order:
-        basis = basis * (-2j * np.pi * j) ** order
-    return (basis @ g) / math.sqrt(n)
-
-
-def _refine_maxima(gamma: np.ndarray, f0: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Newton ascent on g(f) = ||Q(f)||^2 from the grid maxima ``f0``.
-
-    Returns refined locations and the refined values ||Q(f)||. Steps that
-    leave the concave neighborhood (g'' >= 0) keep the previous point.
-    """
-    f = np.atleast_1d(np.asarray(f0, dtype=float)).copy()
-    for _ in range(steps):
-        q0 = _poly_rows(gamma, f, 0)
-        q1 = _poly_rows(gamma, f, 1)
-        q2 = _poly_rows(gamma, f, 2)
-        g1 = 2.0 * np.real(np.einsum("ij,ij->i", q1, q0.conj()))
-        g2 = 2.0 * (
-            np.einsum("ij,ij->i", q1, q1.conj()).real
-            + np.real(np.einsum("ij,ij->i", q2, q0.conj()))
-        )
-        ok = g2 < 0
-        f = np.where(ok, f - np.divide(g1, g2, out=np.zeros_like(g1), where=ok), f)
-    vals = np.linalg.norm(_poly_rows(gamma, f, 0), axis=1)
-    return f % 1.0, vals
-
-
-def _default_grid(n_sensors: int) -> int:
-    return max(8192, 32 * n_sensors)
-
-
-def dual_atomic_norm(gamma: np.ndarray, grid_size: int | None = None) -> float:
-    """sup over f of ||gamma^H a(f, 0)||_2, by dense grid plus Newton ascent.
-
-    The returned value is a lower bound on the true supremum, tight to the
-    refinement tolerance because the objective is a trigonometric polynomial
-    of degree N-1 sampled at >= 16x its bandwidth.
-    """
-    g = np.asarray(gamma, dtype=complex)
-    if g.ndim != 2 or g.size == 0:
-        raise InvalidDimensionError(f"expected a nonempty matrix, got shape {g.shape}")
-    n = g.shape[0]
-    if grid_size is None:
-        grid_size = _default_grid(n)
-    if grid_size < 2 * n:
-        raise InvalidConfigurationError(
-            f"grid of {grid_size} points is too coarse for degree {n - 1}"
-        )
-    f = np.arange(grid_size) / grid_size
-    q = _poly_rows(g, f, 0)
-    vals = np.einsum("ij,ij->i", q, q.conj()).real
-    up = vals >= np.roll(vals, 1)
-    down = vals > np.roll(vals, -1)
-    peaks = np.flatnonzero(up & down)
-    if peaks.size == 0:
-        peaks = np.array([int(np.argmax(vals))])
-    _, refined = _refine_maxima(g, f[peaks], steps=3)
-    return float(max(refined.max(), np.sqrt(vals.max())))
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +164,6 @@ class MixtureInstance:
             measurement=s + z,
             seed=seed,
         )
-
-    @property
-    def signal(self) -> np.ndarray:
-        return self.measurement - self.outliers
 
     def to_json(self) -> dict:
         """JSON-ready dict; complex arrays stored as re/im pairs, row-major."""

@@ -37,6 +37,7 @@ from .errors import (
     InvalidDimensionError,
     NumericalFailureError,
 )
+from .model import toeplitz_adjoint
 
 __all__ = [
     "DualSdpProblem",
@@ -71,10 +72,6 @@ class DualSdpProblem:
     @property
     def n_sensors(self) -> int:
         return self.measurement.shape[0]
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.measurement.shape[1]
 
 
 @dataclass(frozen=True)
@@ -130,39 +127,24 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-class _DiagonalShifter:
-    """Projects a Hermitian matrix onto {superdiagonal sums = e1}.
+def project_affine_lambda(mat: np.ndarray) -> np.ndarray:
+    """Nearest Hermitian matrix whose k-th superdiagonal sums to [k == 0].
 
     Subtracting the mean defect from each superdiagonal (and mirroring) is
     the Frobenius-nearest correction because the constraints decouple per
     diagonal and each one is a hyperplane.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows = [np.arange(n - k) for k in range(n)]
-        self.cols = [np.arange(k, n) for k in range(n)]
-
-    def __call__(self, mat: np.ndarray) -> np.ndarray:
-        n = self.n
-        h = (mat + mat.conj().T) / 2.0
-        for k in range(n):
-            r, c = self.rows[k], self.cols[k]
-            target = 1.0 if k == 0 else 0.0
-            h[r, c] -= (h[r, c].sum() - target) / (n - k)
-        upper = np.triu(h)
-        out = upper + np.triu(h, 1).conj().T
-        d = np.arange(n)
-        out[d, d] = out[d, d].real
-        return out
-
-
-def project_affine_lambda(mat: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian matrix whose k-th superdiagonal sums to [k == 0]."""
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got {m.shape}")
-    return _DiagonalShifter(m.shape[0])(m.copy())
+    n = m.shape[0]
+    h = (m + m.conj().T) / 2.0
+    defect = toeplitz_adjoint(h)
+    defect[0] -= 1.0
+    defect /= np.arange(n, 0, -1)
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
+    shift = defect[np.abs(offset)]
+    return h - np.where(offset >= 0, shift, shift.conj())
 
 
 def project_row_ball(gamma: np.ndarray, lam: float) -> np.ndarray:
@@ -190,12 +172,11 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     dim = n + l
     rho = opts.penalty
     alpha = opts.over_relaxation
-    shifter = _DiagonalShifter(n)
     eye_l = np.eye(l)
 
     def affine_prox(v: np.ndarray, rho_: float) -> np.ndarray:
         h = (v + v.conj().T) / 2.0
-        top = shifter(h[:n, :n])
+        top = project_affine_lambda(h[:n, :n])
         gam = project_row_ball(h[:n, n:] + y / (2.0 * rho_), lam)
         x = np.empty_like(h)
         x[:n, :n] = top

@@ -156,14 +156,6 @@ class TestBuildSystem:
                            - 2j * np.pi * g * kappa * np.exp(-2j * np.pi * g * freqs[i])) <= 1e-12
         np.testing.assert_allclose(sys.phi, h[:, None] * b.conj(), atol=1e-14)
 
-    def test_g_vector_shape(self):
-        k = restrict_kernel(build_kernel(20), [2, 5])
-        sys = build_system([0.2, 0.4], [], np.ones(2),
-                           np.eye(2, 3, dtype=complex), np.zeros((0, 3)), k)
-        g = sys.g_vector(0, 0.31)
-        assert g.shape == (4,)
-        assert abs(g[0] - kernel_eval(k, 0.31 - 0.2)) <= 1e-12
-
 
 class TestSolveCertificate:
     def test_single_frequency_no_outliers(self):
@@ -171,22 +163,34 @@ class TestSolveCertificate:
         assert report.passed
         assert report.interpolation_residual <= 1e-10
         # derivative of ||Q||^2 vanishes at the node
+        dp = localization_polynomial(cert.gamma)
         f0 = cert.freqs[0]
-        q0, q1 = cert.q(f0, 0), cert.q(f0, 1)
+        q0, q1 = dp(f0, 0), dp(f0, 1)
         assert abs(2 * np.real(q1 @ q0.conj().T)) <= 1e-9
 
     def test_nodes_hit_unit_norm_single_snapshot(self):
         cert, report = run_certificate(101, 3, 0.06, 0, n_snapshots=1, seed=1)
         assert report.interpolation_residual <= 1e-10
-        vals = np.linalg.norm(cert.q(cert.freqs, 0), axis=1)
+        vals = np.linalg.norm(localization_polynomial(cert.gamma)(cert.freqs), axis=1)
         np.testing.assert_allclose(vals, 1.0, atol=1e-10)
 
     def test_two_assembly_paths_agree(self):
+        # the kernel form exp(-2i*pi*m*f) [sum_k alpha_k K(f - f_k)
+        # + kappa beta_k K'(f - f_k) + lam sum_d r_d exp(-2i*pi*(d - m)*f)]
+        # must equal the polynomial of the assembled dual variable; this pins
+        # the reflection of the coefficients onto sensor rows
         cert, _ = run_certificate(201, 2, 4 / 200, 5, seed=0)
-        rng = np.random.default_rng(4)
-        f = rng.random(512)
+        sys = cert.system
+        m = sys.kernel.half_length
+        f = np.random.default_rng(4).random(512)
+        p = np.zeros((f.size, cert.alpha.shape[1]), dtype=complex)
+        for fk, a, b in zip(sys.freqs, cert.alpha, cert.beta):
+            p += np.outer(kernel_eval(sys.kernel, f - fk), a)
+            p += sys.kappa * np.outer(kernel_eval(sys.kernel, f - fk, 1), b)
+        p += cert.lam * np.exp(-2j * np.pi * np.outer(f, sys.omega - m)) @ sys.r
+        kernel_form = np.exp(-2j * np.pi * m * f)[:, None] * p
         dp = localization_polynomial(cert.gamma)
-        assert np.abs(dp(f) - cert.q(f)).max() <= 1e-8
+        assert np.abs(dp(f) - kernel_form).max() <= 1e-8
 
     def test_outlier_rows_fixed_on_ball(self):
         cert, _ = run_certificate(201, 2, 4 / 200, 5, seed=2)
@@ -221,7 +225,7 @@ class TestValidateCertificate:
     def test_located_frequencies_match_construction(self):
         cert, report = run_certificate(201, 2, 4 / 200, 5, seed=3)
         assert report.passed
-        located = locate_frequencies(localization_polynomial(cert.gamma))
+        located, _ = locate_frequencies(localization_polynomial(cert.gamma))
         assert located.size == cert.freqs.size
         assert np.abs(np.sort(located) - np.sort(cert.freqs)).max() <= 1e-6
 

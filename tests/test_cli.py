@@ -152,6 +152,25 @@ def test_certificate_seed_sweep(tmp_path):
     assert 0.0 <= summary["pass_rate"] <= 1.0
 
 
+def test_demix_bad_grid_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", {"synthesis": dict(SMALL_SYNTH, n_sensors=24)})
+    out = tmp_path / "o"
+    assert main(["demix", "--config", cfg, "--out", str(out), "--grid", "-3"]) == 4
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_certificate_bad_grid_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", {
+        "certificate": {"n_sensors": 61, "n_frequencies": 1, "separation": 0.0,
+                        "n_outliers": 0, "n_snapshots": 2},
+    })
+    out = tmp_path / "o"
+    assert main(["certificate", "--config", cfg, "--out", str(out), "--grid", "-3"]) == 4
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (out / "certificate_trace.csv").exists()
+
+
 def test_invalid_config_exit_code(tmp_path):
     cfg = write_config(tmp_path / "c.json", {"synthesis": {"n_sensors": -3,
                                                            "n_snapshots": 1,

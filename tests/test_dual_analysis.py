@@ -9,7 +9,6 @@ from sinespikes import (
     default_lambda,
     demix,
     duality_gap,
-    eval_dual_poly,
     locate_frequencies,
     locate_outliers,
     localization_polynomial,
@@ -44,14 +43,14 @@ class TestEvalDualPoly:
         n, f0 = 16, 0.29
         b = np.array([0.6, 0.8], dtype=complex)
         dp = DualPolynomial(np.outer(atom(f0, 0.0, n), b.conj()))
-        q = eval_dual_poly(dp, f0)
+        q = dp(f0)
         np.testing.assert_allclose(q, b.conj(), atol=1e-12)
         assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_everywhere(self):
         dp = DualPolynomial(np.zeros((8, 3), dtype=complex))
         for order in (0, 1, 2):
-            assert np.abs(eval_dual_poly(dp, 0.77, order)).max() == 0.0
+            assert np.abs(dp(0.77, order)).max() == 0.0
 
     def test_derivative_matches_finite_difference(self):
         rng = np.random.default_rng(0)
@@ -60,8 +59,8 @@ class TestEvalDualPoly:
         dp = DualPolynomial(gamma)
         h = 1e-6
         for f in rng.random(10):
-            fd = (eval_dual_poly(dp, f + h) - eval_dual_poly(dp, f - h)) / (2 * h)
-            an = eval_dual_poly(dp, f, order=1)
+            fd = (dp(f + h) - dp(f - h)) / (2 * h)
+            an = dp(f, order=1)
             assert np.abs(an - fd).max() <= 1e-4 * n * max(1.0, np.abs(an).max())
 
     def test_periodicity(self):
@@ -69,26 +68,34 @@ class TestEvalDualPoly:
         gamma = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
         dp = DualPolynomial(gamma)
         for f in rng.random(20):
-            a = np.linalg.norm(eval_dual_poly(dp, f))
-            b = np.linalg.norm(eval_dual_poly(dp, f + 1.0))
+            a = np.linalg.norm(dp(f))
+            b = np.linalg.norm(dp(f + 1.0))
             assert abs(a - b) <= 1e-12
 
     def test_unsupported_order(self):
         dp = DualPolynomial(np.ones((4, 1), dtype=complex))
         with pytest.raises(InvalidConfigurationError):
-            eval_dual_poly(dp, 0.1, order=3)
+            dp(0.1, order=3)
 
 
 class TestLocateFrequencies:
     def test_zero_polynomial_yields_nothing(self):
         dp = DualPolynomial(np.zeros((16, 2), dtype=complex))
-        assert locate_frequencies(dp).size == 0
+        freqs, values = locate_frequencies(dp)
+        assert freqs.size == 0 and values.size == 0
+
+    def test_grid_below_twice_the_length_rejected(self):
+        dp = DualPolynomial(np.ones((16, 2), dtype=complex))
+        for grid in (0, -3, 31):
+            with pytest.raises(InvalidConfigurationError):
+                locate_frequencies(dp, LocateOptions(grid_size=grid))
+        locate_frequencies(dp, LocateOptions(grid_size=32))
 
     def test_single_atom_solve(self):
         n, f0 = 32, 0.4173
         y = np.outer(np.exp(2j * np.pi * np.arange(n) * f0), [1.1, -0.4j])
         sol = solve_dual_sdp(DualSdpProblem(y, default_lambda(n)))
-        freqs = locate_frequencies(localization_polynomial(sol))
+        freqs, _ = locate_frequencies(localization_polynomial(sol))
         assert freqs.size == 1
         assert abs(freqs[0] - f0) <= 1e-4
         # independent check: fine-grid argmax of the scaled polynomial
@@ -107,7 +114,7 @@ class TestLocateFrequencies:
         # feasibility caps the localization polynomial near one
         grid = np.arange(1 << 13) / (1 << 13)
         dp = localization_polynomial(sol)
-        qn = np.linalg.norm(np.stack([eval_dual_poly(dp, f) for f in grid[:512]]), axis=1)
+        qn = np.linalg.norm(np.stack([dp(f) for f in grid[:512]]), axis=1)
         assert qn.max() <= 1.0 + 1e-5 * 10 * np.sqrt(50)
         assert np.all((report.peak_values >= 1 - 1e-3)
                       & (report.peak_values <= 1 + 1e-5 * 10 * np.sqrt(50)))

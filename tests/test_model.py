@@ -5,7 +5,6 @@ from sinespikes import (
     MixtureInstance,
     atom,
     dual_atomic_norm,
-    group_norms,
     min_separation,
     signal_matrix,
     toeplitz_adjoint,
@@ -124,23 +123,6 @@ class TestToeplitzAdjoint:
     def test_non_square_rejected(self):
         with pytest.raises(InvalidDimensionError):
             toeplitz_adjoint(np.ones((3, 4)))
-
-
-class TestGroupNorms:
-    def test_zero(self):
-        assert group_norms(np.zeros((4, 3))) == (0.0, 0.0)
-
-    def test_single_row(self):
-        assert group_norms(np.array([[3.0, 4.0]])) == (pytest.approx(5.0), pytest.approx(5.0))
-
-    def test_two_rows(self):
-        l12, linf2 = group_norms(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        assert l12 == pytest.approx(3.0)
-        assert linf2 == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidDimensionError):
-            group_norms(np.zeros((0, 3)))
 
 
 class TestDualAtomicNorm:

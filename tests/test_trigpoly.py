@@ -1,0 +1,91 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sinespikes import DualPolynomial, atom, locate_frequencies, trigpoly, wrap_distance
+from sinespikes.errors import InvalidConfigurationError
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+def random_gamma(seed, n, l):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, l)) + 1j * rng.standard_normal((n, l))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), l=st.integers(1, 4),
+       extra=st.integers(0, 300))
+def test_scan_equals_point_evaluation(seed, n, l, extra):
+    gamma = random_gamma(seed, n, l)
+    grid = 2 * n + extra
+    f, norms = trigpoly.scan(gamma, grid)
+    assert f.size == grid
+    np.testing.assert_array_equal(f, np.arange(grid) / grid)
+    points = np.stack([trigpoly.evaluate(gamma, fi) for fi in f])
+    scale = np.linalg.norm(gamma)
+    assert np.abs(norms - np.linalg.norm(points, axis=1)).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("grid", [-3, 0, 1, 15])
+def test_scan_rejects_grid_below_twice_the_length(grid):
+    with pytest.raises(InvalidConfigurationError):
+        trigpoly.scan(np.ones((8, 1), dtype=complex), grid)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), l=st.integers(1, 5),
+       phase=st.floats(0.0, 2 * np.pi))
+def test_norm_invariant_under_unitary_and_global_phase(seed, n, l, phase):
+    gamma = random_gamma(seed, n, l)
+    u, _ = np.linalg.qr(random_gamma(seed + 1, l, l))
+    f = np.random.default_rng(seed).random(64)
+    base = np.linalg.norm(trigpoly.evaluate(gamma, f), axis=1)
+    scale = np.linalg.norm(gamma)
+    for other in (gamma @ u, np.exp(1j * phase) * gamma):
+        moved = np.linalg.norm(trigpoly.evaluate(other, f), axis=1)
+        assert np.abs(moved - base).max() <= 1e-12 * scale
+
+
+@PROPERTY
+@given(n=st.integers(8, 64), f0=st.floats(0.0, 1.0, exclude_max=True),
+       gap=st.floats(3.0, 4.0), two=st.booleans(), c=st.floats(-1.0, 1.0))
+def test_row_modulation_shifts_located_peaks(n, f0, gap, two, c):
+    # atoms with orthonormal directions peak at exactly their frequencies
+    freqs = [f0, (f0 + gap / n) % 1.0] if two else [f0]
+    dirs = np.eye(len(freqs), 2, dtype=complex)
+    gamma = sum(np.outer(atom(fk, 0.0, n), d) for fk, d in zip(freqs, dirs))
+    modulated = gamma * np.exp(2j * np.pi * np.arange(n) * c)[:, None]
+    located, _ = locate_frequencies(DualPolynomial(gamma))
+    shifted, _ = locate_frequencies(DualPolynomial(modulated))
+    assert located.size == shifted.size == len(freqs)
+    for fs in (located + c) % 1.0:
+        assert wrap_distance(shifted, fs).min() <= 1e-9
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), l=st.integers(1, 4),
+       f=st.floats(0.0, 1.0))
+def test_curvature_matches_finite_difference(seed, n, l, f):
+    gamma = random_gamma(seed, n, l)
+    h = 1e-4 / n
+
+    def half_sq(x):
+        return 0.5 * np.sum(np.abs(trigpoly.evaluate(gamma, x)) ** 2)
+
+    fd = (half_sq(f + h) - 2 * half_sq(f) + half_sq(f - h)) / h**2
+    exact = trigpoly.curvature(gamma, np.array([f]))[0]
+    assert abs(exact - fd) <= 1e-5 * (2 * np.pi * n) ** 2 * np.linalg.norm(gamma) ** 2
+
+
+@PROPERTY
+@given(grid=st.integers(64, 1 << 14), left=st.floats(0.0, 0.49), right=st.floats(0.01, 0.49),
+       v1=st.floats(0.5, 2.0), v2=st.floats(0.5, 2.0))
+def test_peaks_within_one_grid_step_across_zero_merge(grid, left, right, v1, v2):
+    # the two peaks are under 0.98 steps apart, clear of the rounding at exactly one
+    step = 1.0 / grid
+    lo, hi = left * step, 1.0 - right * step
+    f, v = trigpoly.merge_peaks([0.5, hi, lo], [1.0, v2, v1], step)
+    assert f.tolist() == [lo if v1 >= v2 else hi, 0.5]
+    assert v.tolist() == [max(v1, v2), 1.0]
