@@ -9,13 +9,11 @@ underlying the recovery guarantee.
 
 from .dual_analysis import (
     DemixReport,
-    DualPolynomial,
     LocateOptions,
     demix,
     duality_gap,
     locate_frequencies,
     locate_outliers,
-    localization_polynomial,
     recover_amplitudes,
     success,
 )
@@ -32,12 +30,9 @@ from .certificate import (
     CertificateReport,
     CertificateSolution,
     Kernel,
-    RestrictedKernel,
     ValidationOptions,
     build_kernel,
     build_system,
-    curvature_scale,
-    kernel_eval,
     restrict_kernel,
     run_certificate,
     solve_certificate,

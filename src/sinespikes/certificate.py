@@ -1,34 +1,35 @@
 """Construction and numerical validation of the randomized dual certificate.
 
-The interpolation kernel is a product of three Dirichlet kernels whose
-coefficient sequence lives on symmetric indices l = -m..m with N = 2m + 1.
-Sensor indices j = 0..N-1 map to symmetric indices via l = j - m; because
-the dual polynomial pairs rows against exp(-2i*pi*j*f), a polynomial built
-from the symmetric kernel picks up a modulation exp(-2i*pi*m*f) once its
-coefficients are laid out over sensor rows, and the coefficient that lands
-on row j is the symmetric coefficient at m - j (a reflection).  The
-reflection is applied when the dual variable is assembled, and the node
-targets are premodulated, so that the assembled dual variable, read through
-``localization_polynomial``, is exp(-2i*pi*m*f) times the kernel
-combination and interpolates the drawn sign pattern itself.
+The certificate is a dual variable Gamma (N x L) in the layout the solver
+and ``trigpoly`` use: row j is the coefficient of exp(-2i*pi*j*f) in
+Q(f) = sum_j Gamma[j] exp(-2i*pi*j*f), the polynomial the SDP bounds by one.
+With N = 2m + 1, row j carries the kernel index l_j = m - j. The
+interpolation kernel is a product of three Dirichlet kernels; its
+coefficients are symmetric in l, so row j holds the kernel coefficient of
+both m - j and j - m, and restricting the kernel to the clean sensors zeroes
+the outlier rows Omega.
 
-The construction solves a 2K x 2K linear system that pins the polynomial to
-a drawn sign pattern at the true frequencies with vanishing derivative,
-after subtracting the contribution of the outlier rows, whose dual rows are
-fixed on the ball boundary.  Validation evaluates the assembled dual
-variable and checks the interpolation residual, the off-support bound, the
-near-region curvature sign, and the off-support row norms on finite grids.
+With E[j, k] = exp(-2i*pi*l_j*f_k), F = [E, kappa diag(2i*pi*l) E] and
+C = diag(restricted kernel coefficients), the certificate is
+Gamma = C F [alpha; beta] plus lam * r on the rows Omega, which fixes the
+outlier rows on the ball boundary. F^H Gamma stacks P(f_k) and -kappa P'(f_k)
+for P(f) = exp(2i*pi*m*f) Q(f), which has the same norm as Q. Pinning P to
+the drawn sign pattern at the true frequencies with vanishing derivative is
+therefore the 2K x 2K system F^H C F [alpha; beta] = [phi; 0] - lam F[Omega]^H r.
+
+Validation evaluates Q from Gamma through ``trigpoly`` and checks the
+interpolation residual, the off-support bound, the near-region curvature
+sign, and the off-support row norms on finite grids.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import trigpoly
-from .dual_analysis import localization_polynomial
 from .errors import CertificateFailureError, InvalidConfigurationError
 from .model import wrap_distance
 from .synthesis import _streams, _unit_phases
@@ -38,12 +39,9 @@ __all__ = [
     "CertificateSolution",
     "InterpolationSystem",
     "Kernel",
-    "RestrictedKernel",
     "ValidationOptions",
     "build_kernel",
     "build_system",
-    "curvature_scale",
-    "kernel_eval",
     "restrict_kernel",
     "run_certificate",
     "solve_certificate",
@@ -55,54 +53,40 @@ FACTOR_RATES = (0.247, 0.339, 0.414)
 
 @dataclass(frozen=True)
 class Kernel:
-    """Triple-Dirichlet interpolation kernel on symmetric indices -m..m."""
+    """Triple-Dirichlet interpolation kernel laid out over sensor rows.
+
+    ``coefficients[j]`` is the kernel coefficient at index l_j = m - j; a
+    restricted kernel has the outlier rows zeroed. ``kappa`` is
+    1 / sqrt(|K''(0)|) of the unrestricted kernel.
+    """
 
     half_length: int
-    coefficients: np.ndarray  # (2m+1,), real; entry l+m holds index l
-    factor_orders: tuple
+    coefficients: np.ndarray  # (2m+1,), real
+    kappa: float
 
     @property
     def n_sensors(self) -> int:
         return 2 * self.half_length + 1
 
 
-@dataclass(frozen=True)
-class RestrictedKernel:
-    """Kernel with the coefficients on a set of symmetric indices zeroed."""
-
-    base: Kernel
-    kept_mask: np.ndarray  # (2m+1,) bool over symmetric indices
-
-    @property
-    def half_length(self) -> int:
-        return self.base.half_length
-
-    @property
-    def n_sensors(self) -> int:
-        return self.base.n_sensors
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.base.coefficients * self.kept_mask
-
-
 def build_kernel(m: int) -> Kernel:
     """Convolve three Dirichlet coefficient boxes; peak value is one at f=0."""
     if m < 4:
         raise InvalidConfigurationError(f"kernel half-length must be >= 4, got {m}")
-    orders = tuple(int(math.floor(rate * m)) for rate in FACTOR_RATES)
     coeffs = np.array([1.0])
-    for mi in orders:
+    for rate in FACTOR_RATES:
+        mi = int(math.floor(rate * m))
         coeffs = np.convolve(coeffs, np.full(2 * mi + 1, 1.0 / (2 * mi + 1)))
-    half_support = sum(orders)
+    half_support = coeffs.size // 2
     full = np.zeros(2 * m + 1)
     full[m - half_support : m + half_support + 1] = coeffs
-    return Kernel(half_length=m, coefficients=full, factor_orders=orders)
+    # K''(0) = -sum_l (2*pi*l)^2 c_l
+    kappa = 1.0 / math.sqrt(np.sum((2 * np.pi * np.arange(-m, m + 1)) ** 2 * full))
+    return Kernel(half_length=m, coefficients=full, kappa=kappa)
 
 
-def restrict_kernel(kernel: Kernel, omega) -> RestrictedKernel:
-    """Zero the coefficients at the symmetric images j - m of sensor set omega."""
-    m = kernel.half_length
+def restrict_kernel(kernel: Kernel, omega) -> Kernel:
+    """Zero the coefficients on the sensor rows ``omega``; kappa is kept."""
     n = kernel.n_sensors
     idx = np.asarray(sorted(int(i) for i in np.atleast_1d(omega)), dtype=int)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
@@ -110,50 +94,34 @@ def restrict_kernel(kernel: Kernel, omega) -> RestrictedKernel:
             f"sensor indices must lie in 0..{n - 1}, got range "
             f"[{idx.min()}, {idx.max()}]"
         )
-    mask = np.ones(n, dtype=bool)
-    mask[idx] = False  # symmetric index (j - m) is stored at position j
-    return RestrictedKernel(base=kernel, kept_mask=mask)
-
-
-def kernel_eval(kernel, f, order: int = 0):
-    """Evaluate sum_l (2i*pi*l)^order c_l exp(2i*pi*l*f) over the kept support."""
-    if order not in (0, 1, 2, 3):
-        raise InvalidConfigurationError(f"derivative order must be 0..3, got {order}")
-    m = kernel.half_length
-    l = np.arange(-m, m + 1)
-    weights = kernel.coefficients * (2j * np.pi * l) ** order
-    farr = np.atleast_1d(np.asarray(f, dtype=float))
-    vals = np.exp(2j * np.pi * np.outer(farr, l)) @ weights
-    return vals[0] if np.isscalar(f) else vals
-
-
-def curvature_scale(kernel: Kernel) -> float:
-    """kappa = 1 / sqrt(|K''(0)|); K''(0) is negative at the peak."""
-    second = np.real(kernel_eval(kernel, 0.0, order=2))
-    return 1.0 / math.sqrt(abs(second))
+    coeffs = kernel.coefficients.copy()
+    coeffs[idx] = 0.0
+    return replace(kernel, coefficients=coeffs)
 
 
 @dataclass(frozen=True)
 class InterpolationSystem:
     """The 2K x 2K interpolation system and its right-hand-side pieces."""
 
-    matrix: np.ndarray          # [[D0, D1], [D1^T, D2]]
+    matrix: np.ndarray          # F^H C F = [[D0, D1], [-D1, D2]]
+    basis: np.ndarray           # F, (N, 2K)
     phi: np.ndarray             # (K, L), rows h_k b_k^H
-    b_omega: np.ndarray         # (2K, s), columns nu(d - m)
     r: np.ndarray               # (s, L), unit rows
-    kappa: float
     freqs: np.ndarray
     omega: np.ndarray           # sensor indices of the outlier rows
-    kernel: RestrictedKernel
+    kernel: Kernel
+
+    @property
+    def b_omega(self) -> np.ndarray:
+        """F[Omega]^H, (2K, s): node values and scaled derivatives of the outlier rows."""
+        return self.basis[self.omega].conj().T
 
 
-def build_system(freqs, omega, h, b, r, kernel: RestrictedKernel) -> InterpolationSystem:
+def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
     """Fill the interpolation blocks for the given sign pattern.
 
-    D0, D1, D2 hold the restricted kernel and its scaled derivatives at the
-    pairwise frequency differences; the second block row uses -D1, which
-    equals the transpose for the symmetric unrestricted kernel and enforces
-    the exact derivative condition in general.
+    D0, D1, D2 hold the restricted kernel and its derivatives, scaled by
+    kappa and kappa^2, at the pairwise frequency differences.
     """
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
     om = np.asarray(sorted(int(i) for i in np.atleast_1d(omega)), dtype=int)
@@ -170,22 +138,13 @@ def build_system(freqs, omega, h, b, r, kernel: RestrictedKernel) -> Interpolati
     if om.size and not np.allclose(np.linalg.norm(r, axis=1), 1.0, atol=1e-9):
         raise InvalidConfigurationError("r rows must be unit norm")
 
-    kappa = curvature_scale(kernel.base)
-    diff = (f[:, None] - f[None, :]).ravel()
-    d0 = kernel_eval(kernel, diff).reshape(k, k)
-    d1 = kappa * kernel_eval(kernel, diff, 1).reshape(k, k)
-    d2 = -(kappa**2) * kernel_eval(kernel, diff, 2).reshape(k, k)
-    matrix = np.block([[d0, d1], [-d1, d2]])
-
-    m = kernel.half_length
-    g = om - m  # symmetric indices of the outlier rows
-    phase = np.exp(-2j * np.pi * np.outer(f, g))  # (K, s)
-    b_omega = np.vstack([phase, (2j * np.pi * g) * kappa * phase]).reshape(2 * k, om.size)
-
+    l = kernel.half_length - np.arange(kernel.n_sensors)
+    e = np.exp(-2j * np.pi * np.outer(l, f))
+    basis = np.hstack([e, (2j * np.pi * kernel.kappa * l)[:, None] * e])
+    matrix = basis.conj().T @ (kernel.coefficients[:, None] * basis)
     phi = h[:, None] * b.conj()
     return InterpolationSystem(
-        matrix=matrix, phi=phi, b_omega=b_omega, r=r, kappa=kappa,
-        freqs=f, omega=om, kernel=kernel,
+        matrix=matrix, basis=basis, phi=phi, r=r, freqs=f, omega=om, kernel=kernel,
     )
 
 
@@ -214,13 +173,13 @@ def solve_certificate(system: InterpolationSystem, lam: float | None = None,
                       condition_limit: float = 1e10) -> CertificateSolution:
     """Solve for the coefficient rows and assemble the dual variable.
 
-    The right-hand side subtracts lam * B_Omega r, the node values and scaled
-    derivatives of the boundary term contributed by the outlier rows
-    (lam = 1/sqrt(N) reproduces the canonical construction).
+    The right-hand side subtracts lam * F[Omega]^H r, the node values and
+    scaled derivatives of the boundary term contributed by the outlier rows
+    (lam = 1/sqrt(N) reproduces the canonical construction). Then
+    Gamma = C F [alpha; beta] plus lam * r on the rows Omega, where a
+    restricted kernel is zero.
     """
-    kern = system.kernel
-    m = kern.half_length
-    n = kern.n_sensors
+    n = system.kernel.n_sensors
     k = system.freqs.size
     n_snap = system.phi.shape[1]
     if lam is None:
@@ -237,21 +196,11 @@ def solve_certificate(system: InterpolationSystem, lam: float | None = None,
         rhs = rhs - lam * (system.b_omega @ system.r)
     ab = np.linalg.solve(system.matrix, rhs)
     alpha, beta = ab[:k], ab[k:]
+    gamma = system.kernel.coefficients[:, None] * (system.basis @ ab)
+    gamma[system.omega] += lam * system.r
 
-    # plus-convention coefficients of P over symmetric indices
-    l = np.arange(-m, m + 1)
-    coeffs = kern.coefficients
-    p = np.zeros((n, n_snap), dtype=complex)
-    for k_idx in range(k):
-        phase = coeffs * np.exp(-2j * np.pi * l * system.freqs[k_idx])
-        p += np.outer(phase, alpha[k_idx])
-        p += np.outer(phase * (2j * np.pi * l) * system.kappa, beta[k_idx])
-    for i, d in enumerate(system.omega):
-        p[(m - int(d)) + m] += lam * system.r[i]
-    # row j of Gamma carries the symmetric coefficient at m - j
-    gamma = p[::-1].copy()
-
-    mod = np.exp(-2j * np.pi * m * system.freqs)
+    # Q(f_k) = exp(-2i*pi*m*f_k) P(f_k)
+    mod = np.exp(-2j * np.pi * system.kernel.half_length * system.freqs)
     targets = mod[:, None] * system.phi
     return CertificateSolution(
         alpha=alpha, beta=beta, gamma=gamma, system=system, lam=lam,
@@ -305,10 +254,9 @@ def validate_certificate(cert: CertificateSolution,
                          opts: ValidationOptions | None = None) -> CertificateReport:
     """Check the optimality conditions of a solved certificate on grids.
 
-    All checks read the assembled dual variable through
-    ``localization_polynomial``. They are: node values of Q against the
-    targets and node derivatives of the unmodulated polynomial
-    P = exp(2i*pi*m*f) Q (interpolation residual), the strict bound
+    All checks read Q from the assembled dual variable. They are: node
+    values of Q against the targets and node derivatives of the unmodulated
+    polynomial P = exp(2i*pi*m*f) Q (interpolation residual), the strict bound
     ||Q(f)|| < 1 away from the near regions, the curvature of ||Q||^2 being
     negative throughout the near regions, and the off-support rows of the
     dual variable staying strictly inside the ball. The on-support rows
@@ -319,18 +267,18 @@ def validate_certificate(cert: CertificateSolution,
     m = sys.kernel.half_length
     n = sys.kernel.n_sensors
     freqs = sys.freqs
-    dp = localization_polynomial(cert.gamma)
+    gamma = cert.gamma
 
     # interpolation residual: Q at the nodes against the targets, and
     # ||P'|| = ||Q' + 2i*pi*m Q|| (critical point of ||Q||) at the nodes
-    node_vals = dp(freqs, 0)
+    node_vals = trigpoly.evaluate(gamma, freqs)
     res_val = float(np.linalg.norm(node_vals - cert.targets, axis=1).max())
-    node_der = dp(freqs, 1) + 2j * np.pi * m * node_vals
-    res_der = float((sys.kappa * np.linalg.norm(node_der, axis=1)).max())
+    node_der = trigpoly.evaluate(gamma, freqs, 1) + 2j * np.pi * m * node_vals
+    res_der = float((sys.kernel.kappa * np.linalg.norm(node_der, axis=1)).max())
     interpolation_residual = max(res_val, res_der)
 
     # off-support bound on a dense grid, excluding the near regions
-    grid, qnorm = trigpoly.scan(dp.gamma, opts.grid_size)
+    grid, qnorm = trigpoly.scan(gamma, opts.grid_size)
     radius = _near_radius(opts, m)
     dmin = np.min(
         np.stack([wrap_distance(grid, fk) for fk in freqs]), axis=0
@@ -341,12 +289,12 @@ def validate_certificate(cert: CertificateSolution,
     # curvature of ||Q||^2 over the near regions
     near = np.linspace(-radius, radius, opts.near_grid)
     curv_max = max(
-        (float(trigpoly.curvature(dp.gamma, fk + near).max()) for fk in freqs),
+        (float(trigpoly.curvature(gamma, fk + near).max()) for fk in freqs),
         default=-math.inf,
     )
 
     # rows outside the support must stay strictly inside the ball
-    row_norms = np.linalg.norm(cert.gamma, axis=1)
+    row_norms = np.linalg.norm(gamma, axis=1)
     clean = np.setdiff1d(np.arange(n), sys.omega)
     outlier_row_margin = float(row_norms[clean].max() / cert.lam) if clean.size else 0.0
 
@@ -391,14 +339,10 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float,
     b /= np.linalg.norm(b, axis=1, keepdims=True)
     r = _unit_phases(rng_val, (n_outliers, n_snapshots)) / math.sqrt(n_snapshots)
 
-    kernel = build_kernel(m)
-    # reflect the sensor set so the zeroed symmetric indices are exactly the
-    # ones whose coefficients land on the outlier rows of the dual variable
-    reflected = (n_sensors - 1) - omega
-    restricted = restrict_kernel(kernel, reflected)
+    kernel = restrict_kernel(build_kernel(m), omega)
     # premodulate the node targets so that Q itself interpolates h_k b_k^H
     h_mod = np.exp(2j * np.pi * m * freqs) * h
-    system = build_system(freqs, omega, h_mod, b, r, restricted)
+    system = build_system(freqs, omega, h_mod, b, r, kernel)
     try:
         cert = solve_certificate(system, lam=lam, condition_limit=opts.condition_limit)
     except CertificateFailureError as exc:

@@ -5,7 +5,8 @@ flags and is a pure function of (config, seed): identical inputs produce
 identical output files. Numeric CSV cells use shortest round-trip decimal
 representation.
 
-Exit codes: 0 ok, 2 solver did not converge, 3 I/O failure, 4 invalid config.
+Exit codes: 0 ok, 2 solver did not converge, 3 I/O failure, 4 invalid config
+or command line.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import certificate as cert_mod
 from . import trigpoly
-from .dual_analysis import LocateOptions, demix, localization_polynomial, success
+from .dual_analysis import LocateOptions, demix, success
 from .errors import SineSpikesError
 from .model import MixtureInstance, default_lambda
 from .solver import SolverOptions, write_diagnostics_csv
@@ -119,7 +120,7 @@ def cmd_synth(args, config: dict) -> int:
 
 
 def _trace_rows(gamma: np.ndarray, grid: int | None):
-    return zip(*trigpoly.scan(localization_polynomial(gamma).gamma, grid))
+    return zip(*trigpoly.scan(gamma, grid))
 
 
 def cmd_demix(args, config: dict) -> int:
@@ -130,6 +131,7 @@ def cmd_demix(args, config: dict) -> int:
     lam = _resolve_lambda(args.lam or config.get("lambda"), instance.n_sensors)
     solver_opts = _solver_options(config.get("solver", {}))
     locate_opts = _locate_options(config.get("locate", {}), args.grid)
+    trigpoly.grid_points(instance.n_sensors, locate_opts.grid_size)  # before the solve
     report, solution = demix(instance.measurement, lam, solver_opts, locate_opts)
 
     out = _out_dir(args)
@@ -202,6 +204,7 @@ def cmd_phase_transition(args, config: dict) -> int:
     base_seed = int(args.seed if args.seed is not None else config.get("seed", 0))
     solver_kwargs = config.get("solver", {})
     threads = int(args.threads or config.get("threads", 1))
+    trigpoly.grid_points(n_sensors, args.grid)  # before the first trial
 
     n_steps = int(round((stop - start) / step)) + 1
     deltas = [(start + i * step) / n_sensors for i in range(n_steps)]
@@ -293,27 +296,40 @@ def cmd_certificate(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_CONFIG; argparse's own 2 means no convergence here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+_FLAGS = {
+    "--trials": dict(type=int),
+    "--threads": dict(type=int),
+    "--grid": dict(type=int),
+    "--lambda": dict(dest="lam", help='regularization weight, a float or "auto" (= 1/sqrt(N))'),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sinespikes",
         description="Demix spectral lines from row-sparse outliers via the dual SDP.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("synth", cmd_synth),
-        ("demix", cmd_demix),
-        ("phase-transition", cmd_phase_transition),
-        ("certificate", cmd_certificate),
+    for name, fn, flags in (
+        ("synth", cmd_synth, ()),
+        ("demix", cmd_demix, ("--grid", "--lambda")),
+        ("phase-transition", cmd_phase_transition, ("--trials", "--threads", "--grid")),
+        ("certificate", cmd_certificate, ("--grid", "--lambda")),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="path to a JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--lambda", dest="lam", default=None,
-                       help='regularization weight, a float or "auto" (= 1/sqrt(N))')
+        p.add_argument("--config", help="path to a JSON config file")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", help="output directory")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(handler=fn)
     return parser
 

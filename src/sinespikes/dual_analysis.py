@@ -1,68 +1,33 @@
 """Turning a solved dual program into frequency and outlier estimates.
 
-The localization object is the vector-valued trigonometric polynomial
-attached to the dual variable Gamma. Two unit conventions appear:
-
-* ``DualPolynomial`` evaluates (1/sqrt(N)) sum_j gamma[j] exp(-2i*pi*j*f),
-  i.e. the pairing with the unit-norm atom (see ``trigpoly``);
-* the SDP's diagonal-sum constraint bounds the plain-coefficient polynomial
-  sum_j Gamma[j] exp(-2i*pi*j*f) by one, so localization must look at the
-  dual variable scaled by sqrt(N).  ``localization_polynomial`` is the only
-  place that applies that scaling; its output peaks at one exactly on the
-  recovered support.
+Frequencies are read from the vector-valued trigonometric polynomial
+Q(f) = sum_j Gamma[j] exp(-2i*pi*j*f) of the dual variable Gamma, evaluated
+by ``trigpoly``. The SDP's diagonal-sum constraint bounds ||Q|| by one, and
+||Q|| reaches one exactly on the recovered support. Outlier rows are the
+rows of Gamma on the boundary of the lambda-ball.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import trigpoly
-from .errors import IllPosedRecoveryError, InvalidDimensionError
+from .errors import IllPosedRecoveryError
 from .model import signal_matrix, wrap_distance
 from .solver import DualSdpProblem, SdpSolution, SolverOptions, solve_dual_sdp
 
 __all__ = [
     "DemixReport",
-    "DualPolynomial",
     "LocateOptions",
     "demix",
     "duality_gap",
     "locate_frequencies",
     "locate_outliers",
-    "localization_polynomial",
     "recover_amplitudes",
     "success",
 ]
-
-
-@dataclass(frozen=True)
-class DualPolynomial:
-    """Evaluator for Q(f) = a(f, 0)^H Gamma and its first two derivatives."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma)
-        if g.ndim != 2 or g.size == 0:
-            raise InvalidDimensionError(f"gamma must be N x L, got {g.shape}")
-
-    def __call__(self, f, order: int = 0) -> np.ndarray:
-        """Q or its derivative of order 0..2; a scalar f yields one row."""
-        return trigpoly.evaluate(self.gamma, f, order)
-
-
-def localization_polynomial(source) -> DualPolynomial:
-    """Polynomial whose norm peaks at one on the support, from a solve.
-
-    Accepts an ``SdpSolution`` or a raw dual variable in solver units and
-    rescales by sqrt(N) so the evaluation convention of ``DualPolynomial``
-    reproduces the plain-coefficient polynomial the SDP bounds by one.
-    """
-    gamma = source.gamma if isinstance(source, SdpSolution) else np.asarray(source)
-    return DualPolynomial(gamma * math.sqrt(gamma.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -82,17 +47,18 @@ class LocateOptions:
     row_tol: float = 1e-3
 
 
-def locate_frequencies(dp: DualPolynomial,
+def locate_frequencies(gamma: np.ndarray,
                        opts: LocateOptions | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies where ||Q|| attains a refined local maximum near one.
 
-    Returns the frequencies and the refined values ||Q|| there.
+    ``gamma`` is the dual variable. Returns the frequencies and the refined
+    values ||Q|| there.
     """
     opts = opts or LocateOptions()
-    f, vals = trigpoly.scan(dp.gamma, opts.grid_size)
+    f, vals = trigpoly.scan(gamma, opts.grid_size)
     candidates = trigpoly.local_maxima(vals)
     candidates = candidates[vals[candidates] >= 1.0 - opts.peak_tol]
-    refined, values = trigpoly.refine(dp.gamma, f[candidates], opts.newton_steps)
+    refined, values = trigpoly.refine(gamma, f[candidates], opts.newton_steps)
     keep = values >= 1.0 - opts.accept_tol
     return trigpoly.merge_peaks(refined[keep], values[keep], 1.0 / f.size)
 
@@ -202,7 +168,7 @@ def demix(measurement: np.ndarray, lam: float,
     """
     problem = DualSdpProblem(np.asarray(measurement, dtype=complex), lam)
     solution = solve_dual_sdp(problem, solver_opts)
-    freqs, peaks = locate_frequencies(localization_polynomial(solution), locate_opts)
+    freqs, peaks = locate_frequencies(solution.gamma, locate_opts)
     rows = locate_outliers(solution, lam, locate_opts)
     try:
         amplitudes, outliers = recover_amplitudes(problem.measurement, freqs, rows)

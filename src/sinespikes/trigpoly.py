@@ -1,9 +1,10 @@
-"""The dual polynomial Q(f) = (1/sqrt(N)) sum_j gamma[j] exp(-2i*pi*j*f).
+"""The dual polynomial Q(f) = sum_j gamma[j] exp(-2i*pi*j*f).
 
 This module is the only code that evaluates Q: at points with derivatives,
 on a dense grid, at its grid maxima refined by Newton ascent, and through
-the curvature of ||Q||^2. Rows of ``gamma`` are the coefficients; the
-1/sqrt(N) is the pairing with the unit-norm atom of ``model.atom``.
+the curvature of ||Q||^2. Rows of ``gamma`` are the coefficients, in the
+scale the SDP bounds by one; only ``dual_atomic_norm`` divides by sqrt(N),
+for the pairing with the unit-norm atom of ``model.atom``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "curvature",
     "dual_atomic_norm",
     "evaluate",
+    "grid_points",
     "local_maxima",
     "merge_peaks",
     "refine",
@@ -41,23 +43,33 @@ def evaluate(gamma: np.ndarray, freqs, order: int = 0) -> np.ndarray:
     basis = np.exp(-2j * np.pi * np.outer(f, j))
     if order:
         basis = basis * (-2j * np.pi * j) ** order
-    out = (basis @ g) / math.sqrt(n)
+    out = basis @ g
     return out[0] if np.isscalar(freqs) else out
 
 
-def scan(gamma: np.ndarray, grid_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Grid points i/G and ||Q|| there.
+def grid_points(n: int, grid_size: int | None = None) -> int:
+    """Number of scan points for a polynomial with ``n`` coefficients.
 
-    ``None`` selects max(8192, 32 N) points. Fewer than 2N points cannot
-    resolve a polynomial of degree N-1 and are rejected.
+    ``None`` selects max(8192, 32 n) points. Fewer than 2n points cannot
+    resolve a polynomial of degree n-1 and are rejected.
     """
-    n = np.shape(gamma)[0]
     if grid_size is None:
-        grid_size = max(8192, 32 * n)
+        return max(8192, 32 * n)
     if grid_size < 2 * n:
         raise InvalidConfigurationError(
             f"grid of {grid_size} points is too coarse for degree {n - 1}"
         )
+    return grid_size
+
+
+def scan(gamma: np.ndarray, grid_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Grid points i/G and ||Q|| there, with G = ``grid_points(N, grid_size)``.
+
+    ``gamma`` must be a nonempty N x L matrix.
+    """
+    if np.ndim(gamma) != 2 or np.size(gamma) == 0:
+        raise InvalidDimensionError(f"expected a nonempty matrix, got shape {np.shape(gamma)}")
+    grid_size = grid_points(np.shape(gamma)[0], grid_size)
     f = np.arange(grid_size) / grid_size
     return f, np.linalg.norm(evaluate(gamma, f), axis=1)
 
@@ -99,21 +111,20 @@ def refine(gamma: np.ndarray, f0, steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dual_atomic_norm(gamma: np.ndarray, grid_size: int | None = None) -> float:
-    """sup over f of ||gamma^H a(f, 0)||_2, by dense grid plus Newton ascent.
+    """sup over f of ||gamma^H a(f, 0)||_2, i.e. of ||Q(f)|| / sqrt(N).
 
-    The returned value is a lower bound on the true supremum, tight to the
-    refinement tolerance because the objective is a trigonometric polynomial
-    of degree N-1 sampled at >= 16x its bandwidth.
+    Found by dense grid plus Newton ascent. The returned value is a lower
+    bound on the true supremum, tight to the refinement tolerance because
+    the objective is a trigonometric polynomial of degree N-1 sampled at
+    >= 16x its bandwidth.
     """
     g = np.asarray(gamma, dtype=complex)
-    if g.ndim != 2 or g.size == 0:
-        raise InvalidDimensionError(f"expected a nonempty matrix, got shape {g.shape}")
     f, vals = scan(g, grid_size)
     peaks = local_maxima(vals)
     if peaks.size == 0:
         peaks = np.array([int(np.argmax(vals))])
     _, refined = refine(g, f[peaks], steps=3)
-    return float(max(refined.max(), vals.max()))
+    return float(max(refined.max(), vals.max())) / math.sqrt(g.shape[0])
 
 
 def merge_peaks(freqs, values, radius: float) -> tuple[np.ndarray, np.ndarray]:

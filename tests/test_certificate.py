@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinespikes import (
     build_kernel,
     build_system,
-    curvature_scale,
-    kernel_eval,
     locate_frequencies,
-    localization_polynomial,
     restrict_kernel,
     run_certificate,
     solve_certificate,
+    trigpoly,
     validate_certificate,
 )
 from sinespikes.certificate import ValidationOptions
@@ -30,18 +30,27 @@ def dirichlet_product(m, f):
     return out
 
 
+def interpolation_matrix(kernel, freqs):
+    """build_system's matrix at the given nodes with no outlier rows."""
+    k = len(freqs)
+    return build_system(freqs, [], np.ones(k), np.ones((k, 1)), np.zeros((0, 1)), kernel).matrix
+
+
 class TestKernel:
+    # the value block D0 of the interpolation matrix holds K(f_i - f_k), the
+    # derivative blocks kappa K'(f_i - f_k) and -kappa^2 K''(f_i - f_k)
+
     def test_peak_normalization(self):
         for m in (5, 25, 50, 100):
             k = build_kernel(m)
             assert k.coefficients.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.real(kernel_eval(k, 0.0)) == pytest.approx(1.0, abs=1e-12)
+            assert interpolation_matrix(k, [0.3])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dirichlet_product(self):
         m = 50
         k = build_kernel(m)
-        f = np.arange(4096) / 4096
-        direct = kernel_eval(k, f)
+        f = np.arange(512) / 512
+        direct = interpolation_matrix(k, np.append(f, 0.0))[:512, 512]
         reference = dirichlet_product(m, f)
         assert np.abs(direct - reference).max() <= 1e-10
 
@@ -50,39 +59,42 @@ class TestKernel:
         np.testing.assert_allclose(k.coefficients, k.coefficients[::-1], atol=1e-15)
 
     def test_evaluation_is_real(self):
+        # real and even: K(f) = K(-f) is real, so D0 is real and symmetric
         k = build_kernel(30)
         f = np.random.default_rng(0).random(64)
-        assert np.abs(kernel_eval(k, f).imag).max() <= 1e-12
+        d0 = interpolation_matrix(k, np.append(f, 0.0))[:65, :65]
+        assert np.abs(d0.imag).max() <= 1e-12
+        np.testing.assert_allclose(d0[:64, 64], d0[64, :64], atol=1e-12)
 
     def test_first_derivative_vanishes_at_origin(self):
         k = build_kernel(40)
-        assert abs(kernel_eval(k, 0.0, order=1)) <= 1e-12
+        d = interpolation_matrix(k, [0.3])
+        assert abs(d[0, 1]) <= 1e-12 and abs(d[1, 0]) <= 1e-12
 
     def test_second_derivative_negative_at_origin(self):
-        k = build_kernel(40)
-        val = kernel_eval(k, 0.0, order=2)
-        assert np.real(val) < 0 and abs(np.imag(val)) <= 1e-9
+        m = 40
+        k = build_kernel(m)
+        l = m - np.arange(2 * m + 1)
+        second = np.sum((2j * np.pi * l) ** 2 * k.coefficients)  # K''(0) over sensor rows
+        assert second.real < 0 and abs(second.imag) <= 1e-9
+        assert k.kappa == pytest.approx(1.0 / np.sqrt(-second.real), rel=1e-12)
 
     def test_derivatives_match_finite_differences(self):
         k = build_kernel(25)
         rng = np.random.default_rng(1)
         h = 1e-6
         for f in rng.random(100):
-            for order in (1, 2, 3):
-                fd = (kernel_eval(k, f + h, order - 1)
-                      - kernel_eval(k, f - h, order - 1)) / (2 * h)
-                an = kernel_eval(k, f, order)
-                scale = max(abs(an), abs(kernel_eval(k, 0.0, order)))
-                assert abs(an - fd) <= 1e-5 * scale
+            # nodes f + h, f - h, f, 0: column 3 holds K, column 7 kappa K'
+            d = interpolation_matrix(k, [f + h, f - h, f, 0.0])
+            fd1 = (d[0, 3] - d[1, 3]) / (2 * h)
+            fd2 = (d[0, 7] - d[1, 7]) / (2 * h)
+            assert abs(k.kappa * fd1 - d[2, 7]) <= 1e-5 * abs(d[2, 7])
+            # |kappa^2 K''(f)| <= kappa^2 |K''(0)| = 1, so this is the relative bound at f = 0
+            assert abs(k.kappa * fd2 + d[6, 7]) <= 1e-5
 
     def test_small_half_length_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             build_kernel(3)
-
-    def test_order_range(self):
-        k = build_kernel(10)
-        with pytest.raises(InvalidConfigurationError):
-            kernel_eval(k, 0.1, order=4)
 
 
 class TestRestrictKernel:
@@ -121,33 +133,45 @@ class TestRestrictKernel:
 class TestBuildSystem:
     def test_single_frequency_blocks(self):
         k = restrict_kernel(build_kernel(30), [])
-        kappa = curvature_scale(k.base)
         sys = build_system([0.3], [], [1.0], np.array([[1.0]]), np.zeros((0, 1)), k)
         d = sys.matrix
         assert d.shape == (2, 2)
-        assert d[0, 0] == pytest.approx(np.real(kernel_eval(k, 0.0)), abs=1e-12)
+        assert d[0, 0] == pytest.approx(k.coefficients.sum(), abs=1e-12)  # K(0)
         assert abs(d[0, 1]) <= 1e-12  # kappa K'(0)
         assert d[1, 1] == pytest.approx(1.0, abs=1e-12)  # -kappa^2 K''(0)
 
     def test_blocks_match_brute_force(self):
+        # oracle: explicit sums over sensor rows j, kernel index l_j = m - j
         rng = np.random.default_rng(3)
         m, kk, s, l = 40, 3, 4, 2
-        kern = restrict_kernel(build_kernel(m), rng.choice(2 * m + 1, 5, replace=False))
+        n = 2 * m + 1
+        base = build_kernel(m)
+        zeroed = rng.choice(n, 5, replace=False)
+        kern = restrict_kernel(base, zeroed)
         freqs = np.sort(rng.random(kk))
-        omega = np.sort(rng.choice(2 * m + 1, s, replace=False))
+        omega = np.sort(rng.choice(n, s, replace=False))
         h = np.exp(2j * np.pi * rng.random(kk))
         b = rng.standard_normal((kk, l)) + 1j * rng.standard_normal((kk, l))
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         r = np.exp(2j * np.pi * rng.random((s, l))) / math.sqrt(l)
         sys = build_system(freqs, omega, h, b, r, kern)
-        kappa = sys.kappa
+        assert np.all(kern.coefficients[zeroed] == 0.0)
+        kappa = 1.0 / math.sqrt(sum((2 * np.pi * (m - j)) ** 2 * base.coefficients[j]
+                                    for j in range(n)))
+        assert kern.kappa == pytest.approx(kappa, rel=1e-12)
         for i in range(kk):
-            for j in range(kk):
-                diff = freqs[i] - freqs[j]
-                assert abs(sys.matrix[i, j] - kernel_eval(kern, diff)) <= 1e-12
-                assert abs(sys.matrix[i, kk + j] - kappa * kernel_eval(kern, diff, 1)) <= 1e-12
-                assert abs(sys.matrix[kk + i, j] + kappa * kernel_eval(kern, diff, 1)) <= 1e-12
-                assert abs(sys.matrix[kk + i, kk + j] + kappa**2 * kernel_eval(kern, diff, 2)) <= 1e-12
+            for k in range(kk):
+                d0 = d1 = d2 = 0j
+                for j in range(n):
+                    lj = m - j
+                    term = kern.coefficients[j] * np.exp(2j * np.pi * lj * (freqs[i] - freqs[k]))
+                    d0 += term
+                    d1 += kappa * 2j * np.pi * lj * term
+                    d2 += kappa**2 * (2 * np.pi * lj) ** 2 * term
+                assert abs(sys.matrix[i, k] - d0) <= 1e-12
+                assert abs(sys.matrix[i, kk + k] - d1) <= 1e-12
+                assert abs(sys.matrix[kk + i, k] + d1) <= 1e-12
+                assert abs(sys.matrix[kk + i, kk + k] - d2) <= 1e-12
         for c, d in enumerate(omega):
             g = d - m
             for i in range(kk):
@@ -156,6 +180,20 @@ class TestBuildSystem:
                            - 2j * np.pi * g * kappa * np.exp(-2j * np.pi * g * freqs[i])) <= 1e-12
         np.testing.assert_allclose(sys.phi, h[:, None] * b.conj(), atol=1e-14)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(10, 60), kk=st.integers(1, 3),
+           s=st.integers(0, 10))
+    def test_matrix_hermitian_positive_definite(self, seed, m, kk, s):
+        # F^H C F with C >= 0; at distinct nodes F has full column rank on the
+        # kernel's nonzero rows, of which m >= 10 leaves more than 2K
+        rng = np.random.default_rng(seed)
+        n = 2 * m + 1
+        kern = restrict_kernel(build_kernel(m), rng.choice(n, min(s, n // 4), replace=False))
+        freqs = (rng.random() + np.arange(kk) * rng.uniform(1.0 / m, 1.0 / kk)) % 1.0
+        d = interpolation_matrix(kern, freqs)
+        np.testing.assert_allclose(d, d.conj().T, atol=1e-12 * np.abs(d).max())
+        assert np.linalg.eigvalsh(d).min() > 0
+
 
 class TestSolveCertificate:
     def test_single_frequency_no_outliers(self):
@@ -163,40 +201,64 @@ class TestSolveCertificate:
         assert report.passed
         assert report.interpolation_residual <= 1e-10
         # derivative of ||Q||^2 vanishes at the node
-        dp = localization_polynomial(cert.gamma)
         f0 = cert.freqs[0]
-        q0, q1 = dp(f0, 0), dp(f0, 1)
+        q0, q1 = trigpoly.evaluate(cert.gamma, f0), trigpoly.evaluate(cert.gamma, f0, 1)
         assert abs(2 * np.real(q1 @ q0.conj().T)) <= 1e-9
 
     def test_nodes_hit_unit_norm_single_snapshot(self):
         cert, report = run_certificate(101, 3, 0.06, 0, n_snapshots=1, seed=1)
         assert report.interpolation_residual <= 1e-10
-        vals = np.linalg.norm(localization_polynomial(cert.gamma)(cert.freqs), axis=1)
+        vals = np.linalg.norm(trigpoly.evaluate(cert.gamma, cert.freqs), axis=1)
         np.testing.assert_allclose(vals, 1.0, atol=1e-10)
 
     def test_two_assembly_paths_agree(self):
         # the kernel form exp(-2i*pi*m*f) [sum_k alpha_k K(f - f_k)
-        # + kappa beta_k K'(f - f_k) + lam sum_d r_d exp(-2i*pi*(d - m)*f)]
-        # must equal the polynomial of the assembled dual variable; this pins
-        # the reflection of the coefficients onto sensor rows
+        # + kappa beta_k K'(f - f_k) + lam sum_d r_d exp(2i*pi*l_d*f)], with
+        # K(x) = sum_j c_j exp(2i*pi*l_j*x) summed over sensor rows, must
+        # equal Q of the assembled dual variable; this pins row j to l_j = m - j
         cert, _ = run_certificate(201, 2, 4 / 200, 5, seed=0)
         sys = cert.system
         m = sys.kernel.half_length
+        l = m - np.arange(sys.kernel.n_sensors)
+
+        def kern(x, order):
+            return (np.exp(2j * np.pi * np.outer(x, l)) * (2j * np.pi * l) ** order) @ sys.kernel.coefficients
+
         f = np.random.default_rng(4).random(512)
         p = np.zeros((f.size, cert.alpha.shape[1]), dtype=complex)
         for fk, a, b in zip(sys.freqs, cert.alpha, cert.beta):
-            p += np.outer(kernel_eval(sys.kernel, f - fk), a)
-            p += sys.kappa * np.outer(kernel_eval(sys.kernel, f - fk, 1), b)
-        p += cert.lam * np.exp(-2j * np.pi * np.outer(f, sys.omega - m)) @ sys.r
+            p += np.outer(kern(f - fk, 0), a)
+            p += sys.kernel.kappa * np.outer(kern(f - fk, 1), b)
+        p += cert.lam * np.exp(2j * np.pi * np.outer(f, l[sys.omega])) @ sys.r
         kernel_form = np.exp(-2j * np.pi * m * f)[:, None] * p
-        dp = localization_polynomial(cert.gamma)
-        assert np.abs(dp(f) - kernel_form).max() <= 1e-8
+        assert np.abs(trigpoly.evaluate(cert.gamma, f) - kernel_form).max() <= 1e-8
 
     def test_outlier_rows_fixed_on_ball(self):
         cert, _ = run_certificate(201, 2, 4 / 200, 5, seed=2)
         np.testing.assert_allclose(
             cert.gamma[cert.omega], cert.lam * cert.system.r, atol=1e-14
         )
+
+    def test_interpolation_holds_for_any_kernel(self):
+        # F^H Gamma = [phi; 0] whether or not the kernel is zero on Omega
+        rng = np.random.default_rng(5)
+        m, l = 40, 2
+        n = 2 * m + 1
+        freqs = np.array([0.21, 0.64])
+        omega = np.array([3, 17, 50])
+        h = np.exp(2j * np.pi * rng.random(2))
+        b = rng.standard_normal((2, l)) + 1j * rng.standard_normal((2, l))
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        r = np.exp(2j * np.pi * rng.random((3, l))) / math.sqrt(l)
+        base = build_kernel(m)
+        for kern in (base, restrict_kernel(base, omega)):
+            sys = build_system(freqs, omega, h, b, r, kern)
+            cert = solve_certificate(sys)
+            expected = np.vstack([sys.phi, np.zeros((2, l))])
+            np.testing.assert_allclose(sys.basis.conj().T @ cert.gamma, expected, atol=1e-10)
+            ab = np.vstack([cert.alpha, cert.beta])
+            kernel_part = kern.coefficients[omega, None] * (sys.basis[omega] @ ab)
+            np.testing.assert_allclose(cert.gamma[omega] - kernel_part, cert.lam * r, atol=1e-12)
 
     def test_ill_conditioned_reports_failure(self):
         cert, report = run_certificate(21, 2, 4 / 20, 19, seed=1)
@@ -225,7 +287,7 @@ class TestValidateCertificate:
     def test_located_frequencies_match_construction(self):
         cert, report = run_certificate(201, 2, 4 / 200, 5, seed=3)
         assert report.passed
-        located, _ = locate_frequencies(localization_polynomial(cert.gamma))
+        located, _ = locate_frequencies(cert.gamma)
         assert located.size == cert.freqs.size
         assert np.abs(np.sort(located) - np.sort(cert.freqs)).max() <= 1e-6
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sinespikes import MixtureInstance
+from sinespikes import cli
 from sinespikes.cli import main, trial_seed
 
 
@@ -169,6 +170,35 @@ def test_certificate_bad_grid_exit_code(tmp_path, capsys):
     assert main(["certificate", "--config", cfg, "--out", str(out), "--grid", "-3"]) == 4
     assert "invalid configuration" in capsys.readouterr().err
     assert not (out / "certificate_trace.csv").exists()
+
+
+def test_phase_transition_bad_grid_exit_code(tmp_path, capsys, monkeypatch):
+    def no_trial(payload):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_phase_trial", no_trial)
+    cfg = write_config(tmp_path / "c.json", {
+        "synthesis": {"n_sensors": 24},
+        "phase_transition": {"delta_start": 1.4, "delta_stop": 1.5,
+                             "snapshot_counts": [2], "trials": 1, "total_outliers": 2},
+    })
+    out = tmp_path / "o"
+    assert main(["phase-transition", "--config", cfg, "--out", str(out), "--grid", "-3"]) == 4
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (out / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["demix", "--bogus"],
+    ["synth", "--grid", "8"],
+    ["phase-transition", "--lambda", "0.3"],
+    ["certificate", "--trials", "2"],
+])
+def test_usage_error_exit_code(tmp_path, argv):
+    # a missing config makes a command that parses exit 3 without running
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(tmp_path / "nope.json")])
+    assert exc.value.code == 4
 
 
 def test_invalid_config_exit_code(tmp_path):
