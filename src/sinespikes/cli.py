@@ -196,6 +196,8 @@ def cmd_phase_transition(args, config: dict) -> int:
     stop = float(section.get("delta_stop", 1.5))
     if not start < stop:
         raise ValueError("sweep start must be below stop")
+    if not step > 0:
+        raise ValueError("sweep step must be positive")
     snapshot_counts = [int(x) for x in section.get("snapshot_counts", [1, 3, 5])]
     trials = int(args.trials or section.get("trials", 20))
     if trials < 1:
@@ -251,6 +253,8 @@ def cmd_certificate(args, config: dict) -> int:
     n_outliers = int(section.get("n_outliers", 5))
     n_snapshots = int(section.get("n_snapshots", 3))
     n_seeds = int(section.get("seeds", 1))
+    if n_seeds < 1:
+        raise ValueError("need at least one seed")
     base_seed = int(args.seed if args.seed is not None else config.get("seed", 0))
     grid = args.grid if args.grid is not None else section.get("grid_size", 1 << 14)
     opts = cert_mod.ValidationOptions(

@@ -2,9 +2,11 @@
 
 This module is the only code that evaluates Q: at points with derivatives,
 on a dense grid, at its grid maxima refined by Newton ascent, and through
-the curvature of ||Q||^2. Rows of ``gamma`` are the coefficients, in the
-scale the SDP bounds by one; only ``dual_atomic_norm`` divides by sqrt(N),
-for the pairing with the unit-norm atom of ``model.atom``.
+the curvature of ||Q||^2. On the grid i/G, Q is the zero-padded FFT of the
+coefficient rows; at arbitrary points, Q and its derivatives come from one
+exponential basis exp(-2i*pi*j*f). Rows of ``gamma`` are the coefficients,
+in the scale the SDP bounds by one; only ``dual_atomic_norm`` divides by
+sqrt(N), for the pairing with the unit-norm atom of ``model.atom``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,20 @@ __all__ = [
 ]
 
 
+def _derivatives(gamma: np.ndarray, freqs, orders) -> list[np.ndarray]:
+    """The derivatives of Q of the given orders at ``freqs``, one per order.
+
+    Order p multiplies each coefficient by (-2i*pi*j)^p. All orders share
+    one exponential basis and one product with the stacked coefficients.
+    """
+    g = np.asarray(gamma, dtype=complex)
+    j = np.arange(g.shape[0])
+    w = (-2j * np.pi * j)[:, None]
+    f = np.atleast_1d(np.asarray(freqs, dtype=float))
+    out = np.exp(-2j * np.pi * np.outer(f, j)) @ np.hstack([g * w**p for p in orders])
+    return np.split(out, len(orders), axis=1)
+
+
 def evaluate(gamma: np.ndarray, freqs, order: int = 0) -> np.ndarray:
     """Q or its ``order``-th derivative; rows correspond to the f values.
 
@@ -36,14 +52,7 @@ def evaluate(gamma: np.ndarray, freqs, order: int = 0) -> np.ndarray:
     """
     if order not in (0, 1, 2):
         raise InvalidConfigurationError(f"derivative order must be 0..2, got {order}")
-    g = np.asarray(gamma, dtype=complex)
-    n = g.shape[0]
-    f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    j = np.arange(n)
-    basis = np.exp(-2j * np.pi * np.outer(f, j))
-    if order:
-        basis = basis * (-2j * np.pi * j) ** order
-    out = basis @ g
+    (out,) = _derivatives(gamma, freqs, (order,))
     return out[0] if np.isscalar(freqs) else out
 
 
@@ -65,13 +74,16 @@ def grid_points(n: int, grid_size: int | None = None) -> int:
 def scan(gamma: np.ndarray, grid_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Grid points i/G and ||Q|| there, with G = ``grid_points(N, grid_size)``.
 
+    Q(i/G) = sum_j gamma[j] exp(-2i*pi*j*i/G) is the length-G FFT of the
+    coefficient rows zero-padded from N to G, which G >= 2N allows.
     ``gamma`` must be a nonempty N x L matrix.
     """
     if np.ndim(gamma) != 2 or np.size(gamma) == 0:
         raise InvalidDimensionError(f"expected a nonempty matrix, got shape {np.shape(gamma)}")
     grid_size = grid_points(np.shape(gamma)[0], grid_size)
     f = np.arange(grid_size) / grid_size
-    return f, np.linalg.norm(evaluate(gamma, f), axis=1)
+    q = np.fft.fft(np.asarray(gamma, dtype=complex), n=grid_size, axis=0)
+    return f, np.linalg.norm(q, axis=1)
 
 
 def local_maxima(values: np.ndarray) -> np.ndarray:
@@ -92,7 +104,7 @@ def _curvature(q0: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 
 def curvature(gamma: np.ndarray, freqs) -> np.ndarray:
     """Half the second derivative of ||Q||^2: ||Q'||^2 + Re<Q'', Q>."""
-    return _curvature(*(evaluate(gamma, freqs, p) for p in (0, 1, 2)))
+    return _curvature(*_derivatives(gamma, freqs, (0, 1, 2)))
 
 
 def refine(gamma: np.ndarray, f0, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,10 +112,11 @@ def refine(gamma: np.ndarray, f0, steps: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns refined locations in [0, 1) and ||Q|| there. A step from a point
     outside the concave neighborhood (curvature >= 0) keeps that point.
+    Each step evaluates Q, Q' and Q'' from one exponential basis.
     """
     f = np.atleast_1d(np.asarray(f0, dtype=float))
     for _ in range(steps):
-        q = [evaluate(gamma, f, p) for p in (0, 1, 2)]
+        q = _derivatives(gamma, f, (0, 1, 2))
         slope, curv = _re_inner(q[1], q[0]), _curvature(*q)
         ok = curv < 0
         f = np.where(ok, f - np.divide(slope, curv, out=np.zeros_like(slope), where=ok), f)

@@ -304,3 +304,25 @@ class TestValidateCertificate:
         for key in ("interpolation_residual", "offgrid_max", "near_curvature_max",
                     "outlier_row_margin", "condition_number_d", "pass"):
             assert key in payload
+
+
+# run_certificate(401, 2, 4/400, 5, n_snapshots=3, seed=s) reports computed
+# with the dense-matrix evaluator: (seed, passed, offgrid_max,
+# near_curvature_max, outlier_row_margin)
+PINNED_REPORTS = [
+    (0, True, 0.9835999519466463, -123272.94224464265, 0.17897476566807147),
+    (1, True, 0.9829824713856434, -146604.21084695356, 0.19741749822521873),
+    (2, True, 0.9862523995626876, -124061.91699138819, 0.20806052121967825),
+    (3, True, 0.9821683253724175, -149486.11358608818, 0.18995636482375047),
+    (4, True, 0.9807083667192305, -146864.9668533136, 0.19879802477785255),
+]
+
+
+@pytest.mark.parametrize("seed, passed, offgrid, curvature, margin", PINNED_REPORTS)
+def test_report_matches_pinned_values(seed, passed, offgrid, curvature, margin):
+    _, report = run_certificate(401, 2, 4 / 400, 5, n_snapshots=3, seed=seed)
+    assert report.passed == passed
+    assert abs(report.offgrid_max - offgrid) <= 1e-12
+    assert abs(report.outlier_row_margin - margin) <= 1e-12
+    assert abs(report.near_curvature_max - curvature) <= 1e-10 * abs(curvature)
+    assert report.interpolation_residual <= 1e-8

@@ -188,6 +188,35 @@ def test_phase_transition_bad_grid_exit_code(tmp_path, capsys, monkeypatch):
     assert not (out / "trials.csv").exists()
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1])
+def test_phase_transition_nonpositive_step_exit_code(tmp_path, capsys, monkeypatch, step):
+    def no_trial(payload):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_phase_trial", no_trial)
+    cfg = write_config(tmp_path / "c.json", {
+        "synthesis": {"n_sensors": 24},
+        "phase_transition": {"delta_start": 1.4, "delta_step": step, "delta_stop": 1.5,
+                             "snapshot_counts": [2], "trials": 1, "total_outliers": 2},
+    })
+    out = tmp_path / "o"
+    assert main(["phase-transition", "--config", cfg, "--out", str(out)]) == 4
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (out / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("seeds", [0, -2])
+def test_certificate_no_seeds_exit_code(tmp_path, capsys, seeds):
+    cfg = write_config(tmp_path / "c.json", {
+        "certificate": {"n_sensors": 61, "n_frequencies": 1, "separation": 0.0,
+                        "n_outliers": 0, "n_snapshots": 2, "seeds": seeds},
+    })
+    out = tmp_path / "o"
+    assert main(["certificate", "--config", cfg, "--out", str(out)]) == 4
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["demix", "--bogus"],
     ["synth", "--grid", "8"],

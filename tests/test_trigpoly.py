@@ -28,6 +28,18 @@ def test_scan_equals_point_evaluation(seed, n, l, extra):
     assert np.abs(norms - np.linalg.norm(points, axis=1)).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("grid", [1 << 14, 809])  # the certificate grid; an odd prime >= 2N
+def test_scan_equals_point_evaluation_at_full_size(grid):
+    n = 401
+    gamma = random_gamma(grid, n, 3)
+    f, norms = trigpoly.scan(gamma, grid)
+    np.testing.assert_array_equal(f, np.arange(grid) / grid)
+    idx = np.random.default_rng(grid).choice(grid, 200, replace=False)
+    points = trigpoly.evaluate(gamma, f[idx])
+    scale = np.linalg.norm(gamma)
+    assert np.abs(norms[idx] - np.linalg.norm(points, axis=1)).max() <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("grid", [-3, 0, 1, 15])
 def test_scan_rejects_grid_below_twice_the_length(grid):
     with pytest.raises(InvalidConfigurationError):
@@ -89,3 +101,30 @@ def test_peaks_within_one_grid_step_across_zero_merge(grid, left, right, v1, v2)
     f, v = trigpoly.merge_peaks([0.5, hi, lo], [1.0, v2, v1], step)
     assert f.tolist() == [lo if v1 >= v2 else hi, 0.5]
     assert v.tolist() == [max(v1, v2), 1.0]
+
+
+def per_order(gamma, f):
+    return [trigpoly.evaluate(gamma, f, p) for p in (0, 1, 2)]
+
+
+def re_inner(a, b):
+    return np.sum(a * b.conj(), axis=1).real
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), l=st.integers(1, 4))
+def test_shared_basis_matches_per_order_evaluation(seed, n, l):
+    gamma = random_gamma(seed, n, l)
+    # a neighbourhood of the grid maximum, where a Newton step is well posed
+    f, vals = trigpoly.scan(gamma)
+    f0 = f[np.argmax(vals)] + np.linspace(-0.1, 0.1, 9) / n
+    q0, q1, q2 = per_order(gamma, f0)
+    curv = re_inner(q1, q1) + re_inner(q2, q0)
+    np.testing.assert_allclose(trigpoly.curvature(gamma, f0), curv, rtol=1e-12)
+
+    ok = curv < 0
+    stepped = np.where(ok, f0 - re_inner(q1, q0) / np.where(ok, curv, 1.0), f0)
+    refined, values = trigpoly.refine(gamma, f0, steps=1)
+    assert wrap_distance(refined, stepped).max() <= 1e-12
+    np.testing.assert_allclose(values, np.linalg.norm(per_order(gamma, stepped)[0], axis=1),
+                               rtol=1e-12)
