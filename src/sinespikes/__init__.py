@@ -9,7 +9,6 @@ underlying the recovery guarantee.
 
 from .dual_analysis import (
     DemixReport,
-    LocateOptions,
     demix,
     duality_gap,
     locate_frequencies,

@@ -50,6 +50,13 @@ __all__ = [
 
 FACTOR_RATES = (0.247, 0.339, 0.414)
 
+# The near region around each frequency has radius _NEAR_RADIUS / m and is
+# sampled at _NEAR_GRID points for the curvature check. A system whose
+# condition number exceeds _CONDITION_LIMIT is reported as a failure.
+_NEAR_RADIUS = 0.09
+_NEAR_GRID = 401
+_CONDITION_LIMIT = 1e10
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -169,15 +176,16 @@ class CertificateSolution:
         return self.system.omega
 
 
-def solve_certificate(system: InterpolationSystem, lam: float | None = None,
-                      condition_limit: float = 1e10) -> CertificateSolution:
+def solve_certificate(system: InterpolationSystem,
+                      lam: float | None = None) -> CertificateSolution:
     """Solve for the coefficient rows and assemble the dual variable.
 
     The right-hand side subtracts lam * F[Omega]^H r, the node values and
     scaled derivatives of the boundary term contributed by the outlier rows
     (lam = 1/sqrt(N) reproduces the canonical construction). Then
     Gamma = C F [alpha; beta] plus lam * r on the rows Omega, where a
-    restricted kernel is zero.
+    restricted kernel is zero. A condition number above _CONDITION_LIMIT
+    raises ``CertificateFailureError``.
     """
     n = system.kernel.n_sensors
     k = system.freqs.size
@@ -186,9 +194,9 @@ def solve_certificate(system: InterpolationSystem, lam: float | None = None,
         lam = 1.0 / math.sqrt(n)
 
     cond = float(np.linalg.cond(system.matrix))
-    if not np.isfinite(cond) or cond > condition_limit:
+    if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
         raise CertificateFailureError(
-            f"interpolation system condition number {cond:.3e} exceeds {condition_limit:.1e}"
+            f"interpolation system condition number {cond:.3e} exceeds {_CONDITION_LIMIT:.1e}"
         )
 
     rhs = np.vstack([system.phi, np.zeros((k, n_snap))])
@@ -210,18 +218,13 @@ def solve_certificate(system: InterpolationSystem, lam: float | None = None,
 
 @dataclass(frozen=True)
 class ValidationOptions:
-    """Grids and regions for the numerical validation of a certificate.
+    """Size of the dense grid on which the off-support bound is checked.
 
-    ``near_radius`` is interpreted in units of 1/m when
-    ``near_radius_scaled`` is set (the default), matching constructions
-    whose near regions shrink with the resolution.
+    The near regions, of radius _NEAR_RADIUS / m, shrink with the
+    resolution and are excluded from that grid.
     """
 
     grid_size: int = 1 << 14
-    near_radius: float = 0.09
-    near_radius_scaled: bool = True
-    near_grid: int = 401
-    condition_limit: float = 1e10
 
 
 @dataclass(frozen=True)
@@ -244,10 +247,6 @@ class CertificateReport:
             "pass": self.passed,
             "failure": self.failure,
         }
-
-
-def _near_radius(opts: ValidationOptions, m: int) -> float:
-    return opts.near_radius / m if opts.near_radius_scaled else opts.near_radius
 
 
 def validate_certificate(cert: CertificateSolution,
@@ -279,7 +278,7 @@ def validate_certificate(cert: CertificateSolution,
 
     # off-support bound on a dense grid, excluding the near regions
     grid, qnorm = trigpoly.scan(gamma, opts.grid_size)
-    radius = _near_radius(opts, m)
+    radius = _NEAR_RADIUS / m
     dmin = np.min(
         np.stack([wrap_distance(grid, fk) for fk in freqs]), axis=0
     )
@@ -287,7 +286,7 @@ def validate_certificate(cert: CertificateSolution,
     offgrid_max = float(qnorm[far].max()) if far.any() else math.inf
 
     # curvature of ||Q||^2 over the near regions
-    near = np.linspace(-radius, radius, opts.near_grid)
+    near = np.linspace(-radius, radius, _NEAR_GRID)
     curv_max = max(
         (float(trigpoly.curvature(gamma, fk + near).max()) for fk in freqs),
         default=-math.inf,
@@ -329,7 +328,6 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float,
         raise InvalidConfigurationError("the construction needs an odd sensor count")
     if n_frequencies < 1:
         raise InvalidConfigurationError("need at least one frequency")
-    opts = opts or ValidationOptions()
     m = (n_sensors - 1) // 2
     rng_f, _, rng_pos, rng_val = _streams(seed)
     freqs = np.sort((rng_f.random() + separation * np.arange(n_frequencies)) % 1.0)
@@ -344,7 +342,7 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float,
     h_mod = np.exp(2j * np.pi * m * freqs) * h
     system = build_system(freqs, omega, h_mod, b, r, kernel)
     try:
-        cert = solve_certificate(system, lam=lam, condition_limit=opts.condition_limit)
+        cert = solve_certificate(system, lam=lam)
     except CertificateFailureError as exc:
         return None, CertificateReport(
             interpolation_residual=math.nan,

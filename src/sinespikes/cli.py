@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import certificate as cert_mod
 from . import trigpoly
-from .dual_analysis import LocateOptions, demix, success
+from .dual_analysis import demix, success
 from .errors import SineSpikesError
 from .model import MixtureInstance, default_lambda
 from .solver import SolverOptions, write_diagnostics_csv
@@ -60,6 +62,31 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# The keys a config may hold, per section (None is the top level). A key no
+# command reads is rejected before any command runs.
+_CONFIG_KEYS = {
+    None: {"instance", "synthesis", "lambda", "solver", "seed", "threads",
+           "phase_transition", "certificate"},
+    "synthesis": {f.name for f in fields(SynthesisConfig)},
+    "solver": {f.name for f in fields(SolverOptions)},
+    "phase_transition": {"f1", "delta_start", "delta_step", "delta_stop",
+                         "snapshot_counts", "trials", "total_outliers"},
+    "certificate": {"n_sensors", "n_frequencies", "separation", "n_outliers",
+                    "n_snapshots", "seeds", "grid_size"},
+}
+
+
+def _check_keys(config) -> None:
+    for name, known in _CONFIG_KEYS.items():
+        section = config if name is None else config.get(name, {})
+        where = name or "the top level"
+        if not isinstance(section, dict):
+            raise ValueError(f"{where} of the config must be a JSON object")
+        unknown = sorted(set(section) - known)
+        if unknown:
+            raise ValueError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -79,17 +106,6 @@ def _synth_config(section: dict, seed: int | None) -> SynthesisConfig:
     if seed is not None:
         kwargs["seed"] = seed
     return SynthesisConfig(**kwargs)
-
-
-def _solver_options(section: dict) -> SolverOptions:
-    return SolverOptions(**section)
-
-
-def _locate_options(section: dict, grid: int | None) -> LocateOptions:
-    kwargs = dict(section)
-    if grid is not None:
-        kwargs["grid_size"] = grid
-    return LocateOptions(**kwargs)
 
 
 def _out_dir(args) -> Path:
@@ -129,10 +145,9 @@ def cmd_demix(args, config: dict) -> int:
     else:
         instance = synth_instance(_synth_config(config.get("synthesis", {}), args.seed))
     lam = _resolve_lambda(args.lam or config.get("lambda"), instance.n_sensors)
-    solver_opts = _solver_options(config.get("solver", {}))
-    locate_opts = _locate_options(config.get("locate", {}), args.grid)
-    trigpoly.grid_points(instance.n_sensors, locate_opts.grid_size)  # before the solve
-    report, solution = demix(instance.measurement, lam, solver_opts, locate_opts)
+    solver_opts = SolverOptions(**config.get("solver", {}))
+    trigpoly.grid_points(instance.n_sensors, args.grid)  # before the solve
+    report, solution = demix(instance.measurement, lam, solver_opts, args.grid)
 
     out = _out_dir(args)
     payload = report.to_json()
@@ -142,7 +157,7 @@ def cmd_demix(args, config: dict) -> int:
     (out / "report.json").write_text(json.dumps(payload, indent=1))
 
     _write_csv(out / "dual_poly_trace.csv", ["f", "q_norm"],
-               _trace_rows(solution.gamma, locate_opts.grid_size))
+               _trace_rows(solution.gamma, args.grid))
     norms = np.linalg.norm(solution.gamma, axis=1)
     _write_csv(out / "row_norms.csv", ["row", "gamma_row_norm", "lambda"],
                ((int(i), norms[i], lam) for i in range(norms.size)))
@@ -159,25 +174,25 @@ def cmd_demix(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _trial_config(n_sensors, n_snapshots, f1, delta, total_outliers, seed) -> SynthesisConfig:
+    return SynthesisConfig(
+        n_sensors=n_sensors,
+        n_snapshots=n_snapshots,
+        frequencies=(f1, (f1 + delta) % 1.0),
+        total_outliers=total_outliers,
+        outlier_mode="distinct-sensors-overall",
+        seed=seed,
+    )
+
+
 def _phase_trial(payload) -> tuple:
     (n_sensors, n_snapshots, f1, delta, delta_idx, trial, seed,
      total_outliers, solver_kwargs, grid) = payload
     try:
-        cfg = SynthesisConfig(
-            n_sensors=n_sensors,
-            n_snapshots=n_snapshots,
-            frequencies=(f1, (f1 + delta) % 1.0),
-            total_outliers=total_outliers,
-            outlier_mode="distinct-sensors-overall",
-            seed=seed,
-        )
-        instance = synth_instance(cfg)
-        lam = default_lambda(n_sensors)
-        report, solution = demix(
-            instance.measurement, lam,
-            SolverOptions(**solver_kwargs),
-            LocateOptions(grid_size=grid),
-        )
+        instance = synth_instance(
+            _trial_config(n_sensors, n_snapshots, f1, delta, total_outliers, seed))
+        report, _solution = demix(instance.measurement, default_lambda(n_sensors),
+                                  SolverOptions(**solver_kwargs), grid)
         ok = success(report.estimated_frequencies, instance.frequencies)
     except SineSpikesError as exc:  # counted as failure, never aborts the sweep
         print(f"trial failed (L={n_snapshots}, delta={delta}, seed={seed}): {exc}",
@@ -199,16 +214,23 @@ def cmd_phase_transition(args, config: dict) -> int:
     if not step > 0:
         raise ValueError("sweep step must be positive")
     snapshot_counts = [int(x) for x in section.get("snapshot_counts", [1, 3, 5])]
-    trials = int(args.trials or section.get("trials", 20))
+    trials = int(args.trials if args.trials is not None else section.get("trials", 20))
     if trials < 1:
         raise ValueError("need at least one trial per cell")
+    threads = int(args.threads if args.threads is not None else config.get("threads", 1))
+    if threads < 1:
+        raise ValueError("need at least one thread")
     total_outliers = int(section.get("total_outliers", 10))
     base_seed = int(args.seed if args.seed is not None else config.get("seed", 0))
     solver_kwargs = config.get("solver", {})
-    threads = int(args.threads or config.get("threads", 1))
-    trigpoly.grid_points(n_sensors, args.grid)  # before the first trial
+    # what every trial would reject is rejected once, before the first trial
+    SolverOptions(**solver_kwargs)
+    trigpoly.grid_points(n_sensors, args.grid)
+    for L in snapshot_counts:
+        _trial_config(n_sensors, L, f1, 0.0, total_outliers, base_seed)
 
-    n_steps = int(round((stop - start) / step)) + 1
+    # the 1e-9 keeps the last cell when (stop - start) / step lands just below a whole number
+    n_steps = math.floor((stop - start) / step + 1e-9) + 1
     deltas = [(start + i * step) / n_sensors for i in range(n_steps)]
 
     payloads = [
@@ -245,7 +267,7 @@ def cmd_phase_transition(args, config: dict) -> int:
 
 
 def cmd_certificate(args, config: dict) -> int:
-    section = dict(config.get("certificate", {}))
+    section = config.get("certificate", {})
     n_sensors = int(section.get("n_sensors", 201))
     n_freqs = int(section.get("n_frequencies", 2))
     separation = section.get("separation")
@@ -256,12 +278,8 @@ def cmd_certificate(args, config: dict) -> int:
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     base_seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-    grid = args.grid if args.grid is not None else section.get("grid_size", 1 << 14)
-    opts = cert_mod.ValidationOptions(
-        grid_size=int(grid),
-        near_radius=float(section.get("near_radius", 0.09)),
-        near_radius_scaled=bool(section.get("near_radius_scaled", True)),
-    )
+    grid = args.grid if args.grid is not None else section.get("grid_size")
+    opts = cert_mod.ValidationOptions() if grid is None else cert_mod.ValidationOptions(int(grid))
     lam = None if (args.lam in (None, "auto")) else float(args.lam)
 
     out = _out_dir(args)
@@ -349,6 +367,7 @@ def main(argv=None) -> int:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        _check_keys(config)
         return args.handler(args, config)
     except (SineSpikesError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ from .solver import DualSdpProblem, SdpSolution, SolverOptions, solve_dual_sdp
 
 __all__ = [
     "DemixReport",
-    "LocateOptions",
     "demix",
     "duality_gap",
     "locate_frequencies",
@@ -30,45 +29,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LocateOptions:
-    """Grid and acceptance thresholds for peak picking.
-
-    Candidate grid maxima above ``1 - peak_tol`` are refined by Newton
-    ascent; refined peaks are kept when their value reaches
-    ``1 - accept_tol``. Refined locations closer than one grid step are
-    merged, keeping the larger value.
-    """
-
-    grid_size: int | None = None
-    newton_steps: int = 3
-    peak_tol: float = 1e-3
-    accept_tol: float = 1e-4
-    row_tol: float = 1e-3
+# Peak picking: grid maxima of ||Q|| above 1 - _PEAK_TOL are refined by
+# _NEWTON_STEPS Newton ascent steps, and refined peaks are kept when their
+# value reaches 1 - _ACCEPT_TOL. Rows of Gamma with norm at least
+# lam * (1 - _ROW_TOL) are outlier rows.
+_NEWTON_STEPS = 3
+_PEAK_TOL = 1e-3
+_ACCEPT_TOL = 1e-4
+_ROW_TOL = 1e-3
 
 
 def locate_frequencies(gamma: np.ndarray,
-                       opts: LocateOptions | None = None) -> tuple[np.ndarray, np.ndarray]:
+                       grid_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies where ||Q|| attains a refined local maximum near one.
 
-    ``gamma`` is the dual variable. Returns the frequencies and the refined
-    values ||Q|| there.
+    ``gamma`` is the dual variable and ``grid_size`` the size of the scan
+    grid (``trigpoly.grid_points``' default when None). Refined locations
+    closer than one grid step are merged, keeping the larger value. Returns
+    the frequencies and the refined values ||Q|| there.
     """
-    opts = opts or LocateOptions()
-    f, vals = trigpoly.scan(gamma, opts.grid_size)
+    f, vals = trigpoly.scan(gamma, grid_size)
     candidates = trigpoly.local_maxima(vals)
-    candidates = candidates[vals[candidates] >= 1.0 - opts.peak_tol]
-    refined, values = trigpoly.refine(gamma, f[candidates], opts.newton_steps)
-    keep = values >= 1.0 - opts.accept_tol
+    candidates = candidates[vals[candidates] >= 1.0 - _PEAK_TOL]
+    refined, values = trigpoly.refine(gamma, f[candidates], _NEWTON_STEPS)
+    keep = values >= 1.0 - _ACCEPT_TOL
     return trigpoly.merge_peaks(refined[keep], values[keep], 1.0 / f.size)
 
 
-def locate_outliers(solution: SdpSolution, lam: float,
-                    opts: LocateOptions | None = None) -> np.ndarray:
+def locate_outliers(gamma: np.ndarray, lam: float) -> np.ndarray:
     """Rows of the dual variable whose norm sits on the ball boundary."""
-    opts = opts or LocateOptions()
-    norms = np.linalg.norm(solution.gamma, axis=1)
-    return np.flatnonzero(norms >= lam * (1.0 - opts.row_tol))
+    norms = np.linalg.norm(gamma, axis=1)
+    return np.flatnonzero(norms >= lam * (1.0 - _ROW_TOL))
 
 
 def recover_amplitudes(measurement: np.ndarray, freqs, outlier_rows):
@@ -161,15 +152,16 @@ def success(f_est, f_true, tol: float = 1e-4) -> bool:
 
 def demix(measurement: np.ndarray, lam: float,
           solver_opts: SolverOptions | None = None,
-          locate_opts: LocateOptions | None = None):
+          grid_size: int | None = None):
     """Full pipeline: solve the SDP, localize, recover, and audit the gap.
 
-    Returns (DemixReport, SdpSolution).
+    ``grid_size`` is the scan grid of ``locate_frequencies``. Returns
+    (DemixReport, SdpSolution).
     """
     problem = DualSdpProblem(np.asarray(measurement, dtype=complex), lam)
     solution = solve_dual_sdp(problem, solver_opts)
-    freqs, peaks = locate_frequencies(solution.gamma, locate_opts)
-    rows = locate_outliers(solution, lam, locate_opts)
+    freqs, peaks = locate_frequencies(solution.gamma, grid_size)
+    rows = locate_outliers(solution.gamma, lam)
     try:
         amplitudes, outliers = recover_amplitudes(problem.measurement, freqs, rows)
     except IllPosedRecoveryError:

@@ -52,6 +52,13 @@ __all__ = [
 
 _DIAG_EVERY = 25
 
+# Fixed ADMM settings: initial penalty rho, over-relaxation factor, and the
+# absolute and relative tolerances of the stopping rule in solve_dual_sdp.
+_PENALTY = 1.0
+_OVER_RELAXATION = 1.6
+_EPS_ABS = 1e-7
+_EPS_REL = 1e-6
+
 
 @dataclass(frozen=True)
 class DualSdpProblem:
@@ -76,21 +83,11 @@ class DualSdpProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    penalty: float = 1.0
-    eps_abs: float = 1e-7
-    eps_rel: float = 1e-6
     max_iterations: int = 100_000
-    over_relaxation: float = 1.6
 
     def __post_init__(self):
-        if min(self.penalty, self.eps_abs, self.eps_rel) <= 0:
-            raise InvalidConfigurationError("penalty and tolerances must be positive")
         if self.max_iterations < 1:
             raise InvalidConfigurationError("max_iterations must be at least 1")
-        if not 1.0 <= self.over_relaxation <= 1.8:
-            raise InvalidConfigurationError(
-                f"over-relaxation must lie in [1, 1.8], got {self.over_relaxation}"
-            )
 
 
 @dataclass(frozen=True)
@@ -159,18 +156,18 @@ def project_row_ball(gamma: np.ndarray, lam: float) -> np.ndarray:
 def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     """Run the ADMM splitting until both residuals pass the stopping rule.
 
-    The stopping threshold is ``eps_abs * (N + L) + eps_rel * max(|X|_F over
-    the last two iterates)`` applied to both the primal residual |X - Z|_F
-    and the dual residual rho * |Z - Z_prev|_F. On non-convergence the best
-    (final) iterate is returned with ``converged=False``.
+    The stopping threshold is ``_EPS_ABS * (N + L) + _EPS_REL * max(|X|_F
+    over the last two iterates)`` applied to both the primal residual
+    |X - Z|_F and the dual residual rho * |Z - Z_prev|_F. On non-convergence
+    the best (final) iterate is returned with ``converged=False``.
     """
     opts = opts or SolverOptions()
     y = np.asarray(problem.measurement, dtype=complex)
     n, l = y.shape
     lam = problem.lam
     dim = n + l
-    rho = opts.penalty
-    alpha = opts.over_relaxation
+    rho = _PENALTY
+    alpha = _OVER_RELAXATION
     eye_l = np.eye(l)
 
     def affine_prox(v: np.ndarray, rho_: float) -> np.ndarray:
@@ -212,7 +209,7 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
             )
 
         norm_x = float(np.linalg.norm(x))
-        tol = opts.eps_abs * dim + opts.eps_rel * max(norm_x, norm_prev)
+        tol = _EPS_ABS * dim + _EPS_REL * max(norm_x, norm_prev)
         norm_prev = norm_x
 
         if it % _DIAG_EVERY == 0 or it == 1:

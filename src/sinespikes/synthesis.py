@@ -53,9 +53,12 @@ class SynthesisConfig:
     rejection sampling (``n_frequencies`` points with pairwise wrap distance
     at least ``min_separation``).
 
-    Outlier counts per snapshot come from ``s_per_snapshot``, or from
-    ``total_outliers`` which is spread over the snapshots as evenly as
-    possible (randomized assignment of the remainder).
+    ``total_outliers`` are spread over the snapshots as evenly as possible
+    (randomized assignment of the remainder; no draw when the snapshot count
+    divides the total). In "distinct-sensors-overall" mode every outlier
+    sits on its own sensor, so the total may not exceed the sensor count;
+    in "per-snapshot" mode no snapshot may receive more outliers than there
+    are sensors.
     """
 
     n_sensors: int
@@ -64,8 +67,7 @@ class SynthesisConfig:
     n_frequencies: int | None = None
     min_separation: float | None = None
     amplitude_model: str = "complex-gaussian"
-    s_per_snapshot: int = 0
-    total_outliers: int | None = None
+    total_outliers: int = 0
     outlier_mode: str = "per-snapshot"
     outlier_magnitude: float = 1.0
     outlier_value_model: str = "unit-modulus"
@@ -92,16 +94,16 @@ class SynthesisConfig:
             )
         if self.outlier_magnitude <= 0:
             raise InvalidConfigurationError("outlier magnitude must be positive")
-        if self.s_per_snapshot < 0:
-            raise InvalidConfigurationError("s_per_snapshot must be nonnegative")
-        if self.s_per_snapshot > self.n_sensors:
-            raise InvalidConfigurationError("more outliers per snapshot than sensors")
-        if (self.outlier_mode == "distinct-sensors-overall"
-                and self.total_outliers is None
-                and self.s_per_snapshot * self.n_snapshots > self.n_sensors):
+        if self.total_outliers < 0:
+            raise InvalidConfigurationError("total_outliers must be nonnegative")
+        if self.outlier_mode == "distinct-sensors-overall":
+            needed = self.total_outliers  # sensors all outliers occupy
+        else:  # sensors the fullest snapshot occupies
+            needed = -(-self.total_outliers // self.n_snapshots)
+        if needed > self.n_sensors:
             raise InvalidConfigurationError(
-                "distinct-sensor mode cannot place "
-                f"{self.s_per_snapshot * self.n_snapshots} outliers on {self.n_sensors} sensors"
+                f"{self.outlier_mode} mode cannot place {self.total_outliers} outliers "
+                f"over {self.n_snapshots} snapshots on {self.n_sensors} sensors"
             )
 
 
@@ -144,12 +146,7 @@ def _outlier_columns(cfg: SynthesisConfig, counts: np.ndarray, rng) -> list[np.n
     """Row indices of the outliers in each snapshot, per the support mode."""
     n, l = cfg.n_sensors, cfg.n_snapshots
     if cfg.outlier_mode == "distinct-sensors-overall":
-        total = int(counts.sum())
-        if total > n:
-            raise InvalidConfigurationError(
-                f"distinct-sensor mode needs {total} sensors but only {n} exist"
-            )
-        rows = rng.choice(n, total, replace=False)
+        rows = rng.choice(n, int(counts.sum()), replace=False)
         splits = np.cumsum(counts)[:-1]
         return [np.sort(part) for part in np.split(rows, splits)]
     return [np.sort(rng.choice(n, int(counts[col]), replace=False)) for col in range(l)]
@@ -174,10 +171,7 @@ def synth_instance(cfg: SynthesisConfig) -> MixtureInstance:
     else:
         amplitudes = _unit_phases(rng_a, (k, l))
 
-    if cfg.total_outliers is not None:
-        counts = spread_total_outliers(cfg.total_outliers, l, rng_pos)
-    else:
-        counts = np.full(l, cfg.s_per_snapshot, dtype=int)
+    counts = spread_total_outliers(cfg.total_outliers, l, rng_pos)
     columns = _outlier_columns(cfg, counts, rng_pos)
 
     outliers = np.zeros((n, l), dtype=complex)

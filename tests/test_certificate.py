@@ -13,9 +13,7 @@ from sinespikes import (
     run_certificate,
     solve_certificate,
     trigpoly,
-    validate_certificate,
 )
-from sinespikes.certificate import ValidationOptions
 from sinespikes.errors import InvalidConfigurationError
 
 
@@ -290,13 +288,6 @@ class TestValidateCertificate:
         located, _ = locate_frequencies(cert.gamma)
         assert located.size == cert.freqs.size
         assert np.abs(np.sort(located) - np.sort(cert.freqs)).max() <= 1e-6
-
-    def test_absolute_near_radius_flag(self):
-        cert, _ = run_certificate(201, 2, 4 / 200, 0, seed=0)
-        report = validate_certificate(
-            cert, ValidationOptions(near_radius=0.002, near_radius_scaled=False)
-        )
-        assert np.isfinite(report.near_curvature_max)
 
     def test_json_schema(self):
         _, report = run_certificate(61, 1, 0.0, 0, seed=0)

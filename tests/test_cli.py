@@ -17,7 +17,7 @@ FIG1_SYNTH = {
     "n_sensors": 50,
     "n_snapshots": 5,
     "frequencies": [0.1, 0.4, 0.8],
-    "s_per_snapshot": 3,
+    "total_outliers": 15,
     "outlier_mode": "distinct-sensors-overall",
     "seed": 7,
 }
@@ -26,7 +26,7 @@ SMALL_SYNTH = {
     "n_sensors": 32,
     "n_snapshots": 2,
     "frequencies": [0.15, 0.62],
-    "s_per_snapshot": 2,
+    "total_outliers": 4,
     "outlier_mode": "distinct-sensors-overall",
     "seed": 5,
 }
@@ -64,6 +64,19 @@ def test_demix_outputs_reproducible(tmp_path):
     assert main(["demix", "--config", cfg, "--out", str(out2)]) == 0
     for name in ("report.json", "dual_poly_trace.csv", "row_norms.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_demix_matches_pinned_report(tmp_path):
+    # pinned from the code that still had settable ADMM and peak-picking
+    # tolerances, with the outliers given as s_per_snapshot=2
+    cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH})
+    out = tmp_path / "o"
+    assert main(["demix", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    np.testing.assert_allclose(report["estimated_frequencies"],
+                               [0.14999962178732665, 0.6199996617969846], rtol=0, atol=1e-12)
+    assert report["estimated_outlier_rows"] == [21, 24, 25, 30]
+    assert report["iterations"] == 588
 
 
 def test_demix_zero_instance(tmp_path):
@@ -117,6 +130,105 @@ def test_phase_transition_reproducible(tmp_path):
     assert main(["phase-transition", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["phase-transition", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
+
+
+PINNED_TRIALS = """seed,delta,L,success
+3886216201191665862,0.03125,2,0
+8362005876132538287,0.03125,2,0
+18304334200714115485,0.09375,2,1
+16741583152582010800,0.09375,2,1
+"""
+
+
+def test_phase_transition_matches_pinned_trials(tmp_path):
+    # pinned from the code that still had settable ADMM and peak-picking tolerances
+    cfg = write_config(tmp_path / "c.json", {
+        "synthesis": {"n_sensors": 16},
+        "phase_transition": {
+            "f1": 0.2, "delta_start": 0.5, "delta_step": 1.0, "delta_stop": 1.5,
+            "snapshot_counts": [2], "trials": 2, "total_outliers": 2,
+        },
+        "solver": {"max_iterations": 2000},
+    })
+    out = tmp_path / "o"
+    assert main(["phase-transition", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+    assert (out / "trials.csv").read_text() == PINNED_TRIALS
+
+
+def record_trials(monkeypatch):
+    payloads = []
+
+    def fake_trial(payload):
+        payloads.append(payload)
+        _n, n_snapshots, _f1, delta, delta_idx, trial, seed, *_ = payload
+        return (n_snapshots, delta_idx, delta, trial, seed, True)
+
+    monkeypatch.setattr(cli, "_phase_trial", fake_trial)
+    return payloads
+
+
+@pytest.mark.parametrize("start, step, stop, expected", [
+    (0.1, 1.0, 0.7, [0.1]),
+    (0.1, 0.1, 1.5, [0.1 + 0.1 * i for i in range(15)]),
+    # the benchmark's sweep and its warm-up
+    (0.1, 1.4, 1.5, [0.1, 1.5]),
+    (0.1, 1.0, 0.35, [0.1]),
+])
+def test_phase_transition_cells_end_at_stop(tmp_path, monkeypatch, start, step, stop, expected):
+    payloads = record_trials(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", {
+        "synthesis": {"n_sensors": 20},
+        "phase_transition": {"delta_start": start, "delta_step": step, "delta_stop": stop,
+                             "snapshot_counts": [1], "trials": 1},
+    })
+    assert main(["phase-transition", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    np.testing.assert_allclose([p[3] * 20 for p in payloads], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("flags, section, solver", [
+    (["--trials", "0"], {}, {}),
+    (["--threads", "0"], {}, {}),
+    (["--threads", "-3"], {}, {}),
+    ([], {"trials": 0}, {}),
+    ([], {"total_outliers": 40}, {}),
+    ([], {"snapshot_counts": [2, 0]}, {}),
+    ([], {}, {"max_iterations": 0}),
+])
+def test_phase_transition_rejected_before_first_trial(tmp_path, capsys, monkeypatch,
+                                                      flags, section, solver):
+    payloads = record_trials(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", {
+        "synthesis": {"n_sensors": 16},
+        "phase_transition": dict({"delta_start": 1.4, "delta_stop": 1.5,
+                                  "snapshot_counts": [2], "trials": 2,
+                                  "total_outliers": 2}, **section),
+        "solver": solver,
+    })
+    out = tmp_path / "o"
+    assert main(["phase-transition", "--config", cfg, "--out", str(out)] + flags) == 4
+    assert "invalid configuration" in capsys.readouterr().err
+    assert payloads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("demix", {"synthesis": SMALL_SYNTH, "locate": {"grid_size": 256}}),
+    ("demix", {"synthesis": dict(SMALL_SYNTH, s_per_snapshot=2)}),
+    ("demix", {"synthesis": SMALL_SYNTH, "solver": {"eps_abs": 1e-6}}),
+    ("certificate", {"certificate": {"n_sensors": 61, "near_radius_scaled": False}}),
+    ("phase-transition", {"phase_transition": {"trails": 3}}),
+    ("phase-transition", {"synthesis": {"n_sensors": 16, "sedes": 3}}),
+    ("synth", {"synthesis": SMALL_SYNTH, "sedes": 3}),
+    ("synth", {"synthesis": SMALL_SYNTH, "certificate": 3}),
+])
+def test_unknown_config_key_exit_code(tmp_path, capsys, monkeypatch, command, config):
+    payloads = record_trials(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert "invalid configuration" in capsys.readouterr().err
+    assert payloads == []
+    assert not out.exists()
 
 
 def test_trial_seed_is_stable():

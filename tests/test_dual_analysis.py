@@ -3,7 +3,6 @@ import pytest
 
 from sinespikes import (
     DualSdpProblem,
-    LocateOptions,
     atom,
     default_lambda,
     demix,
@@ -37,7 +36,7 @@ def make_solution(gamma):
 def fig1_instance(seed=0):
     return synth_instance(SynthesisConfig(
         n_sensors=50, n_snapshots=5, frequencies=(0.1, 0.4, 0.8),
-        s_per_snapshot=3, outlier_mode="distinct-sensors-overall", seed=seed,
+        total_outliers=15, outlier_mode="distinct-sensors-overall", seed=seed,
     ))
 
 
@@ -87,8 +86,8 @@ class TestLocateFrequencies:
         gamma = np.ones((16, 2), dtype=complex)
         for grid in (0, -3, 31):
             with pytest.raises(InvalidConfigurationError):
-                locate_frequencies(gamma, LocateOptions(grid_size=grid))
-        locate_frequencies(gamma, LocateOptions(grid_size=32))
+                locate_frequencies(gamma, grid)
+        locate_frequencies(gamma, 32)
 
     def test_gamma_not_a_nonempty_matrix_rejected(self):
         for gamma in (np.ones(16, dtype=complex), np.zeros((0, 2), dtype=complex)):
@@ -128,16 +127,16 @@ class TestLocateOutliers:
         lam = 0.25
         gamma = np.zeros((10, 2), dtype=complex)
         gamma[4] = [lam, 0.0]
-        rows = locate_outliers(make_solution(gamma), lam)
+        rows = locate_outliers(gamma, lam)
         assert list(rows) == [4]
 
     def test_clean_instance_empty(self):
         inst = synth_instance(SynthesisConfig(
-            n_sensors=32, n_snapshots=2, frequencies=(0.2, 0.6), s_per_snapshot=0, seed=0,
+            n_sensors=32, n_snapshots=2, frequencies=(0.2, 0.6), seed=0,
         ))
         lam = default_lambda(32)
         sol = solve_dual_sdp(DualSdpProblem(inst.measurement, lam))
-        assert locate_outliers(sol, lam).size == 0
+        assert locate_outliers(sol.gamma, lam).size == 0
         assert np.linalg.norm(sol.gamma, axis=1).max() < lam * (1 - 1e-3)
 
 

@@ -236,6 +236,4 @@ class TestSolveDualSdp:
 
     def test_option_validation(self):
         with pytest.raises(InvalidConfigurationError):
-            SolverOptions(over_relaxation=2.5)
-        with pytest.raises(InvalidConfigurationError):
-            SolverOptions(eps_abs=0.0)
+            SolverOptions(max_iterations=0)

@@ -18,7 +18,7 @@ def fig_config(seed=0, **overrides):
         n_sensors=50,
         n_snapshots=5,
         frequencies=(0.1, 0.4, 0.8),
-        s_per_snapshot=3,
+        total_outliers=15,
         outlier_mode="distinct-sensors-overall",
         seed=seed,
     )
@@ -82,7 +82,7 @@ def test_total_outlier_spread():
     assert counts.sum() == 10
     assert counts.max() - counts.min() <= 1
     inst = synth_instance(
-        fig_config(seed=7, s_per_snapshot=0, total_outliers=10, n_snapshots=3)
+        fig_config(seed=7, total_outliers=10, n_snapshots=3)
     )
     assert (np.abs(inst.outliers) > 0).sum() == 10
     assert inst.outlier_rows.size == 10  # distinct sensors
@@ -115,9 +115,27 @@ def test_distinct_mode_overflow_rejected():
             n_sensors=10,
             n_snapshots=4,
             frequencies=(0.1,),
-            s_per_snapshot=3,
+            total_outliers=11,
             outlier_mode="distinct-sensors-overall",
         )
+    # every sensor an outlier still fits
+    SynthesisConfig(n_sensors=10, n_snapshots=4, frequencies=(0.1,),
+                    total_outliers=10, outlier_mode="distinct-sensors-overall")
+
+
+def test_per_snapshot_overflow_rejected():
+    # 41 outliers over 4 snapshots put 11 in one snapshot of 10 sensors
+    with pytest.raises(InvalidConfigurationError):
+        SynthesisConfig(n_sensors=10, n_snapshots=4, frequencies=(0.1,),
+                        total_outliers=41, outlier_mode="per-snapshot")
+    inst = synth_instance(SynthesisConfig(n_sensors=10, n_snapshots=4, frequencies=(0.1,),
+                                          total_outliers=40, outlier_mode="per-snapshot"))
+    assert (np.abs(inst.outliers) > 0).all()
+
+
+def test_negative_outlier_total_rejected():
+    with pytest.raises(InvalidConfigurationError):
+        SynthesisConfig(n_sensors=10, n_snapshots=2, frequencies=(0.1,), total_outliers=-1)
 
 
 def test_unknown_model_rejected():
@@ -129,7 +147,7 @@ def test_unknown_model_rejected():
 def test_rejection_sampled_instance():
     cfg = SynthesisConfig(
         n_sensors=40, n_snapshots=2, n_frequencies=4, min_separation=0.05,
-        s_per_snapshot=2, seed=10,
+        total_outliers=4, seed=10,
     )
     inst = synth_instance(cfg)
     assert min_separation(inst.frequencies) >= 0.05
