@@ -50,8 +50,9 @@ __all__ = [
 
 FACTOR_RATES = (0.247, 0.339, 0.414)
 
-# The near region around each frequency has radius _NEAR_RADIUS / m and is
-# sampled at _NEAR_GRID points for the curvature check. A system whose
+# The near region around each frequency has radius _NEAR_RADIUS / m. The
+# curvature check samples it at _NEAR_GRID equispaced points, taken for all
+# regions at once by ``trigpoly.arc_curvature``. A system whose
 # condition number exceeds _CONDITION_LIMIT is reported as a failure.
 _NEAR_RADIUS = 0.09
 _NEAR_GRID = 401
@@ -271,26 +272,22 @@ def validate_certificate(cert: CertificateSolution,
     # interpolation residual: Q at the nodes against the targets, and
     # ||P'|| = ||Q' + 2i*pi*m Q|| (critical point of ||Q||) at the nodes
     node_vals = trigpoly.evaluate(gamma, freqs)
-    res_val = float(np.linalg.norm(node_vals - cert.targets, axis=1).max())
+    res_val = float(np.linalg.norm(node_vals - cert.targets, axis=1).max(initial=0.0))
     node_der = trigpoly.evaluate(gamma, freqs, 1) + 2j * np.pi * m * node_vals
-    res_der = float((sys.kernel.kappa * np.linalg.norm(node_der, axis=1)).max())
+    res_der = float((sys.kernel.kappa * np.linalg.norm(node_der, axis=1)).max(initial=0.0))
     interpolation_residual = max(res_val, res_der)
 
     # off-support bound on a dense grid, excluding the near regions
     grid, qnorm = trigpoly.scan(gamma, opts.grid_size)
     radius = _NEAR_RADIUS / m
-    dmin = np.min(
-        np.stack([wrap_distance(grid, fk) for fk in freqs]), axis=0
-    )
+    dmin = wrap_distance(grid[:, None], freqs).min(axis=1, initial=math.inf)
     far = dmin > radius
     offgrid_max = float(qnorm[far].max()) if far.any() else math.inf
 
-    # curvature of ||Q||^2 over the near regions
-    near = np.linspace(-radius, radius, _NEAR_GRID)
-    curv_max = max(
-        (float(trigpoly.curvature(gamma, fk + near).max()) for fk in freqs),
-        default=-math.inf,
-    )
+    # curvature of ||Q||^2 at _NEAR_GRID equispaced points across each near
+    # region; every region shares the step, so one chirp-z transform samples all
+    curv = trigpoly.arc_curvature(gamma, freqs, radius, _NEAR_GRID)
+    curv_max = float(curv.max(initial=-math.inf))
 
     # rows outside the support must stay strictly inside the ball
     row_norms = np.linalg.norm(gamma, axis=1)

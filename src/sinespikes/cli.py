@@ -204,6 +204,11 @@ def _phase_trial(payload) -> tuple:
 def cmd_phase_transition(args, config: dict) -> int:
     section = config.get("phase_transition", {})
     synth_section = config.get("synthesis", {})
+    # trials draw their own instances and use lambda = 1/sqrt(N), as in the paper
+    dropped = [f"synthesis.{key}" for key in sorted(synth_section) if key != "n_sensors"]
+    dropped += ["lambda"] if "lambda" in config else []
+    if dropped:
+        raise ValueError(f"phase-transition does not read {', '.join(dropped)}")
     n_sensors = int(synth_section.get("n_sensors", 50))
     f1 = float(section.get("f1", 0.2))
     start = float(section.get("delta_start", 0.1))
@@ -280,7 +285,7 @@ def cmd_certificate(args, config: dict) -> int:
     base_seed = int(args.seed if args.seed is not None else config.get("seed", 0))
     grid = args.grid if args.grid is not None else section.get("grid_size")
     opts = cert_mod.ValidationOptions() if grid is None else cert_mod.ValidationOptions(int(grid))
-    lam = None if (args.lam in (None, "auto")) else float(args.lam)
+    lam = _resolve_lambda(args.lam or config.get("lambda"), n_sensors)
 
     out = _out_dir(args)
     reports = []

@@ -3,10 +3,12 @@
 This module is the only code that evaluates Q: at points with derivatives,
 on a dense grid, at its grid maxima refined by Newton ascent, and through
 the curvature of ||Q||^2. On the grid i/G, Q is the zero-padded FFT of the
-coefficient rows; at arbitrary points, Q and its derivatives come from one
-exponential basis exp(-2i*pi*j*f). Rows of ``gamma`` are the coefficients,
-in the scale the SDP bounds by one; only ``dual_atomic_norm`` divides by
-sqrt(N), for the pairing with the unit-norm atom of ``model.atom``.
+coefficient rows; on equispaced arcs around given centres, the curvature
+comes from one chirp-z transform (Bluestein's FFT convolution); at
+arbitrary points, Q and its derivatives come from one exponential basis
+exp(-2i*pi*j*f). Rows of ``gamma`` are the coefficients, in the scale the
+SDP bounds by one; only ``dual_atomic_norm`` divides by sqrt(N), for the
+pairing with the unit-norm atom of ``model.atom``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import InvalidConfigurationError, InvalidDimensionError
 from .model import wrap_distance
 
 __all__ = [
+    "arc_curvature",
     "curvature",
     "dual_atomic_norm",
     "evaluate",
@@ -30,17 +33,25 @@ __all__ = [
 ]
 
 
+def _stacked(gamma: np.ndarray, orders) -> np.ndarray:
+    """The coefficients of the derivatives of the given orders, side by side.
+
+    Order p multiplies each coefficient by (-2i*pi*j)^p.
+    """
+    g = np.asarray(gamma, dtype=complex)
+    w = (-2j * np.pi * np.arange(g.shape[0]))[:, None]
+    return np.hstack([g * w**p for p in orders])
+
+
 def _derivatives(gamma: np.ndarray, freqs, orders) -> list[np.ndarray]:
     """The derivatives of Q of the given orders at ``freqs``, one per order.
 
-    Order p multiplies each coefficient by (-2i*pi*j)^p. All orders share
-    one exponential basis and one product with the stacked coefficients.
+    All orders share one exponential basis and one product with the
+    stacked coefficients.
     """
-    g = np.asarray(gamma, dtype=complex)
-    j = np.arange(g.shape[0])
-    w = (-2j * np.pi * j)[:, None]
+    j = np.arange(np.shape(gamma)[0])
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    out = np.exp(-2j * np.pi * np.outer(f, j)) @ np.hstack([g * w**p for p in orders])
+    out = np.exp(-2j * np.pi * np.outer(f, j)) @ _stacked(gamma, orders)
     return np.split(out, len(orders), axis=1)
 
 
@@ -105,6 +116,38 @@ def _curvature(q0: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 def curvature(gamma: np.ndarray, freqs) -> np.ndarray:
     """Half the second derivative of ||Q||^2: ||Q'||^2 + Re<Q'', Q>."""
     return _curvature(*_derivatives(gamma, freqs, (0, 1, 2)))
+
+
+def arc_curvature(gamma: np.ndarray, centers, radius: float, count: int) -> np.ndarray:
+    """``curvature`` at c_k - radius + i*h for i < count, h = 2 radius / (count - 1).
+
+    Returns a (count, K) array, one column per centre c_k. With
+    a_k = c_k - radius and w = exp(-2i*pi*h), Q^(p)(a_k + i*h) is
+    sum_j x_j w^(ij) for x_j = gamma[j] (-2i*pi*j)^p exp(-2i*pi*j*a_k).
+    Since ij = (j^2 + i^2 - (i-j)^2) / 2, that is the chirp-z transform
+    w^(i^2/2) sum_j (x_j w^(j^2/2)) w^(-(i-j)^2/2): one FFT convolution,
+    of a power-of-two length >= N + count - 1, for every centre, order and
+    snapshot at once. The output chirp w^(i^2/2) is one unit phase on Q, Q'
+    and Q'' at point i, which the curvature pairs with its conjugate, so it
+    is left out.
+    """
+    if count < 2:
+        raise InvalidConfigurationError(f"an arc needs at least two points, got {count}")
+    n = np.shape(gamma)[0]
+    starts = np.atleast_1d(np.asarray(centers, dtype=float)) - radius
+    h = 2.0 * radius / (count - 1)
+    cols = _stacked(gamma, (0, 1, 2))
+    x = np.exp(-2j * np.pi * np.outer(np.arange(n), starts))[:, :, None] * cols[:, None, :]
+
+    chirp = np.exp(-1j * np.pi * h * np.arange(max(n, count), dtype=float) ** 2)  # w^(k^2/2)
+    size = 1 << (n + count - 2).bit_length()
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:count] = chirp[:count].conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    spectrum = np.fft.fft(chirp[:n, None] * x.reshape(n, -1), n=size, axis=0)
+    y = np.fft.ifft(spectrum * np.fft.fft(kernel)[:, None], axis=0)[:count]
+    y = y.reshape(-1, cols.shape[1])
+    return _curvature(*np.split(y, 3, axis=1)).reshape(count, starts.size)
 
 
 def refine(gamma: np.ndarray, f0, steps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinespikes import (
+    CertificateSolution,
     build_kernel,
     build_system,
     locate_frequencies,
@@ -13,6 +14,7 @@ from sinespikes import (
     run_certificate,
     solve_certificate,
     trigpoly,
+    validate_certificate,
 )
 from sinespikes.errors import InvalidConfigurationError
 
@@ -288,6 +290,27 @@ class TestValidateCertificate:
         located, _ = locate_frequencies(cert.gamma)
         assert located.size == cert.freqs.size
         assert np.abs(np.sort(located) - np.sort(cert.freqs)).max() <= 1e-6
+
+    def test_no_frequencies(self):
+        # with K = 0 the dual holds only the outlier rows; no node to interpolate,
+        # no near region, and a bound ||Q|| <= 2 lam far below one
+        kern = build_kernel(20)
+        omega = [3, 17]
+        r = np.exp(2j * np.pi * np.array([[0.1, 0.7], [0.4, 0.2]])) / math.sqrt(2)
+        sys = build_system([], omega, np.ones(0), np.ones((0, 2)), r,
+                           restrict_kernel(kern, omega))
+        lam = 1 / math.sqrt(kern.n_sensors)
+        gamma = np.zeros((kern.n_sensors, 2), dtype=complex)
+        gamma[omega] = lam * r
+        cert = CertificateSolution(alpha=np.zeros((0, 2)), beta=np.zeros((0, 2)), gamma=gamma,
+                                   system=sys, lam=lam, condition_number=1.0,
+                                   targets=np.zeros((0, 2)))
+        report = validate_certificate(cert)
+        assert report.near_curvature_max == -math.inf
+        assert report.interpolation_residual == 0.0
+        assert report.offgrid_max <= 2 * lam
+        assert report.outlier_row_margin == 0.0
+        assert report.passed
 
     def test_json_schema(self):
         _, report = run_certificate(61, 1, 0.0, 0, seed=0)

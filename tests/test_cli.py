@@ -231,6 +231,26 @@ def test_unknown_config_key_exit_code(tmp_path, capsys, monkeypatch, command, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, named", [
+    ({"synthesis": {"n_sensors": 16, "outlier_mode": "per-snapshot", "n_snapshots": 9}},
+     "synthesis.n_snapshots, synthesis.outlier_mode"),
+    ({"synthesis": {"n_sensors": 16, "seed": 4}}, "synthesis.seed"),
+    ({"synthesis": {"n_sensors": 16}, "lambda": 0.05}, "lambda"),
+    ({"lambda": "auto"}, "lambda"),
+])
+def test_phase_transition_rejects_keys_it_drops(tmp_path, capsys, monkeypatch, extra, named):
+    payloads = record_trials(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", dict({
+        "phase_transition": {"delta_start": 1.4, "delta_stop": 1.5, "snapshot_counts": [2],
+                             "trials": 1, "total_outliers": 2},
+    }, **extra))
+    out = tmp_path / "o"
+    assert main(["phase-transition", "--config", cfg, "--out", str(out)]) == 4
+    assert f"does not read {named}" in capsys.readouterr().err
+    assert payloads == []
+    assert not out.exists()
+
+
 def test_trial_seed_is_stable():
     assert trial_seed(0, 5, 3, 11) == trial_seed(0, 5, 3, 11)
     seen = {trial_seed(0, L, d, t) for L in (1, 3, 5) for d in range(15) for t in range(5)}
@@ -263,6 +283,25 @@ def test_certificate_seed_sweep(tmp_path):
     summary = json.loads((out / "certificate_summary.json").read_text())
     assert summary["seeds"] == 3
     assert 0.0 <= summary["pass_rate"] <= 1.0
+
+
+def test_certificate_reads_config_lambda(tmp_path):
+    section = {"n_sensors": 61, "n_frequencies": 1, "separation": 0.0, "n_outliers": 2,
+               "n_snapshots": 2, "grid_size": 4096}
+    from_key = write_config(tmp_path / "key.json", {"certificate": section, "lambda": 0.05})
+    plain = write_config(tmp_path / "plain.json", {"certificate": section})
+    runs = {
+        "key": ["--config", from_key],
+        "flag": ["--config", plain, "--lambda", "0.05"],
+        "default": ["--config", plain],
+    }
+    reports = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(["certificate", *argv, "--out", str(out)]) == 0
+        reports[name] = (out / "certificate_report.json").read_bytes()
+    assert reports["key"] == reports["flag"]
+    assert reports["key"] != reports["default"]
 
 
 def test_demix_bad_grid_exit_code(tmp_path, capsys):

@@ -128,3 +128,44 @@ def test_shared_basis_matches_per_order_evaluation(seed, n, l):
     assert wrap_distance(refined, stepped).max() <= 1e-12
     np.testing.assert_allclose(values, np.linalg.norm(per_order(gamma, stepped)[0], axis=1),
                                rtol=1e-12)
+
+
+def dense_arc_curvature(gamma, centers, radius, count):
+    steps = np.arange(count) * (2 * radius / (count - 1))
+    return np.stack([trigpoly.curvature(gamma, c - radius + steps) for c in centers], axis=1)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 80), l=st.integers(1, 4),
+       wrap=st.floats(-0.02, 0.02),
+       others=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3),
+       radius=st.floats(1e-4, 0.5), count=st.integers(2, 600))
+def test_arc_curvature_matches_point_evaluation(seed, n, l, wrap, others, radius, count):
+    # the first centre sits near the wrap at f = 0, so its arc crosses it
+    gamma = random_gamma(seed, n, l)
+    centers = [wrap % 1.0] + others
+    fast = trigpoly.arc_curvature(gamma, centers, radius, count)
+    dense = dense_arc_curvature(gamma, centers, radius, count)
+    assert fast.shape == (count, len(centers))
+    assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+def test_arc_curvature_at_full_size():
+    # the near regions of a certificate with N = 1001 and K = 20
+    rng = np.random.default_rng(1001)
+    gamma = random_gamma(1001, 1001, 3)
+    centers = np.sort(rng.random(20))
+    radius = 0.09 / 500
+    fast = trigpoly.arc_curvature(gamma, centers, radius, 401)
+    dense = dense_arc_curvature(gamma, centers, radius, 401)
+    assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+def test_arc_curvature_without_centers():
+    assert trigpoly.arc_curvature(random_gamma(0, 9, 2), [], 0.01, 5).shape == (5, 0)
+
+
+@pytest.mark.parametrize("count", [-1, 0, 1])
+def test_arc_curvature_rejects_fewer_than_two_points(count):
+    with pytest.raises(InvalidConfigurationError):
+        trigpoly.arc_curvature(np.ones((8, 1), dtype=complex), [0.2], 0.01, count)
