@@ -250,6 +250,22 @@ class CertificateReport:
         }
 
 
+def _far_from(grid: np.ndarray, freqs: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the grid points i/G farther than ``radius`` from every frequency.
+
+    A point within ``radius`` of f_k lies less than radius * G + 1 steps
+    from the grid index nearest f_k, so the distance is evaluated on those
+    indices only.
+    """
+    size = grid.size
+    freqs = np.asarray(freqs, dtype=float)[:, None]
+    reach = math.ceil(radius * size) + 1
+    idx = (np.rint(freqs * size).astype(int) + np.arange(-reach, reach + 1)) % size
+    far = np.ones(size, dtype=bool)
+    far[idx[wrap_distance(grid[idx], freqs) <= radius]] = False
+    return far
+
+
 def validate_certificate(cert: CertificateSolution,
                          opts: ValidationOptions | None = None) -> CertificateReport:
     """Check the optimality conditions of a solved certificate on grids.
@@ -280,8 +296,7 @@ def validate_certificate(cert: CertificateSolution,
     # off-support bound on a dense grid, excluding the near regions
     grid, qnorm = trigpoly.scan(gamma, opts.grid_size)
     radius = _NEAR_RADIUS / m
-    dmin = wrap_distance(grid[:, None], freqs).min(axis=1, initial=math.inf)
-    far = dmin > radius
+    far = _far_from(grid, freqs, radius)
     offgrid_max = float(qnorm[far].max()) if far.any() else math.inf
 
     # curvature of ||Q||^2 at _NEAR_GRID equispaced points across each near

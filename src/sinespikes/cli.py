@@ -238,10 +238,14 @@ def cmd_phase_transition(args, config: dict) -> int:
     n_steps = math.floor((stop - start) / step + 1e-9) + 1
     deltas = [(start + i * step) / n_sensors for i in range(n_steps)]
 
+    # costliest first, so the pool's last trials are short: small separations
+    # run longest (unresolved ones to the cap) and more snapshots cost more per
+    # iteration; the outputs are sorted below and do not depend on this order
     payloads = [
         (n_sensors, L, f1, deltas[di], di, t,
          trial_seed(base_seed, L, di, t), total_outliers, solver_kwargs, args.grid)
-        for L in snapshot_counts for di in range(n_steps) for t in range(trials)
+        for di in range(n_steps) for L in sorted(snapshot_counts, reverse=True)
+        for t in range(trials)
     ]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -77,15 +78,28 @@ def min_separation(freqs) -> float:
     return float(np.minimum(gaps, 1.0 - gaps).min())
 
 
+@lru_cache(maxsize=16)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the upper triangle of an n x n matrix and their lags j - i.
+
+    Cached per n (the ADMM solver needs them every iteration); the arrays are
+    read-only.
+    """
+    rows, cols = np.triu_indices(n)
+    flat, lag = rows * n + cols, cols - rows
+    flat.flags.writeable = lag.flags.writeable = False
+    return flat, lag
+
+
 def toeplitz_adjoint(mat: np.ndarray) -> np.ndarray:
     """Vector of superdiagonal sums: entry k sums the k-th superdiagonal."""
     m = np.asarray(mat)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    i, j = np.triu_indices(n)
-    upper = m[i, j]
-    sums = np.bincount(j - i, upper.real, n) + 1j * np.bincount(j - i, upper.imag, n)
+    flat, lag = _upper_triangle(n)
+    upper = m.ravel()[flat]
+    sums = np.bincount(lag, upper.real, n) + 1j * np.bincount(lag, upper.imag, n)
     return sums if np.iscomplexobj(m) else sums.real
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,7 +96,9 @@ class SdpSolution:
     """Dual variables and convergence diagnostics of one solve.
 
     ``diagnostics`` has one row per recorded iteration with columns
-    (iteration, objective, primal_residual, dual_residual).
+    (iteration, objective, primal_residual, dual_residual); the last row is
+    the returned iterate, so it repeats the row before it when the solve
+    stops on a recorded iteration.
     """
 
     gamma: np.ndarray
@@ -108,19 +111,46 @@ class SdpSolution:
     diagnostics: np.ndarray = field(repr=False, default=None)
 
 
-def project_psd(mat: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix (eigenvalue clamping)."""
+def _hermitize(mat: np.ndarray) -> np.ndarray:
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got {m.shape}")
-    h = (m + m.conj().T) / 2.0
+    return (m + m.conj().T) / 2.0
+
+
+def project_psd(mat: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest positive semidefinite matrix (eigenvalue clamping).
+
+    The clamped eigenvalues contribute nothing, so only the eigenpairs with
+    a positive eigenvalue enter the product (``eigh`` sorts them ascending).
+    """
     try:
-        w, v = np.linalg.eigh(h)
+        w, v = np.linalg.eigh(_hermitize(mat))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    w = np.maximum(w, 0.0)
-    out = (v * w) @ v.conj().T
+    k = np.searchsorted(w, 0.0, side="right")
+    vp = v[:, k:]
+    out = (vp * w[k:]) @ vp.conj().T
     return (out + out.conj().T) / 2.0
+
+
+@lru_cache(maxsize=16)
+def _mirror_index(n: int) -> np.ndarray:
+    """Index of every n x n entry into [d, conj(d)] for a vector d of lags:
+    d[j - i] on and above the diagonal, conj(d[i - j]) below it."""
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
+    index = np.where(offset >= 0, offset, n - offset)
+    index.flags.writeable = False
+    return index
+
+
+def _affine_hermitian(h: np.ndarray) -> np.ndarray:
+    """Affine projection of an exactly Hermitian matrix (see project_affine_lambda)."""
+    n = h.shape[0]
+    defect = toeplitz_adjoint(h)
+    defect[0] -= 1.0
+    defect /= np.arange(n, 0, -1)
+    return h - np.concatenate((defect, defect.conj()))[_mirror_index(n)]
 
 
 def project_affine_lambda(mat: np.ndarray) -> np.ndarray:
@@ -130,17 +160,7 @@ def project_affine_lambda(mat: np.ndarray) -> np.ndarray:
     the Frobenius-nearest correction because the constraints decouple per
     diagonal and each one is a hyperplane.
     """
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidDimensionError(f"expected a square matrix, got {m.shape}")
-    n = m.shape[0]
-    h = (m + m.conj().T) / 2.0
-    defect = toeplitz_adjoint(h)
-    defect[0] -= 1.0
-    defect /= np.arange(n, 0, -1)
-    offset = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
-    shift = defect[np.abs(offset)]
-    return h - np.where(offset >= 0, shift, shift.conj())
+    return _affine_hermitian(_hermitize(mat))
 
 
 def project_row_ball(gamma: np.ndarray, lam: float) -> np.ndarray:
@@ -170,12 +190,15 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     alpha = _OVER_RELAXATION
     eye_l = np.eye(l)
 
+    # The affine step hermitizes z - u and projects its top block without a
+    # second hermitization. The PSD step is the public project_psd (the layer
+    # perfbench times): it hermitizes an input that is already exactly
+    # Hermitian, which changes no bit, and symmetrizes the Z it returns.
     def affine_prox(v: np.ndarray, rho_: float) -> np.ndarray:
         h = (v + v.conj().T) / 2.0
-        top = project_affine_lambda(h[:n, :n])
         gam = project_row_ball(h[:n, n:] + y / (2.0 * rho_), lam)
         x = np.empty_like(h)
-        x[:n, :n] = top
+        x[:n, :n] = _affine_hermitian(h[:n, :n])
         x[:n, n:] = gam
         x[n:, :n] = gam.conj().T
         x[n:, n:] = eye_l
@@ -245,9 +268,16 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
 
 
 def write_diagnostics_csv(solution: SdpSolution, path) -> None:
-    """Dump the per-iteration diagnostics as CSV."""
+    """Dump the diagnostics as CSV, one row per recorded iteration.
+
+    Numbers are shortest round-trip decimals; a repeated final row is
+    written once.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "objective", "primal_residual", "dual_residual"])
-        for row in solution.diagnostics:
-            writer.writerow([int(row[0]), repr(row[1]), repr(row[2]), repr(row[3])])
+        last = None
+        for it, *values in solution.diagnostics:
+            if it != last:
+                writer.writerow([int(it)] + [repr(float(v)) for v in values])
+            last = it

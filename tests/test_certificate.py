@@ -16,7 +16,9 @@ from sinespikes import (
     trigpoly,
     validate_certificate,
 )
+from sinespikes.certificate import _far_from
 from sinespikes.errors import InvalidConfigurationError
+from sinespikes.model import wrap_distance
 
 
 def dirichlet_product(m, f):
@@ -340,3 +342,17 @@ def test_report_matches_pinned_values(seed, passed, offgrid, curvature, margin):
     assert abs(report.outlier_row_margin - margin) <= 1e-12
     assert abs(report.near_curvature_max - curvature) <= 1e-10 * abs(curvature)
     assert report.interpolation_residual <= 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(4, 20000), data=st.data())
+def test_far_mask_matches_distance_to_every_node(size, data):
+    # nodes and radii on and halfway between grid points hit the window edges
+    steps = st.integers(0, 4 * size).map(lambda k: k / (2 * size))
+    freqs = np.array(data.draw(st.lists(st.one_of(steps.map(lambda f: f % 1.0),
+                                                  st.floats(0.0, 1.0, exclude_max=True)),
+                                        max_size=5)))
+    radius = data.draw(st.one_of(steps.map(lambda r: r / 4), st.floats(0.0, 0.6)))
+    grid = np.arange(size) / size
+    dense = wrap_distance(grid[:, None], freqs).min(axis=1, initial=math.inf) > radius
+    np.testing.assert_array_equal(_far_from(grid, freqs, radius), dense)

@@ -62,8 +62,24 @@ def test_demix_outputs_reproducible(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["demix", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["demix", "--config", cfg, "--out", str(out2)]) == 0
-    for name in ("report.json", "dual_poly_trace.csv", "row_norms.csv"):
+    for name in ("report.json", "dual_poly_trace.csv", "row_norms.csv",
+                 "solver_diagnostics.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# 25 stops on a sampled iteration, the default runs to convergence at 588
+@pytest.mark.parametrize("solver", [{"max_iterations": 25}, {}])
+def test_demix_diagnostics_csv_is_numeric(tmp_path, solver):
+    cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH, "solver": solver})
+    out = tmp_path / "o"
+    assert main(["demix", "--config", cfg, "--out", str(out)]) in (0, 2)
+    lines = (out / "solver_diagnostics.csv").read_text().splitlines()
+    assert lines[0] == "iteration,objective,primal_residual,dual_residual"
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    iterations = [row[0] for row in rows]
+    assert iterations[0] == 1
+    assert all(a < b for a, b in zip(iterations, iterations[1:]))
+    assert iterations[-1] == solver.get("max_iterations", 588)
 
 
 def test_demix_matches_pinned_report(tmp_path):
@@ -155,6 +171,24 @@ def test_phase_transition_matches_pinned_trials(tmp_path):
     assert (out / "trials.csv").read_text() == PINNED_TRIALS
 
 
+def test_phase_transition_threads_do_not_change_outputs(tmp_path):
+    cfg = write_config(tmp_path / "c.json", {
+        "synthesis": {"n_sensors": 16},
+        "phase_transition": {
+            "f1": 0.2, "delta_start": 0.5, "delta_step": 1.0, "delta_stop": 1.5,
+            "snapshot_counts": [1, 3], "trials": 2, "total_outliers": 2,
+        },
+        "solver": {"max_iterations": 500},
+    })
+    outs = {}
+    for threads in ("1", "2"):
+        outs[threads] = tmp_path / threads
+        assert main(["phase-transition", "--config", cfg, "--out", str(outs[threads]),
+                     "--seed", "3", "--threads", threads]) == 0
+    for name in ("trials.csv", "phase_transition.csv"):
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+
 def record_trials(monkeypatch):
     payloads = []
 
@@ -183,6 +217,22 @@ def test_phase_transition_cells_end_at_stop(tmp_path, monkeypatch, start, step, 
     })
     assert main(["phase-transition", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     np.testing.assert_allclose([p[3] * 20 for p in payloads], expected, atol=1e-12)
+
+
+def test_phase_transition_dispatches_costliest_first(tmp_path, monkeypatch):
+    payloads = record_trials(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", {
+        "synthesis": {"n_sensors": 20},
+        "phase_transition": {"delta_start": 0.5, "delta_step": 0.5, "delta_stop": 1.0,
+                             "snapshot_counts": [1, 5, 3], "trials": 2},
+    })
+    out = tmp_path / "o"
+    assert main(["phase-transition", "--config", cfg, "--out", str(out)]) == 0
+    # smallest separation first, most snapshots first within it
+    assert [(p[4], p[1], p[5]) for p in payloads] == [
+        (di, l, t) for di in (0, 1) for l in (5, 3, 1) for t in (0, 1)]
+    rows = (out / "trials.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[2]) for row in rows] == [1] * 4 + [3] * 4 + [5] * 4
 
 
 @pytest.mark.parametrize("flags, section, solver", [

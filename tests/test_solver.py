@@ -11,6 +11,7 @@ from sinespikes import (
     solve_dual_sdp,
     toeplitz_adjoint,
 )
+from sinespikes import solver
 from sinespikes.errors import InvalidConfigurationError, InvalidDimensionError
 
 
@@ -237,3 +238,146 @@ class TestSolveDualSdp:
     def test_option_validation(self):
         with pytest.raises(InvalidConfigurationError):
             SolverOptions(max_iterations=0)
+
+
+def clamp_psd(mat):
+    """PSD projection as the full clamped product, before the positive-pair trim."""
+    m = np.asarray(mat, dtype=complex)
+    h = (m + m.conj().T) / 2.0
+    w, v = np.linalg.eigh(h)
+    w = np.maximum(w, 0.0)
+    out = (v * w) @ v.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def full_affine(mat):
+    """Superdiagonal-sum projection with its index arrays built on every call."""
+    m = np.asarray(mat, dtype=complex)
+    n = m.shape[0]
+    h = (m + m.conj().T) / 2.0
+    i, j = np.triu_indices(n)
+    upper = h[i, j]
+    defect = np.bincount(j - i, upper.real, n) + 1j * np.bincount(j - i, upper.imag, n)
+    defect[0] -= 1.0
+    defect /= np.arange(n, 0, -1)
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
+    shift = defect[np.abs(offset)]
+    return h - np.where(offset >= 0, shift, shift.conj())
+
+
+def reference_admm(y, lam, max_iterations):
+    """The ADMM loop before its per-iteration trims.
+
+    It hermitizes inside every projection, rebuilds the Toeplitz indices on
+    every call and clamps the full eigendecomposition; solve_dual_sdp must
+    reproduce it bit for bit.
+    """
+    n, l = y.shape
+    dim = n + l
+    rho = solver._PENALTY
+    alpha = solver._OVER_RELAXATION
+    eye_l = np.eye(l)
+
+    def affine_prox(v, rho_):
+        h = (v + v.conj().T) / 2.0
+        top = full_affine(h[:n, :n])
+        gam = project_row_ball(h[:n, n:] + y / (2.0 * rho_), lam)
+        x = np.empty_like(h)
+        x[:n, :n] = top
+        x[:n, n:] = gam
+        x[n:, :n] = gam.conj().T
+        x[n:, n:] = eye_l
+        return x
+
+    x = np.zeros((dim, dim), dtype=complex)
+    x[:n, :n] = np.eye(n) / n
+    x[n:, n:] = eye_l
+    z = x.copy()
+    u = np.zeros_like(x)
+    norm_prev = float(np.linalg.norm(x))
+    history = []
+    iterations = max_iterations
+    converged = False
+    for it in range(1, max_iterations + 1):
+        x = affine_prox(z - u, rho)
+        x_rel = alpha * x + (1.0 - alpha) * z
+        z_new = clamp_psd(x_rel + u)
+        u = u + x_rel - z_new
+        r_norm = float(np.linalg.norm(x - z_new))
+        s_norm = rho * float(np.linalg.norm(z_new - z))
+        z = z_new
+        norm_x = float(np.linalg.norm(x))
+        tol = solver._EPS_ABS * dim + solver._EPS_REL * max(norm_x, norm_prev)
+        norm_prev = norm_x
+        if it % solver._DIAG_EVERY == 0 or it == 1:
+            history.append((it, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
+        if r_norm < tol and s_norm < tol:
+            iterations = it
+            converged = True
+            break
+        if r_norm > 10.0 * s_norm and rho < 1e4:
+            rho *= 2.0
+            u /= 2.0
+        elif s_norm > 10.0 * r_norm and rho > 1e-4:
+            rho /= 2.0
+            u *= 2.0
+    gamma = x[:n, n:].copy()
+    history.append((iterations, float(np.real(np.vdot(y, gamma))), r_norm, s_norm))
+    return gamma, x[:n, :n].copy(), iterations, converged, np.array(history, dtype=float)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def spectral_measurement(n, l, seed):
+    """Two lines plus two outlier rows, the shape of a sweep trial."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(n)[:, None]
+    y = np.zeros((n, l), dtype=complex)
+    for f in rng.random(2):
+        y += np.exp(2j * np.pi * j * f) * (rng.standard_normal(l) + 1j * rng.standard_normal(l))
+    rows = rng.choice(n, 2, replace=False)
+    y[rows] += rng.standard_normal((2, l)) + 1j * rng.standard_normal((2, l))
+    return y / np.sqrt(n)
+
+
+@pytest.mark.parametrize("n", [4, 16, 50])
+@pytest.mark.parametrize("l", [1, 3, 5])
+def test_solve_matches_reference_loop_bit_for_bit(n, l):
+    y = spectral_measurement(n, l, seed=100 * n + l)
+    lam = default_lambda(n)
+    gamma, lambda_mat, iterations, converged, history = reference_admm(y, lam, 300)
+    sol = solve_dual_sdp(DualSdpProblem(y, lam), SolverOptions(max_iterations=300))
+    assert_same_bits(sol.gamma, gamma)
+    assert_same_bits(sol.lambda_mat, lambda_mat)
+    assert_same_bits(sol.diagnostics, history)
+    assert (sol.iterations, sol.converged) == (iterations, converged)
+
+
+def test_reference_parity_covers_both_endings():
+    # among the parity cases above, N=4 converges and N=16, L=3 hits the cap
+    endings = [
+        solve_dual_sdp(DualSdpProblem(spectral_measurement(n, l, 100 * n + l),
+                                      default_lambda(n)),
+                       SolverOptions(max_iterations=300)).converged
+        for n, l in [(4, 1), (16, 3)]
+    ]
+    assert endings == [True, False]
+
+
+def test_project_affine_lambda_matches_full_affine_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 7, 30, 55):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert_same_bits(project_affine_lambda(m), full_affine(m))
+        assert_same_bits(project_affine_lambda(m[::-1, ::-1]), full_affine(m[::-1, ::-1]))
+
+
+def test_project_psd_matches_full_clamp_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 7, 30, 55):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert_same_bits(project_psd(m), clamp_psd(m))
+    assert_same_bits(project_psd(-np.eye(3)), clamp_psd(-np.eye(3)))
