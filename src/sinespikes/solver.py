@@ -190,12 +190,17 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     alpha = _OVER_RELAXATION
     eye_l = np.eye(l)
 
-    # The affine step hermitizes z - u and projects its top block without a
-    # second hermitization. The PSD step is the public project_psd (the layer
-    # perfbench times): it hermitizes an input that is already exactly
-    # Hermitian, which changes no bit, and symmetrizes the Z it returns.
-    def affine_prox(v: np.ndarray, rho_: float) -> np.ndarray:
-        h = (v + v.conj().T) / 2.0
+    # The affine step takes z - u as it is: it is already Hermitian bit for
+    # bit, so hermitizing it would change no bit. By induction over the
+    # iterations: z is exactly Hermitian with a +0 imaginary diagonal, because
+    # project_psd symmetrizes the Z it returns; u, x and x_rel are updated
+    # elementwise from exactly Hermitian operands and real scalars, which keeps
+    # every mirrored pair conjugate and every diagonal imaginary part a zero of
+    # either sign (over-relaxation scales +0 by 1 - alpha < 0 and sums it with
+    # +0); and +0 minus a zero of either sign is +0. The PSD step is the public
+    # project_psd (the layer perfbench times): it hermitizes an input that is
+    # already exactly Hermitian, which changes no bit.
+    def affine_prox(h: np.ndarray, rho_: float) -> np.ndarray:
         gam = project_row_ball(h[:n, n:] + y / (2.0 * rho_), lam)
         x = np.empty_like(h)
         x[:n, :n] = _affine_hermitian(h[:n, :n])

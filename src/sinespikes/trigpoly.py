@@ -1,14 +1,25 @@
 """The dual polynomial Q(f) = sum_j gamma[j] exp(-2i*pi*j*f).
 
-This module is the only code that evaluates Q: at points with derivatives,
-on a dense grid, at its grid maxima refined by Newton ascent, and through
-the curvature of ||Q||^2. On the grid i/G, Q is the zero-padded FFT of the
-coefficient rows; on equispaced arcs around given centres, the curvature
-comes from one chirp-z transform (Bluestein's FFT convolution); at
-arbitrary points, Q and its derivatives come from one exponential basis
-exp(-2i*pi*j*f). Rows of ``gamma`` are the coefficients, in the scale the
-SDP bounds by one; only ``dual_atomic_norm`` divides by sqrt(N), for the
-pairing with the unit-norm atom of ``model.atom``.
+This module is the only code that evaluates Q. At arbitrary points (values,
+derivatives, Newton refinement), Q and its derivatives come from one
+exponential basis exp(-2i*pi*j*f). Dense evaluations go through ||Q||^2
+instead, a real trigonometric polynomial of degree N-1:
+
+    ||Q(f)||^2 = c_0 + 2 Re sum_{k=1}^{N-1} c_k exp(-2i*pi*k*f),
+    c_k = sum_j <gamma[j+k], gamma[j]>.
+
+Its coefficients are the autocorrelation of the rows, taken with one
+zero-padded FFT per snapshot. The grid scan is one real transform of c,
+and the curvature of ||Q||^2 on equispaced arcs around given centres is one
+chirp-z transform (Bluestein's FFT convolution) of c per centre. The scan
+errs in ||Q||^2 by a small multiple of eps * ||gamma||_F^2 (the curvature
+by (2*pi*N)^2 times that), so it gives ||Q|| to about eps * ||gamma||_F^2
+where ||Q|| is near one (peaks, the off-support bound) but only to about
+sqrt(eps) * ||gamma||_F at an exact zero of Q.
+
+Rows of ``gamma`` are the coefficients, in the scale the SDP bounds by one;
+only ``dual_atomic_norm`` divides by sqrt(N), for the pairing with the
+unit-norm atom of ``model.atom``.
 """
 
 from __future__ import annotations
@@ -33,25 +44,17 @@ __all__ = [
 ]
 
 
-def _stacked(gamma: np.ndarray, orders) -> np.ndarray:
-    """The coefficients of the derivatives of the given orders, side by side.
-
-    Order p multiplies each coefficient by (-2i*pi*j)^p.
-    """
-    g = np.asarray(gamma, dtype=complex)
-    w = (-2j * np.pi * np.arange(g.shape[0]))[:, None]
-    return np.hstack([g * w**p for p in orders])
-
-
 def _derivatives(gamma: np.ndarray, freqs, orders) -> list[np.ndarray]:
     """The derivatives of Q of the given orders at ``freqs``, one per order.
 
-    All orders share one exponential basis and one product with the
-    stacked coefficients.
+    Order p multiplies each coefficient by (-2i*pi*j)^p. All orders share
+    one exponential basis and one product with the stacked coefficients.
     """
-    j = np.arange(np.shape(gamma)[0])
+    g = np.asarray(gamma, dtype=complex)
+    j = np.arange(g.shape[0])
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    out = np.exp(-2j * np.pi * np.outer(f, j)) @ _stacked(gamma, orders)
+    w = (-2j * np.pi * j)[:, None]
+    out = np.exp(-2j * np.pi * np.outer(f, j)) @ np.hstack([g * w**p for p in orders])
     return np.split(out, len(orders), axis=1)
 
 
@@ -82,19 +85,42 @@ def grid_points(n: int, grid_size: int | None = None) -> int:
     return grid_size
 
 
+def _norm_sq_coefficients(gamma: np.ndarray) -> np.ndarray:
+    """The coefficients c_0..c_{N-1} of ||Q||^2 (see the module docstring).
+
+    c_k = sum_j <gamma[j+k], gamma[j]> is the column autocorrelation, the
+    inverse FFT of sum_l |fft(gamma[:, l], M)|^2 with M >= 2N - 1 so that
+    no lag wraps. Each snapshot is transformed along a contiguous row.
+    """
+    g = np.asarray(gamma, dtype=complex)
+    n = g.shape[0]
+    size = 1 << (2 * n - 2).bit_length()
+    spectrum = np.fft.fft(np.ascontiguousarray(g.T), size)
+    return np.fft.ifft((spectrum.real**2 + spectrum.imag**2).sum(axis=0))[:n]
+
+
+def _scan(coef: np.ndarray, grid_size: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """``scan`` from the coefficients of ||Q||^2."""
+    grid_size = grid_points(coef.size, grid_size)
+    f = np.arange(grid_size) / grid_size
+    # hfft(c, G)[i] = c_0 + 2 Re sum_{k>0} c_k exp(-2i*pi*k*i/G) = ||Q(i/G)||^2
+    sq = np.fft.hfft(coef, grid_size)
+    return f, np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+
+
 def scan(gamma: np.ndarray, grid_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Grid points i/G and ||Q|| there, with G = ``grid_points(N, grid_size)``.
 
-    Q(i/G) = sum_j gamma[j] exp(-2i*pi*j*i/G) is the length-G FFT of the
-    coefficient rows zero-padded from N to G, which G >= 2N allows.
-    ``gamma`` must be a nonempty N x L matrix.
+    ||Q(i/G)||^2 is one real FFT of length G of the N coefficients of
+    ||Q||^2, zero-padded, which G >= 2N allows; the square root clamps the
+    rounding below zero at zeros of Q. The values are accurate to about
+    eps * ||gamma||_F^2 where ||Q|| is near one and to about
+    sqrt(eps) * ||gamma||_F at a zero of Q. ``gamma`` must be a nonempty
+    N x L matrix.
     """
     if np.ndim(gamma) != 2 or np.size(gamma) == 0:
         raise InvalidDimensionError(f"expected a nonempty matrix, got shape {np.shape(gamma)}")
-    grid_size = grid_points(np.shape(gamma)[0], grid_size)
-    f = np.arange(grid_size) / grid_size
-    q = np.fft.fft(np.asarray(gamma, dtype=complex), n=grid_size, axis=0)
-    return f, np.linalg.norm(q, axis=1)
+    return _scan(_norm_sq_coefficients(gamma), grid_size)
 
 
 def local_maxima(values: np.ndarray) -> np.ndarray:
@@ -118,36 +144,40 @@ def curvature(gamma: np.ndarray, freqs) -> np.ndarray:
     return _curvature(*_derivatives(gamma, freqs, (0, 1, 2)))
 
 
-def arc_curvature(gamma: np.ndarray, centers, radius: float, count: int) -> np.ndarray:
-    """``curvature`` at c_k - radius + i*h for i < count, h = 2 radius / (count - 1).
-
-    Returns a (count, K) array, one column per centre c_k. With
-    a_k = c_k - radius and w = exp(-2i*pi*h), Q^(p)(a_k + i*h) is
-    sum_j x_j w^(ij) for x_j = gamma[j] (-2i*pi*j)^p exp(-2i*pi*j*a_k).
-    Since ij = (j^2 + i^2 - (i-j)^2) / 2, that is the chirp-z transform
-    w^(i^2/2) sum_j (x_j w^(j^2/2)) w^(-(i-j)^2/2): one FFT convolution,
-    of a power-of-two length >= N + count - 1, for every centre, order and
-    snapshot at once. The output chirp w^(i^2/2) is one unit phase on Q, Q'
-    and Q'' at point i, which the curvature pairs with its conjugate, so it
-    is left out.
-    """
+def _arc_curvature(coef: np.ndarray, centers, radius: float, count: int) -> np.ndarray:
+    """``arc_curvature`` from the coefficients of ||Q||^2."""
     if count < 2:
         raise InvalidConfigurationError(f"an arc needs at least two points, got {count}")
-    n = np.shape(gamma)[0]
+    n = coef.size
     starts = np.atleast_1d(np.asarray(centers, dtype=float)) - radius
     h = 2.0 * radius / (count - 1)
-    cols = _stacked(gamma, (0, 1, 2))
-    x = np.exp(-2j * np.pi * np.outer(np.arange(n), starts))[:, :, None] * cols[:, None, :]
+    k = np.arange(n)
+    x = -(2.0 * np.pi * k) ** 2 * coef * np.exp(-2j * np.pi * np.outer(starts, k))
 
     chirp = np.exp(-1j * np.pi * h * np.arange(max(n, count), dtype=float) ** 2)  # w^(k^2/2)
     size = 1 << (n + count - 2).bit_length()
     kernel = np.zeros(size, dtype=complex)
     kernel[:count] = chirp[:count].conj()
     kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    spectrum = np.fft.fft(chirp[:n, None] * x.reshape(n, -1), n=size, axis=0)
-    y = np.fft.ifft(spectrum * np.fft.fft(kernel)[:, None], axis=0)[:count]
-    y = y.reshape(-1, cols.shape[1])
-    return _curvature(*np.split(y, 3, axis=1)).reshape(count, starts.size)
+    y = np.fft.ifft(np.fft.fft(chirp[:n] * x, size) * np.fft.fft(kernel))[:, :count]
+    # the output chirp w^(i^2/2) must be applied before the real part is taken
+    return (y * chirp[:count]).real.T
+
+
+def arc_curvature(gamma: np.ndarray, centers, radius: float, count: int) -> np.ndarray:
+    """``curvature`` at c_k - radius + i*h for i < count, h = 2 radius / (count - 1).
+
+    Returns a (count, K) array, one column per centre c_k. Half the second
+    derivative of ||Q||^2 at a_k + i*h, with a_k = c_k - radius and
+    w = exp(-2i*pi*h), is Re sum_j x_j w^(ij) for the coefficients c_j of
+    ||Q||^2 and x_j = -(2*pi*j)^2 c_j exp(-2i*pi*j*a_k). Since
+    ij = (j^2 + i^2 - (i-j)^2) / 2, the sum is the chirp-z transform
+    w^(i^2/2) sum_j (x_j w^(j^2/2)) w^(-(i-j)^2/2): one FFT convolution, of
+    a power-of-two length >= N + count - 1, with one column per centre.
+    The absolute error is a small multiple of eps * (2*pi*N)^2 *
+    ||gamma||_F^2.
+    """
+    return _arc_curvature(_norm_sq_coefficients(gamma), centers, radius, count)
 
 
 def refine(gamma: np.ndarray, f0, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,10 +199,11 @@ def refine(gamma: np.ndarray, f0, steps: int) -> tuple[np.ndarray, np.ndarray]:
 def dual_atomic_norm(gamma: np.ndarray, grid_size: int | None = None) -> float:
     """sup over f of ||gamma^H a(f, 0)||_2, i.e. of ||Q(f)|| / sqrt(N).
 
-    Found by dense grid plus Newton ascent. The returned value is a lower
-    bound on the true supremum, tight to the refinement tolerance because
-    the objective is a trigonometric polynomial of degree N-1 sampled at
-    >= 16x its bandwidth.
+    Found by dense grid plus Newton ascent from every grid peak. The
+    returned value is a lower bound on the true supremum. It is tight to the
+    refinement tolerance when the grid resolves every peak of ||Q||, as the
+    default grid of at least 32 points per coefficient does; ``grid_points``
+    accepts any G >= 2N, and a grid that coarse can miss a narrow peak.
     """
     g = np.asarray(gamma, dtype=complex)
     f, vals = scan(g, grid_size)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinespikes import atom, locate_frequencies, trigpoly, wrap_distance
+from sinespikes import atom, locate_frequencies, run_certificate, trigpoly, wrap_distance
 from sinespikes.errors import InvalidConfigurationError
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -44,6 +44,66 @@ def test_scan_equals_point_evaluation_at_full_size(grid):
 def test_scan_rejects_grid_below_twice_the_length(grid):
     with pytest.raises(InvalidConfigurationError):
         trigpoly.scan(np.ones((8, 1), dtype=complex), grid)
+
+
+@pytest.mark.parametrize("n, grid", [(2, 4), (2, 64), (2, 1 << 14), (5, 210)])
+def test_scan_at_an_exact_zero_is_finite_and_nonnegative(n, grid):
+    # Q(f) = sum_{j<n} exp(-2i*pi*j*f) vanishes at f = k/n, grid points here;
+    # with n = 5 and G = 210 the rounded ||Q||^2 dips below zero at one of them
+    f, norms = trigpoly.scan(np.ones((n, 1)), grid)
+    assert np.all(np.isfinite(norms)) and norms.min() >= 0.0
+    assert norms[grid // n::grid // n].max() <= 1e-7
+
+
+def test_scan_matches_point_evaluation_where_a_certificate_is_large():
+    # ||Q|| >= 1/2 covers the peaks and the off-support bound, where the
+    # coefficients of ||Q||^2 give ||Q|| to about one ulp of one
+    cert, report = run_certificate(401, 2, 4 / 400, 5, seed=0)
+    assert report.passed
+    f, norms = trigpoly.scan(cert.gamma, 1 << 14)
+    idx = np.flatnonzero(norms >= 0.5)  # the two main lobes
+    assert idx.size > 100
+    points = np.linalg.norm(trigpoly.evaluate(cert.gamma, f[idx]), axis=1)
+    assert np.abs(norms[idx] - points).max() <= 1e-13
+
+
+def test_zero_gamma_scans_to_zero_without_maxima():
+    _, norms = trigpoly.scan(np.zeros((5, 2), dtype=complex), 64)
+    np.testing.assert_array_equal(norms, np.zeros(64))
+    assert trigpoly.local_maxima(norms).size == 0
+
+
+def direct_autocorrelation(gamma):
+    n = gamma.shape[0]
+    return np.array([np.sum(gamma[k:] * gamma[:n - k].conj()) for k in range(n)])
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), l=st.integers(1, 4))
+def test_norm_sq_coefficients_are_the_row_autocorrelation(seed, n, l):
+    gamma = random_gamma(seed, n, l)
+    coef = trigpoly._norm_sq_coefficients(gamma)
+    scale = np.linalg.norm(gamma) ** 2
+    assert coef.shape == (n,)
+    assert np.abs(coef - direct_autocorrelation(gamma)).max() <= 1e-13 * scale
+    assert abs(coef[0] - scale) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), l=st.integers(1, 4),
+       shift=st.floats(-1.0, 1.0))
+def test_norm_sq_coefficients_under_unitary_mixing_and_row_modulation(seed, n, l, shift):
+    # Gamma -> Gamma U leaves ||Q||^2 unchanged; modulating row j by
+    # exp(-2i*pi*j*phi) moves it to ||Q(f + phi)||^2, so c_k gains exp(-2i*pi*k*phi)
+    gamma = random_gamma(seed, n, l)
+    u, _ = np.linalg.qr(random_gamma(seed + 1, l, l))
+    coef = trigpoly._norm_sq_coefficients(gamma)
+    scale = np.linalg.norm(gamma) ** 2
+    mixed = trigpoly._norm_sq_coefficients(gamma @ u)
+    assert np.abs(mixed - coef).max() <= 1e-13 * scale
+    phase = np.exp(-2j * np.pi * np.arange(n) * shift)
+    modulated = trigpoly._norm_sq_coefficients(gamma * phase[:, None])
+    assert np.abs(modulated - coef * phase).max() <= 1e-13 * scale
 
 
 @PROPERTY
