@@ -52,6 +52,5 @@ from .synthesis import (
     synth_frequencies,
     synth_instance,
 )
-from .trigpoly import dual_atomic_norm
 
 __version__ = "0.1.0"

@@ -293,20 +293,17 @@ def validate_certificate(cert: CertificateSolution,
     res_der = float((sys.kernel.kappa * np.linalg.norm(node_der, axis=1)).max(initial=0.0))
     interpolation_residual = max(res_val, res_der)
 
-    # the grid scan and the near-region curvature both read the coefficients
-    # of ||Q||^2; the public trigpoly.scan and arc_curvature would each
-    # compute them again
-    coef = trigpoly._norm_sq_coefficients(gamma)
+    coef = trigpoly.coefficients(gamma)
 
     # off-support bound on a dense grid, excluding the near regions
-    grid, qnorm = trigpoly._scan(coef, opts.grid_size)
+    grid, qnorm = trigpoly.scan(coef, opts.grid_size)
     radius = _NEAR_RADIUS / m
     far = _far_from(grid, freqs, radius)
     offgrid_max = float(qnorm[far].max()) if far.any() else math.inf
 
     # curvature of ||Q||^2 at _NEAR_GRID equispaced points across each near
     # region; every region shares the step, so one chirp-z transform samples all
-    curv = trigpoly._arc_curvature(coef, freqs, radius, _NEAR_GRID)
+    curv = trigpoly.arc_curvature(coef, freqs, radius, _NEAR_GRID)
     curv_max = float(curv.max(initial=-math.inf))
 
     # rows outside the support must stay strictly inside the ball

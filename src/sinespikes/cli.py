@@ -136,7 +136,7 @@ def cmd_synth(args, config: dict) -> int:
 
 
 def _trace_rows(gamma: np.ndarray, grid: int | None):
-    return zip(*trigpoly.scan(gamma, grid))
+    return zip(*trigpoly.scan(trigpoly.coefficients(gamma), grid))
 
 
 def cmd_demix(args, config: dict) -> int:
@@ -216,8 +216,8 @@ def cmd_phase_transition(args, config: dict) -> int:
     stop = float(section.get("delta_stop", 1.5))
     if not start < stop:
         raise ValueError("sweep start must be below stop")
-    if not step > 0:
-        raise ValueError("sweep step must be positive")
+    if not (start > 0 and step > 0):
+        raise ValueError("sweep start and step must be positive")
     snapshot_counts = [int(x) for x in section.get("snapshot_counts", [1, 3, 5])]
     trials = int(args.trials if args.trials is not None else section.get("trials", 20))
     if trials < 1:
@@ -278,6 +278,8 @@ def cmd_phase_transition(args, config: dict) -> int:
 def cmd_certificate(args, config: dict) -> int:
     section = config.get("certificate", {})
     n_sensors = int(section.get("n_sensors", 201))
+    if n_sensors % 2 != 1 or n_sensors < 9:  # N = 2m + 1 with m >= 4
+        raise ValueError(f"the construction needs an odd sensor count >= 9, got {n_sensors}")
     n_freqs = int(section.get("n_frequencies", 2))
     separation = section.get("separation")
     separation = 4.0 / (n_sensors - 1) if separation is None else float(separation)

@@ -48,10 +48,11 @@ def locate_frequencies(gamma: np.ndarray,
     closer than one grid step are merged, keeping the larger value. Returns
     the frequencies and the refined values ||Q|| there.
     """
-    f, vals = trigpoly.scan(gamma, grid_size)
+    coef = trigpoly.coefficients(gamma)
+    f, vals = trigpoly.scan(coef, grid_size)
     candidates = trigpoly.local_maxima(vals)
     candidates = candidates[vals[candidates] >= 1.0 - _PEAK_TOL]
-    refined, values = trigpoly.refine(gamma, f[candidates], _NEWTON_STEPS)
+    refined, values = trigpoly.refine(coef, f[candidates], _NEWTON_STEPS)
     keep = values >= 1.0 - _ACCEPT_TOL
     return trigpoly.merge_peaks(refined[keep], values[keep], 1.0 / f.size)
 

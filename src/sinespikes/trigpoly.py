@@ -1,30 +1,29 @@
 """The dual polynomial Q(f) = sum_j gamma[j] exp(-2i*pi*j*f).
 
-This module is the only code that evaluates Q. At arbitrary points (values,
-derivatives, Newton refinement), Q and its derivatives come from one
-exponential basis exp(-2i*pi*j*f). Dense evaluations go through ||Q||^2
-instead, a real trigonometric polynomial of degree N-1:
+This module is the only code that evaluates Q, and it holds Q in two
+representations. The vector values of Q and its derivatives at given points
+(``evaluate``) come from the rows of ``gamma`` through one exponential basis
+exp(-2i*pi*j*f). Everything that reads ||Q|| (the grid scan, Newton
+refinement of its peaks, the curvature on arcs) takes instead the N real
+coefficients of ||Q||^2, a real trigonometric polynomial of degree N-1:
 
     ||Q(f)||^2 = c_0 + 2 Re sum_{k=1}^{N-1} c_k exp(-2i*pi*k*f),
     c_k = sum_j <gamma[j+k], gamma[j]>.
 
-Its coefficients are the autocorrelation of the rows, taken with one
-zero-padded FFT per snapshot. The grid scan is one real transform of c,
-and the curvature of ||Q||^2 on equispaced arcs around given centres is one
-chirp-z transform (Bluestein's FFT convolution) of c per centre. The scan
-errs in ||Q||^2 by a small multiple of eps * ||gamma||_F^2 (the curvature
-by (2*pi*N)^2 times that), so it gives ||Q|| to about eps * ||gamma||_F^2
-where ||Q|| is near one (peaks, the off-support bound) but only to about
-sqrt(eps) * ||gamma||_F at an exact zero of Q.
+``coefficients`` takes them from the rows with one zero-padded FFT per
+snapshot. The grid scan is one real transform of c, Newton refinement
+evaluates ||Q||^2 and its derivatives at points, and the curvature on
+equispaced arcs around given centres is one chirp-z transform (Bluestein's
+FFT convolution) of c per centre. These err in ||Q||^2 by a small multiple
+of eps * ||gamma||_F^2 (the curvature by (2*pi*N)^2 times that), so they
+give ||Q|| to about eps * ||gamma||_F^2 where ||Q|| is near one (peaks, the
+off-support bound) but only to about sqrt(eps) * ||gamma||_F at an exact
+zero of Q.
 
-Rows of ``gamma`` are the coefficients, in the scale the SDP bounds by one;
-only ``dual_atomic_norm`` divides by sqrt(N), for the pairing with the
-unit-norm atom of ``model.atom``.
+Rows of ``gamma`` are the coefficients, in the scale the SDP bounds by one.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -33,8 +32,7 @@ from .model import wrap_distance
 
 __all__ = [
     "arc_curvature",
-    "curvature",
-    "dual_atomic_norm",
+    "coefficients",
     "evaluate",
     "grid_points",
     "local_maxima",
@@ -85,13 +83,16 @@ def grid_points(n: int, grid_size: int | None = None) -> int:
     return grid_size
 
 
-def _norm_sq_coefficients(gamma: np.ndarray) -> np.ndarray:
+def coefficients(gamma: np.ndarray) -> np.ndarray:
     """The coefficients c_0..c_{N-1} of ||Q||^2 (see the module docstring).
 
     c_k = sum_j <gamma[j+k], gamma[j]> is the column autocorrelation, the
     inverse FFT of sum_l |fft(gamma[:, l], M)|^2 with M >= 2N - 1 so that
     no lag wraps. Each snapshot is transformed along a contiguous row.
+    ``gamma`` must be a nonempty N x L matrix.
     """
+    if np.ndim(gamma) != 2 or np.size(gamma) == 0:
+        raise InvalidDimensionError(f"expected a nonempty matrix, got shape {np.shape(gamma)}")
     g = np.asarray(gamma, dtype=complex)
     n = g.shape[0]
     size = 1 << (2 * n - 2).bit_length()
@@ -99,28 +100,18 @@ def _norm_sq_coefficients(gamma: np.ndarray) -> np.ndarray:
     return np.fft.ifft((spectrum.real**2 + spectrum.imag**2).sum(axis=0))[:n]
 
 
-def _scan(coef: np.ndarray, grid_size: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """``scan`` from the coefficients of ||Q||^2."""
+def scan(coef: np.ndarray, grid_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Grid points i/G and ||Q|| there, with G = ``grid_points(N, grid_size)``.
+
+    ``coef`` holds the N coefficients of ||Q||^2. ||Q(i/G)||^2 is one real
+    FFT of length G of them, zero-padded, which G >= 2N allows; the square
+    root clamps the rounding below zero at zeros of Q.
+    """
     grid_size = grid_points(coef.size, grid_size)
     f = np.arange(grid_size) / grid_size
     # hfft(c, G)[i] = c_0 + 2 Re sum_{k>0} c_k exp(-2i*pi*k*i/G) = ||Q(i/G)||^2
     sq = np.fft.hfft(coef, grid_size)
     return f, np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
-
-
-def scan(gamma: np.ndarray, grid_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Grid points i/G and ||Q|| there, with G = ``grid_points(N, grid_size)``.
-
-    ||Q(i/G)||^2 is one real FFT of length G of the N coefficients of
-    ||Q||^2, zero-padded, which G >= 2N allows; the square root clamps the
-    rounding below zero at zeros of Q. The values are accurate to about
-    eps * ||gamma||_F^2 where ||Q|| is near one and to about
-    sqrt(eps) * ||gamma||_F at a zero of Q. ``gamma`` must be a nonempty
-    N x L matrix.
-    """
-    if np.ndim(gamma) != 2 or np.size(gamma) == 0:
-        raise InvalidDimensionError(f"expected a nonempty matrix, got shape {np.shape(gamma)}")
-    return _scan(_norm_sq_coefficients(gamma), grid_size)
 
 
 def local_maxima(values: np.ndarray) -> np.ndarray:
@@ -131,21 +122,33 @@ def local_maxima(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((values >= np.roll(values, 1)) & (values > np.roll(values, -1)))
 
 
-def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b.conj()).real
+def _norm_sq(coef: np.ndarray, freqs, orders) -> list[np.ndarray]:
+    """The derivatives of ||Q||^2 of the given orders at ``freqs``, one per order.
+
+    Order p is Re sum_k a_k (-2i*pi*k)^p c_k exp(-2i*pi*k*f), with a_0 = 1
+    and a_k = 2 for k >= 1. All orders share one exponential basis.
+    """
+    k = np.arange(coef.size)
+    ac = np.where(k > 0, 2.0, 1.0) * coef
+    w = -2j * np.pi * k
+    f = np.atleast_1d(np.asarray(freqs, dtype=float))
+    out = np.exp(-2j * np.pi * np.outer(f, k)) @ np.stack([ac * w**p for p in orders], axis=1)
+    return list(out.real.T)
 
 
-def _curvature(q0: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    return _re_inner(q1, q1) + _re_inner(q2, q0)
+def arc_curvature(coef: np.ndarray, centers, radius: float, count: int) -> np.ndarray:
+    """Half the second derivative of ||Q||^2 at c_k - radius + i*h for i < count.
 
-
-def curvature(gamma: np.ndarray, freqs) -> np.ndarray:
-    """Half the second derivative of ||Q||^2: ||Q'||^2 + Re<Q'', Q>."""
-    return _curvature(*_derivatives(gamma, freqs, (0, 1, 2)))
-
-
-def _arc_curvature(coef: np.ndarray, centers, radius: float, count: int) -> np.ndarray:
-    """``arc_curvature`` from the coefficients of ||Q||^2."""
+    ``coef`` holds the N coefficients of ||Q||^2, and h = 2 radius /
+    (count - 1). Returns a (count, K) array, one column per centre c_k. With
+    a_k = c_k - radius and w = exp(-2i*pi*h), the value at a_k + i*h is
+    Re sum_j x_j w^(ij) for x_j = -(2*pi*j)^2 c_j exp(-2i*pi*j*a_k). Since
+    ij = (j^2 + i^2 - (i-j)^2) / 2, the sum is the chirp-z transform
+    w^(i^2/2) sum_j (x_j w^(j^2/2)) w^(-(i-j)^2/2): one FFT convolution, of
+    a power-of-two length >= N + count - 1, with one column per centre.
+    The absolute error is a small multiple of eps * (2*pi*N)^2 *
+    ||gamma||_F^2.
+    """
     if count < 2:
         raise InvalidConfigurationError(f"an arc needs at least two points, got {count}")
     n = coef.size
@@ -164,54 +167,21 @@ def _arc_curvature(coef: np.ndarray, centers, radius: float, count: int) -> np.n
     return (y * chirp[:count]).real.T
 
 
-def arc_curvature(gamma: np.ndarray, centers, radius: float, count: int) -> np.ndarray:
-    """``curvature`` at c_k - radius + i*h for i < count, h = 2 radius / (count - 1).
+def refine(coef: np.ndarray, f0, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton ascent on g = ||Q||^2 from the points ``f0``.
 
-    Returns a (count, K) array, one column per centre c_k. Half the second
-    derivative of ||Q||^2 at a_k + i*h, with a_k = c_k - radius and
-    w = exp(-2i*pi*h), is Re sum_j x_j w^(ij) for the coefficients c_j of
-    ||Q||^2 and x_j = -(2*pi*j)^2 c_j exp(-2i*pi*j*a_k). Since
-    ij = (j^2 + i^2 - (i-j)^2) / 2, the sum is the chirp-z transform
-    w^(i^2/2) sum_j (x_j w^(j^2/2)) w^(-(i-j)^2/2): one FFT convolution, of
-    a power-of-two length >= N + count - 1, with one column per centre.
-    The absolute error is a small multiple of eps * (2*pi*N)^2 *
-    ||gamma||_F^2.
-    """
-    return _arc_curvature(_norm_sq_coefficients(gamma), centers, radius, count)
-
-
-def refine(gamma: np.ndarray, f0, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Newton ascent on ||Q||^2 from the points ``f0``.
-
-    Returns refined locations in [0, 1) and ||Q|| there. A step from a point
-    outside the concave neighborhood (curvature >= 0) keeps that point.
-    Each step evaluates Q, Q' and Q'' from one exponential basis.
+    ``coef`` holds the N coefficients of g, and each step is -g'/g''.
+    Returns refined locations in [0, 1) and ||Q|| = sqrt(max(0, g)) there.
+    A step from a point outside the concave neighborhood (g'' >= 0) keeps
+    that point.
     """
     f = np.atleast_1d(np.asarray(f0, dtype=float))
     for _ in range(steps):
-        q = _derivatives(gamma, f, (0, 1, 2))
-        slope, curv = _re_inner(q[1], q[0]), _curvature(*q)
+        slope, curv = _norm_sq(coef, f, (1, 2))
         ok = curv < 0
         f = np.where(ok, f - np.divide(slope, curv, out=np.zeros_like(slope), where=ok), f)
-    return f % 1.0, np.linalg.norm(evaluate(gamma, f), axis=1)
-
-
-def dual_atomic_norm(gamma: np.ndarray, grid_size: int | None = None) -> float:
-    """sup over f of ||gamma^H a(f, 0)||_2, i.e. of ||Q(f)|| / sqrt(N).
-
-    Found by dense grid plus Newton ascent from every grid peak. The
-    returned value is a lower bound on the true supremum. It is tight to the
-    refinement tolerance when the grid resolves every peak of ||Q||, as the
-    default grid of at least 32 points per coefficient does; ``grid_points``
-    accepts any G >= 2N, and a grid that coarse can miss a narrow peak.
-    """
-    g = np.asarray(gamma, dtype=complex)
-    f, vals = scan(g, grid_size)
-    peaks = local_maxima(vals)
-    if peaks.size == 0:
-        peaks = np.array([int(np.argmax(vals))])
-    _, refined = refine(g, f[peaks], steps=3)
-    return float(max(refined.max(), vals.max())) / math.sqrt(g.shape[0])
+    (sq,) = _norm_sq(coef, f, (0,))
+    return f % 1.0, np.sqrt(np.maximum(sq, 0.0))
 
 
 def merge_peaks(freqs, values, radius: float) -> tuple[np.ndarray, np.ndarray]:

@@ -243,6 +243,7 @@ def test_phase_transition_dispatches_costliest_first(tmp_path, monkeypatch):
     ([], {"total_outliers": 40}, {}),
     ([], {"snapshot_counts": [2, 0]}, {}),
     ([], {}, {"max_iterations": 0}),
+    ([], {"delta_start": 0}, {}),  # every trial would draw two equal frequencies
 ])
 def test_phase_transition_rejected_before_first_trial(tmp_path, capsys, monkeypatch,
                                                       flags, section, solver):
@@ -404,6 +405,17 @@ def test_phase_transition_nonpositive_step_exit_code(tmp_path, capsys, monkeypat
     assert main(["phase-transition", "--config", cfg, "--out", str(out)]) == 4
     assert "invalid configuration" in capsys.readouterr().err
     assert not (out / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("n_sensors", [1, 2, 7])
+def test_certificate_unusable_sensor_count_exit_code(tmp_path, capsys, n_sensors):
+    # even, or m = (N - 1) / 2 below four; N = 1 is rejected before the default
+    # separation 4 / (N - 1) is computed
+    cfg = write_config(tmp_path / "c.json", {"certificate": {"n_sensors": n_sensors}})
+    out = tmp_path / "o"
+    assert main(["certificate", "--config", cfg, "--out", str(out)]) == 4
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seeds", [0, -2])

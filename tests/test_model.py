@@ -4,7 +4,6 @@ import pytest
 from sinespikes import (
     MixtureInstance,
     atom,
-    dual_atomic_norm,
     min_separation,
     signal_matrix,
     toeplitz_adjoint,
@@ -123,38 +122,6 @@ class TestToeplitzAdjoint:
     def test_non_square_rejected(self):
         with pytest.raises(InvalidDimensionError):
             toeplitz_adjoint(np.ones((3, 4)))
-
-
-class TestDualAtomicNorm:
-    def test_zero(self):
-        assert dual_atomic_norm(np.zeros((8, 2), dtype=complex)) == 0.0
-
-    def test_single_atom(self):
-        # brute-force fine-grid oracle: |a(f0)^H a(f)| peaks at f0 with value 1
-        n, f0 = 16, 0.3
-        b = np.array([0.6, 0.8j])
-        gamma = np.outer(atom(f0, 0.0, n), b.conj())
-        fine = np.arange(1 << 16) / (1 << 16)
-        probe = np.abs(np.exp(-2j * np.pi * np.outer(fine, np.arange(n))) @ atom(f0, 0.0, n)) / np.sqrt(n)
-        assert probe.max() == pytest.approx(1.0, abs=1e-8)
-        assert dual_atomic_norm(gamma) == pytest.approx(1.0, abs=1e-8)
-
-    def test_positive_homogeneity_exact(self):
-        rng = np.random.default_rng(5)
-        gamma = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-        assert dual_atomic_norm(2.0 * gamma) == 2.0 * dual_atomic_norm(gamma)
-
-    def test_upper_bounds_probes(self):
-        rng = np.random.default_rng(6)
-        gamma = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
-        val = dual_atomic_norm(gamma)
-        for f in rng.random(200):
-            probe = np.linalg.norm(atom(f, 0.0, 10).conj() @ gamma)
-            assert val >= probe - 1e-9
-
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(InvalidConfigurationError):
-            dual_atomic_norm(np.ones((8, 1), dtype=complex), grid_size=8)
 
 
 class TestMixtureInstance:

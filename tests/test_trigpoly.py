@@ -14,13 +14,17 @@ def random_gamma(seed, n, l):
     return rng.standard_normal((n, l)) + 1j * rng.standard_normal((n, l))
 
 
+def scan(gamma, grid=None):
+    return trigpoly.scan(trigpoly.coefficients(gamma), grid)
+
+
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), l=st.integers(1, 4),
        extra=st.integers(0, 300))
 def test_scan_equals_point_evaluation(seed, n, l, extra):
     gamma = random_gamma(seed, n, l)
     grid = 2 * n + extra
-    f, norms = trigpoly.scan(gamma, grid)
+    f, norms = scan(gamma, grid)
     assert f.size == grid
     np.testing.assert_array_equal(f, np.arange(grid) / grid)
     points = np.stack([trigpoly.evaluate(gamma, fi) for fi in f])
@@ -32,7 +36,7 @@ def test_scan_equals_point_evaluation(seed, n, l, extra):
 def test_scan_equals_point_evaluation_at_full_size(grid):
     n = 401
     gamma = random_gamma(grid, n, 3)
-    f, norms = trigpoly.scan(gamma, grid)
+    f, norms = scan(gamma, grid)
     np.testing.assert_array_equal(f, np.arange(grid) / grid)
     idx = np.random.default_rng(grid).choice(grid, 200, replace=False)
     points = trigpoly.evaluate(gamma, f[idx])
@@ -43,14 +47,14 @@ def test_scan_equals_point_evaluation_at_full_size(grid):
 @pytest.mark.parametrize("grid", [-3, 0, 1, 15])
 def test_scan_rejects_grid_below_twice_the_length(grid):
     with pytest.raises(InvalidConfigurationError):
-        trigpoly.scan(np.ones((8, 1), dtype=complex), grid)
+        scan(np.ones((8, 1), dtype=complex), grid)
 
 
 @pytest.mark.parametrize("n, grid", [(2, 4), (2, 64), (2, 1 << 14), (5, 210)])
 def test_scan_at_an_exact_zero_is_finite_and_nonnegative(n, grid):
     # Q(f) = sum_{j<n} exp(-2i*pi*j*f) vanishes at f = k/n, grid points here;
     # with n = 5 and G = 210 the rounded ||Q||^2 dips below zero at one of them
-    f, norms = trigpoly.scan(np.ones((n, 1)), grid)
+    f, norms = scan(np.ones((n, 1)), grid)
     assert np.all(np.isfinite(norms)) and norms.min() >= 0.0
     assert norms[grid // n::grid // n].max() <= 1e-7
 
@@ -60,7 +64,7 @@ def test_scan_matches_point_evaluation_where_a_certificate_is_large():
     # coefficients of ||Q||^2 give ||Q|| to about one ulp of one
     cert, report = run_certificate(401, 2, 4 / 400, 5, seed=0)
     assert report.passed
-    f, norms = trigpoly.scan(cert.gamma, 1 << 14)
+    f, norms = scan(cert.gamma, 1 << 14)
     idx = np.flatnonzero(norms >= 0.5)  # the two main lobes
     assert idx.size > 100
     points = np.linalg.norm(trigpoly.evaluate(cert.gamma, f[idx]), axis=1)
@@ -68,7 +72,7 @@ def test_scan_matches_point_evaluation_where_a_certificate_is_large():
 
 
 def test_zero_gamma_scans_to_zero_without_maxima():
-    _, norms = trigpoly.scan(np.zeros((5, 2), dtype=complex), 64)
+    _, norms = scan(np.zeros((5, 2), dtype=complex), 64)
     np.testing.assert_array_equal(norms, np.zeros(64))
     assert trigpoly.local_maxima(norms).size == 0
 
@@ -82,7 +86,7 @@ def direct_autocorrelation(gamma):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), l=st.integers(1, 4))
 def test_norm_sq_coefficients_are_the_row_autocorrelation(seed, n, l):
     gamma = random_gamma(seed, n, l)
-    coef = trigpoly._norm_sq_coefficients(gamma)
+    coef = trigpoly.coefficients(gamma)
     scale = np.linalg.norm(gamma) ** 2
     assert coef.shape == (n,)
     assert np.abs(coef - direct_autocorrelation(gamma)).max() <= 1e-13 * scale
@@ -97,12 +101,12 @@ def test_norm_sq_coefficients_under_unitary_mixing_and_row_modulation(seed, n, l
     # exp(-2i*pi*j*phi) moves it to ||Q(f + phi)||^2, so c_k gains exp(-2i*pi*k*phi)
     gamma = random_gamma(seed, n, l)
     u, _ = np.linalg.qr(random_gamma(seed + 1, l, l))
-    coef = trigpoly._norm_sq_coefficients(gamma)
+    coef = trigpoly.coefficients(gamma)
     scale = np.linalg.norm(gamma) ** 2
-    mixed = trigpoly._norm_sq_coefficients(gamma @ u)
+    mixed = trigpoly.coefficients(gamma @ u)
     assert np.abs(mixed - coef).max() <= 1e-13 * scale
     phase = np.exp(-2j * np.pi * np.arange(n) * shift)
-    modulated = trigpoly._norm_sq_coefficients(gamma * phase[:, None])
+    modulated = trigpoly.coefficients(gamma * phase[:, None])
     assert np.abs(modulated - coef * phase).max() <= 1e-13 * scale
 
 
@@ -147,7 +151,7 @@ def test_curvature_matches_finite_difference(seed, n, l, f):
         return 0.5 * np.sum(np.abs(trigpoly.evaluate(gamma, x)) ** 2)
 
     fd = (half_sq(f + h) - 2 * half_sq(f) + half_sq(f - h)) / h**2
-    exact = trigpoly.curvature(gamma, np.array([f]))[0]
+    exact = trigpoly.arc_curvature(trigpoly.coefficients(gamma), [f], h, 3)[1, 0]
     assert abs(exact - fd) <= 1e-5 * (2 * np.pi * n) ** 2 * np.linalg.norm(gamma) ** 2
 
 
@@ -171,20 +175,26 @@ def re_inner(a, b):
     return np.sum(a * b.conj(), axis=1).real
 
 
+def point_curvature(gamma, f):
+    # half the second derivative of ||Q||^2, ||Q'||^2 + Re<Q'', Q>
+    q0, q1, q2 = per_order(gamma, f)
+    return re_inner(q1, q1) + re_inner(q2, q0)
+
+
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), l=st.integers(1, 4))
-def test_shared_basis_matches_per_order_evaluation(seed, n, l):
+def test_refine_matches_newton_step_from_point_evaluation(seed, n, l):
     gamma = random_gamma(seed, n, l)
+    coef = trigpoly.coefficients(gamma)
     # a neighbourhood of the grid maximum, where a Newton step is well posed
-    f, vals = trigpoly.scan(gamma)
+    f, vals = trigpoly.scan(coef)
     f0 = f[np.argmax(vals)] + np.linspace(-0.1, 0.1, 9) / n
     q0, q1, q2 = per_order(gamma, f0)
     curv = re_inner(q1, q1) + re_inner(q2, q0)
-    np.testing.assert_allclose(trigpoly.curvature(gamma, f0), curv, rtol=1e-12)
 
     ok = curv < 0
     stepped = np.where(ok, f0 - re_inner(q1, q0) / np.where(ok, curv, 1.0), f0)
-    refined, values = trigpoly.refine(gamma, f0, steps=1)
+    refined, values = trigpoly.refine(coef, f0, steps=1)
     assert wrap_distance(refined, stepped).max() <= 1e-12
     np.testing.assert_allclose(values, np.linalg.norm(per_order(gamma, stepped)[0], axis=1),
                                rtol=1e-12)
@@ -192,7 +202,7 @@ def test_shared_basis_matches_per_order_evaluation(seed, n, l):
 
 def dense_arc_curvature(gamma, centers, radius, count):
     steps = np.arange(count) * (2 * radius / (count - 1))
-    return np.stack([trigpoly.curvature(gamma, c - radius + steps) for c in centers], axis=1)
+    return np.stack([point_curvature(gamma, c - radius + steps) for c in centers], axis=1)
 
 
 @PROPERTY
@@ -204,7 +214,7 @@ def test_arc_curvature_matches_point_evaluation(seed, n, l, wrap, others, radius
     # the first centre sits near the wrap at f = 0, so its arc crosses it
     gamma = random_gamma(seed, n, l)
     centers = [wrap % 1.0] + others
-    fast = trigpoly.arc_curvature(gamma, centers, radius, count)
+    fast = trigpoly.arc_curvature(trigpoly.coefficients(gamma), centers, radius, count)
     dense = dense_arc_curvature(gamma, centers, radius, count)
     assert fast.shape == (count, len(centers))
     assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
@@ -216,16 +226,17 @@ def test_arc_curvature_at_full_size():
     gamma = random_gamma(1001, 1001, 3)
     centers = np.sort(rng.random(20))
     radius = 0.09 / 500
-    fast = trigpoly.arc_curvature(gamma, centers, radius, 401)
+    fast = trigpoly.arc_curvature(trigpoly.coefficients(gamma), centers, radius, 401)
     dense = dense_arc_curvature(gamma, centers, radius, 401)
     assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
 
 
 def test_arc_curvature_without_centers():
-    assert trigpoly.arc_curvature(random_gamma(0, 9, 2), [], 0.01, 5).shape == (5, 0)
+    coef = trigpoly.coefficients(random_gamma(0, 9, 2))
+    assert trigpoly.arc_curvature(coef, [], 0.01, 5).shape == (5, 0)
 
 
 @pytest.mark.parametrize("count", [-1, 0, 1])
 def test_arc_curvature_rejects_fewer_than_two_points(count):
     with pytest.raises(InvalidConfigurationError):
-        trigpoly.arc_curvature(np.ones((8, 1), dtype=complex), [0.2], 0.01, count)
+        trigpoly.arc_curvature(trigpoly.coefficients(np.ones((8, 1))), [0.2], 0.01, count)
