@@ -17,9 +17,10 @@ for P(f) = exp(2i*pi*m*f) Q(f), which has the same norm as Q. Pinning P to
 the drawn sign pattern at the true frequencies with vanishing derivative is
 therefore the 2K x 2K system F^H C F [alpha; beta] = [phi; 0] - lam F[Omega]^H r.
 
-Validation evaluates Q from Gamma through ``trigpoly`` and checks the
-interpolation residual, the off-support bound, the near-region curvature
-sign, and the off-support row norms on finite grids.
+Validation reads Gamma through ``trigpoly``. Its node check compares P and
+P' at the true frequencies with [phi; 0], the equations the system states;
+it then checks the off-support bound, the near-region curvature sign, and
+the off-support row norms on finite grids.
 """
 
 from __future__ import annotations
@@ -166,7 +167,6 @@ class CertificateSolution:
     system: InterpolationSystem
     lam: float
     condition_number: float
-    targets: np.ndarray        # intended node values of Q, (K, L)
 
     @property
     def freqs(self) -> np.ndarray:
@@ -207,13 +207,9 @@ def solve_certificate(system: InterpolationSystem,
     alpha, beta = ab[:k], ab[k:]
     gamma = system.kernel.coefficients[:, None] * (system.basis @ ab)
     gamma[system.omega] += lam * system.r
-
-    # Q(f_k) = exp(-2i*pi*m*f_k) P(f_k)
-    mod = np.exp(-2j * np.pi * system.kernel.half_length * system.freqs)
-    targets = mod[:, None] * system.phi
     return CertificateSolution(
         alpha=alpha, beta=beta, gamma=gamma, system=system, lam=lam,
-        condition_number=cond, targets=targets,
+        condition_number=cond,
     )
 
 
@@ -270,13 +266,13 @@ def validate_certificate(cert: CertificateSolution,
                          opts: ValidationOptions | None = None) -> CertificateReport:
     """Check the optimality conditions of a solved certificate on grids.
 
-    All checks read Q from the assembled dual variable. They are: node
-    values of Q against the targets and node derivatives of the unmodulated
-    polynomial P = exp(2i*pi*m*f) Q (interpolation residual), the strict bound
-    ||Q(f)|| < 1 away from the near regions, the curvature of ||Q||^2 being
-    negative throughout the near regions, and the off-support rows of the
-    dual variable staying strictly inside the ball. The on-support rows
-    equal lam times the drawn unit rows by construction.
+    All checks read Q from the assembled dual variable. They are: P and
+    kappa P' at the nodes against [phi; 0] for P = exp(2i*pi*m*f) Q
+    (interpolation residual), the strict bound ||Q(f)|| < 1 away from the
+    near regions, the curvature of ||Q||^2 being negative throughout the
+    near regions, and the off-support rows of the dual variable staying
+    strictly inside the ball. The on-support rows equal lam times the drawn
+    unit rows by construction.
     """
     opts = opts or ValidationOptions()
     sys = cert.system
@@ -285,12 +281,15 @@ def validate_certificate(cert: CertificateSolution,
     freqs = sys.freqs
     gamma = cert.gamma
 
-    # interpolation residual: Q at the nodes against the targets, and
-    # ||P'|| = ||Q' + 2i*pi*m Q|| (critical point of ||Q||) at the nodes
-    node_vals = trigpoly.evaluate(gamma, freqs)
-    res_val = float(np.linalg.norm(node_vals - cert.targets, axis=1).max(initial=0.0))
-    node_der = trigpoly.evaluate(gamma, freqs, 1) + 2j * np.pi * m * node_vals
-    res_der = float((sys.kernel.kappa * np.linalg.norm(node_der, axis=1)).max(initial=0.0))
+    # interpolation residual: P(f) = sum_j gamma[j] exp(2i*pi*l_j*f) with
+    # l_j = m - j, so P and P' at the nodes are exp(2i*pi*m*f_k) times the
+    # row sums of gamma and of 2i*pi*l_j gamma[j]
+    l = m - np.arange(n)
+    nodes = np.exp(2j * np.pi * m * freqs)[:, None] * trigpoly.evaluate(
+        np.hstack([gamma, 2j * np.pi * l[:, None] * gamma]), freqs)
+    p_val, p_der = np.split(nodes, 2, axis=1)
+    res_val = float(np.linalg.norm(p_val - sys.phi, axis=1).max(initial=0.0))
+    res_der = float((sys.kernel.kappa * np.linalg.norm(p_der, axis=1)).max(initial=0.0))
     interpolation_residual = max(res_val, res_der)
 
     coef = trigpoly.coefficients(gamma)
@@ -341,7 +340,13 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float,
     if n_sensors % 2 != 1:
         raise InvalidConfigurationError("the construction needs an odd sensor count")
     if n_frequencies < 1:
-        raise InvalidConfigurationError("need at least one frequency")
+        raise InvalidConfigurationError(f"need at least one frequency, got {n_frequencies}")
+    if n_snapshots < 1:
+        raise InvalidConfigurationError(f"need at least one snapshot, got {n_snapshots}")
+    if not 0 <= n_outliers <= n_sensors:
+        raise InvalidConfigurationError(
+            f"the outlier count must lie in 0..{n_sensors}, got {n_outliers}"
+        )
     m = (n_sensors - 1) // 2
     rng_f, _, rng_pos, rng_val = _streams(seed)
     freqs = np.sort((rng_f.random() + separation * np.arange(n_frequencies)) % 1.0)

@@ -26,7 +26,7 @@ from . import trigpoly
 from .dual_analysis import demix, success
 from .errors import SineSpikesError
 from .model import MixtureInstance, default_lambda
-from .solver import SolverOptions, write_diagnostics_csv
+from .solver import SolverOptions
 from .synthesis import SynthesisConfig, synth_instance
 
 EXIT_OK = 0
@@ -161,7 +161,12 @@ def cmd_demix(args, config: dict) -> int:
     norms = np.linalg.norm(solution.gamma, axis=1)
     _write_csv(out / "row_norms.csv", ["row", "gamma_row_norm", "lambda"],
                ((int(i), norms[i], lam) for i in range(norms.size)))
-    write_diagnostics_csv(solution, out / "solver_diagnostics.csv")
+    diagnostics = solution.diagnostics
+    if len(diagnostics) > 1 and diagnostics[-1, 0] == diagnostics[-2, 0]:
+        diagnostics = diagnostics[:-1]  # the final row repeats a recorded iteration
+    _write_csv(out / "solver_diagnostics.csv",
+               ["iteration", "objective", "primal_residual", "dual_residual"],
+               ((int(it), *values) for it, *values in diagnostics))
 
     print(f"frequencies: {[round(float(x), 6) for x in report.estimated_frequencies]}")
     print(f"outlier rows: {[int(i) for i in report.estimated_outlier_rows]}")
@@ -219,6 +224,8 @@ def cmd_phase_transition(args, config: dict) -> int:
     if not (start > 0 and step > 0):
         raise ValueError("sweep start and step must be positive")
     snapshot_counts = [int(x) for x in section.get("snapshot_counts", [1, 3, 5])]
+    if not snapshot_counts or len(set(snapshot_counts)) != len(snapshot_counts):
+        raise ValueError(f"snapshot_counts must be nonempty and distinct, got {snapshot_counts}")
     trials = int(args.trials if args.trials is not None else section.get("trials", 20))
     if trials < 1:
         raise ValueError("need at least one trial per cell")
@@ -293,7 +300,6 @@ def cmd_certificate(args, config: dict) -> int:
     opts = cert_mod.ValidationOptions() if grid is None else cert_mod.ValidationOptions(int(grid))
     lam = _resolve_lambda(args.lam or config.get("lambda"), n_sensors)
 
-    out = _out_dir(args)
     reports = []
     for k in range(n_seeds):
         seed = base_seed + k
@@ -301,6 +307,7 @@ def cmd_certificate(args, config: dict) -> int:
             n_sensors, n_freqs, separation, n_outliers,
             n_snapshots=n_snapshots, seed=seed, lam=lam, opts=opts,
         )
+        out = _out_dir(args)  # once a certificate is computed: a rejected config leaves none
         reports.append(report)
         suffix = f"_{seed}" if n_seeds > 1 else ""
         (out / f"certificate_report{suffix}.json").write_text(

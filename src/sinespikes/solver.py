@@ -26,7 +26,6 @@ to zero by the residuals.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -48,7 +47,6 @@ __all__ = [
     "project_psd",
     "project_row_ball",
     "solve_dual_sdp",
-    "write_diagnostics_csv",
 ]
 
 _DIAG_EVERY = 25
@@ -271,18 +269,3 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
         diagnostics=np.array(history, dtype=float),
     )
 
-
-def write_diagnostics_csv(solution: SdpSolution, path) -> None:
-    """Dump the diagnostics as CSV, one row per recorded iteration.
-
-    Numbers are shortest round-trip decimals; a repeated final row is
-    written once.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective", "primal_residual", "dual_residual"])
-        last = None
-        for it, *values in solution.diagnostics:
-            if it != last:
-                writer.writerow([int(it)] + [repr(float(v)) for v in values])
-            last = it

@@ -1,24 +1,27 @@
 """The dual polynomial Q(f) = sum_j gamma[j] exp(-2i*pi*j*f).
 
-This module is the only code that evaluates Q, and it holds Q in two
-representations. The vector values of Q and its derivatives at given points
-(``evaluate``) come from the rows of ``gamma`` through one exponential basis
-exp(-2i*pi*j*f). Everything that reads ||Q|| (the grid scan, Newton
-refinement of its peaks, the curvature on arcs) takes instead the N real
-coefficients of ||Q||^2, a real trigonometric polynomial of degree N-1:
+This module is the only code that evaluates trigonometric polynomials, and
+it has one point evaluator. ``evaluate(coef, freqs)`` returns
+sum_j coef[j] exp(-2i*pi*j*f) for each column of any coefficient matrix
+through one exponential basis. It takes no derivative order: the p-th
+derivative of Q is ``evaluate`` of the rows of ``gamma`` weighted by
+(-2i*pi*j)^p, a weight the caller applies. Everything that reads ||Q||
+(the grid scan, Newton refinement of its peaks, the curvature on arcs)
+takes the N real coefficients of ||Q||^2, a real trigonometric polynomial
+of degree N-1:
 
     ||Q(f)||^2 = c_0 + 2 Re sum_{k=1}^{N-1} c_k exp(-2i*pi*k*f),
     c_k = sum_j <gamma[j+k], gamma[j]>.
 
 ``coefficients`` takes them from the rows with one zero-padded FFT per
 snapshot. The grid scan is one real transform of c, Newton refinement
-evaluates ||Q||^2 and its derivatives at points, and the curvature on
-equispaced arcs around given centres is one chirp-z transform (Bluestein's
-FFT convolution) of c per centre. These err in ||Q||^2 by a small multiple
-of eps * ||gamma||_F^2 (the curvature by (2*pi*N)^2 times that), so they
-give ||Q|| to about eps * ||gamma||_F^2 where ||Q|| is near one (peaks, the
-off-support bound) but only to about sqrt(eps) * ||gamma||_F at an exact
-zero of Q.
+evaluates ||Q||^2 and its derivatives at points through ``evaluate``, and
+the curvature on equispaced arcs around given centres is one chirp-z
+transform (Bluestein's FFT convolution) of c per centre. These err in
+||Q||^2 by a small multiple of eps * ||gamma||_F^2 (the curvature by
+(2*pi*N)^2 times that), so they give ||Q|| to about eps * ||gamma||_F^2
+where ||Q|| is near one (peaks, the off-support bound) but only to about
+sqrt(eps) * ||gamma||_F at an exact zero of Q.
 
 Rows of ``gamma`` are the coefficients, in the scale the SDP bounds by one.
 """
@@ -42,29 +45,15 @@ __all__ = [
 ]
 
 
-def _derivatives(gamma: np.ndarray, freqs, orders) -> list[np.ndarray]:
-    """The derivatives of Q of the given orders at ``freqs``, one per order.
+def evaluate(coef: np.ndarray, freqs) -> np.ndarray:
+    """sum_j coef[j] exp(-2i*pi*j*f) per column of ``coef``; rows follow the f values.
 
-    Order p multiplies each coefficient by (-2i*pi*j)^p. All orders share
-    one exponential basis and one product with the stacked coefficients.
+    A scalar f yields one row. A derivative is a row weight: the p-th
+    derivative of Q is ``evaluate`` of gamma weighted by (-2i*pi*j)^p.
     """
-    g = np.asarray(gamma, dtype=complex)
-    j = np.arange(g.shape[0])
+    c = np.asarray(coef, dtype=complex)
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    w = (-2j * np.pi * j)[:, None]
-    out = np.exp(-2j * np.pi * np.outer(f, j)) @ np.hstack([g * w**p for p in orders])
-    return np.split(out, len(orders), axis=1)
-
-
-def evaluate(gamma: np.ndarray, freqs, order: int = 0) -> np.ndarray:
-    """Q or its ``order``-th derivative; rows correspond to the f values.
-
-    Order p multiplies each coefficient by (-2i*pi*j)^p. A scalar f yields
-    one row of length L.
-    """
-    if order not in (0, 1, 2):
-        raise InvalidConfigurationError(f"derivative order must be 0..2, got {order}")
-    (out,) = _derivatives(gamma, freqs, (order,))
+    out = np.exp(-2j * np.pi * np.outer(f, np.arange(c.shape[0]))) @ c
     return out[0] if np.isscalar(freqs) else out
 
 
@@ -100,6 +89,14 @@ def coefficients(gamma: np.ndarray) -> np.ndarray:
     return np.fft.ifft((spectrum.real**2 + spectrum.imag**2).sum(axis=0))[:n]
 
 
+def _check_coefficients(coef) -> None:
+    """The readers of ||Q|| take the N coefficients of ||Q||^2, a nonempty vector."""
+    if np.ndim(coef) != 1 or np.size(coef) == 0:
+        raise InvalidDimensionError(
+            f"expected the nonempty coefficient vector of ||Q||^2, got shape {np.shape(coef)}"
+        )
+
+
 def scan(coef: np.ndarray, grid_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Grid points i/G and ||Q|| there, with G = ``grid_points(N, grid_size)``.
 
@@ -107,6 +104,7 @@ def scan(coef: np.ndarray, grid_size: int | None = None) -> tuple[np.ndarray, np
     FFT of length G of them, zero-padded, which G >= 2N allows; the square
     root clamps the rounding below zero at zeros of Q.
     """
+    _check_coefficients(coef)
     grid_size = grid_points(coef.size, grid_size)
     f = np.arange(grid_size) / grid_size
     # hfft(c, G)[i] = c_0 + 2 Re sum_{k>0} c_k exp(-2i*pi*k*i/G) = ||Q(i/G)||^2
@@ -122,20 +120,6 @@ def local_maxima(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((values >= np.roll(values, 1)) & (values > np.roll(values, -1)))
 
 
-def _norm_sq(coef: np.ndarray, freqs, orders) -> list[np.ndarray]:
-    """The derivatives of ||Q||^2 of the given orders at ``freqs``, one per order.
-
-    Order p is Re sum_k a_k (-2i*pi*k)^p c_k exp(-2i*pi*k*f), with a_0 = 1
-    and a_k = 2 for k >= 1. All orders share one exponential basis.
-    """
-    k = np.arange(coef.size)
-    ac = np.where(k > 0, 2.0, 1.0) * coef
-    w = -2j * np.pi * k
-    f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    out = np.exp(-2j * np.pi * np.outer(f, k)) @ np.stack([ac * w**p for p in orders], axis=1)
-    return list(out.real.T)
-
-
 def arc_curvature(coef: np.ndarray, centers, radius: float, count: int) -> np.ndarray:
     """Half the second derivative of ||Q||^2 at c_k - radius + i*h for i < count.
 
@@ -149,6 +133,7 @@ def arc_curvature(coef: np.ndarray, centers, radius: float, count: int) -> np.nd
     The absolute error is a small multiple of eps * (2*pi*N)^2 *
     ||gamma||_F^2.
     """
+    _check_coefficients(coef)
     if count < 2:
         raise InvalidConfigurationError(f"an arc needs at least two points, got {count}")
     n = coef.size
@@ -175,12 +160,18 @@ def refine(coef: np.ndarray, f0, steps: int) -> tuple[np.ndarray, np.ndarray]:
     A step from a point outside the concave neighborhood (g'' >= 0) keeps
     that point.
     """
+    _check_coefficients(coef)
+    k = np.arange(coef.size)
+    # g^(p)(f) = Re sum_k a_k (-2i*pi*k)^p c_k exp(-2i*pi*k*f), a_0 = 1, a_k = 2
+    ac = np.where(k > 0, 2.0, 1.0) * coef
+    w = -2j * np.pi * k
+    derivatives = np.stack([ac * w, ac * w**2], axis=1)
     f = np.atleast_1d(np.asarray(f0, dtype=float))
     for _ in range(steps):
-        slope, curv = _norm_sq(coef, f, (1, 2))
+        slope, curv = evaluate(derivatives, f).real.T
         ok = curv < 0
         f = np.where(ok, f - np.divide(slope, curv, out=np.zeros_like(slope), where=ok), f)
-    (sq,) = _norm_sq(coef, f, (0,))
+    sq = evaluate(ac[:, None], f)[:, 0].real
     return f % 1.0, np.sqrt(np.maximum(sq, 0.0))
 
 

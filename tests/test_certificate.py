@@ -204,7 +204,8 @@ class TestSolveCertificate:
         assert report.interpolation_residual <= 1e-10
         # derivative of ||Q||^2 vanishes at the node
         f0 = cert.freqs[0]
-        q0, q1 = trigpoly.evaluate(cert.gamma, f0), trigpoly.evaluate(cert.gamma, f0, 1)
+        weight = (-2j * np.pi * np.arange(cert.gamma.shape[0]))[:, None]
+        q0, q1 = trigpoly.evaluate(cert.gamma, f0), trigpoly.evaluate(weight * cert.gamma, f0)
         assert abs(2 * np.real(q1 @ q0.conj().T)) <= 1e-9
 
     def test_nodes_hit_unit_norm_single_snapshot(self):
@@ -305,8 +306,7 @@ class TestValidateCertificate:
         gamma = np.zeros((kern.n_sensors, 2), dtype=complex)
         gamma[omega] = lam * r
         cert = CertificateSolution(alpha=np.zeros((0, 2)), beta=np.zeros((0, 2)), gamma=gamma,
-                                   system=sys, lam=lam, condition_number=1.0,
-                                   targets=np.zeros((0, 2)))
+                                   system=sys, lam=lam, condition_number=1.0)
         report = validate_certificate(cert)
         assert report.near_curvature_max == -math.inf
         assert report.interpolation_residual == 0.0

@@ -73,6 +73,7 @@ def test_demix_diagnostics_csv_is_numeric(tmp_path, solver):
     cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH, "solver": solver})
     out = tmp_path / "o"
     assert main(["demix", "--config", cfg, "--out", str(out)]) in (0, 2)
+    assert b"\r" not in (out / "solver_diagnostics.csv").read_bytes()
     lines = (out / "solver_diagnostics.csv").read_text().splitlines()
     assert lines[0] == "iteration,objective,primal_residual,dual_residual"
     rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
@@ -244,6 +245,8 @@ def test_phase_transition_dispatches_costliest_first(tmp_path, monkeypatch):
     ([], {"snapshot_counts": [2, 0]}, {}),
     ([], {}, {"max_iterations": 0}),
     ([], {"delta_start": 0}, {}),  # every trial would draw two equal frequencies
+    ([], {"snapshot_counts": []}, {}),
+    ([], {"snapshot_counts": [1, 1]}, {}),  # would run and count every L=1 trial twice
 ])
 def test_phase_transition_rejected_before_first_trial(tmp_path, capsys, monkeypatch,
                                                       flags, section, solver):
@@ -407,11 +410,19 @@ def test_phase_transition_nonpositive_step_exit_code(tmp_path, capsys, monkeypat
     assert not (out / "trials.csv").exists()
 
 
-@pytest.mark.parametrize("n_sensors", [1, 2, 7])
-def test_certificate_unusable_sensor_count_exit_code(tmp_path, capsys, n_sensors):
+@pytest.mark.parametrize("section", [
     # even, or m = (N - 1) / 2 below four; N = 1 is rejected before the default
     # separation 4 / (N - 1) is computed
-    cfg = write_config(tmp_path / "c.json", {"certificate": {"n_sensors": n_sensors}})
+    pytest.param({"n_sensors": 1}, id="1"),
+    pytest.param({"n_sensors": 2}, id="2"),
+    pytest.param({"n_sensors": 7}, id="7"),
+    pytest.param({"n_sensors": 61, "n_frequencies": 0}, id="no-frequencies"),
+    pytest.param({"n_sensors": 61, "n_snapshots": 0}, id="no-snapshots"),
+    pytest.param({"n_sensors": 61, "n_outliers": -1}, id="negative-outliers"),
+    pytest.param({"n_sensors": 61, "n_outliers": 99}, id="more-outliers-than-sensors"),
+])
+def test_certificate_unusable_sensor_count_exit_code(tmp_path, capsys, section):
+    cfg = write_config(tmp_path / "c.json", {"certificate": section})
     out = tmp_path / "o"
     assert main(["certificate", "--config", cfg, "--out", str(out)]) == 4
     assert "invalid configuration" in capsys.readouterr().err

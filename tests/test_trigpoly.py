@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinespikes import atom, locate_frequencies, run_certificate, trigpoly, wrap_distance
-from sinespikes.errors import InvalidConfigurationError
+from sinespikes.errors import InvalidConfigurationError, InvalidDimensionError
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -75,6 +75,18 @@ def test_zero_gamma_scans_to_zero_without_maxima():
     _, norms = scan(np.zeros((5, 2), dtype=complex), 64)
     np.testing.assert_array_equal(norms, np.zeros(64))
     assert trigpoly.local_maxima(norms).size == 0
+
+
+@pytest.mark.parametrize("coef", [np.ones((8, 2)), np.ones(0)], ids=["matrix", "empty"])
+@pytest.mark.parametrize("reader", [
+    lambda c: trigpoly.scan(c),
+    lambda c: trigpoly.refine(c, [0.1], 1),
+    lambda c: trigpoly.arc_curvature(c, [0.1], 0.01, 3),
+], ids=["scan", "refine", "arc_curvature"])
+def test_readers_of_the_norm_reject_anything_but_a_coefficient_vector(reader, coef):
+    # the N x L dual variable passed for the coefficients of ||Q||^2 by mistake
+    with pytest.raises(InvalidDimensionError):
+        reader(coef)
 
 
 def direct_autocorrelation(gamma):
@@ -168,7 +180,8 @@ def test_peaks_within_one_grid_step_across_zero_merge(grid, left, right, v1, v2)
 
 
 def per_order(gamma, f):
-    return [trigpoly.evaluate(gamma, f, p) for p in (0, 1, 2)]
+    weight = (-2j * np.pi * np.arange(gamma.shape[0]))[:, None]
+    return [trigpoly.evaluate(weight**p * gamma, f) for p in (0, 1, 2)]
 
 
 def re_inner(a, b):
