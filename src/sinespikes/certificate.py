@@ -193,6 +193,8 @@ def solve_certificate(system: InterpolationSystem,
     n_snap = system.phi.shape[1]
     if lam is None:
         lam = 1.0 / math.sqrt(n)
+    if not 0 < lam < math.inf:
+        raise InvalidConfigurationError(f"lambda must be positive and finite, got {lam}")
 
     cond = float(np.linalg.cond(system.matrix))
     if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
@@ -326,15 +328,16 @@ def validate_certificate(cert: CertificateSolution,
     )
 
 
-def run_certificate(n_sensors: int, n_frequencies: int, separation: float,
+def run_certificate(n_sensors: int, n_frequencies: int, separation: float | None,
                     n_outliers: int, n_snapshots: int = 3, seed: int = 0,
                     lam: float | None = None,
                     opts: ValidationOptions | None = None):
     """Draw a random instance of the construction, solve and validate it.
 
-    Frequencies are an equispaced train at the requested separation with a
-    random offset; the sign pattern (node phases, node directions, outlier
-    row directions) follows the uniform-phase model. Returns the pair
+    Frequencies are an equispaced train at the requested separation (None
+    means 4 / (N - 1)) with a random offset; the sign pattern (node phases,
+    node directions, outlier row directions) follows the uniform-phase
+    model. Returns the pair
     (CertificateSolution or None, CertificateReport).
     """
     if n_sensors % 2 != 1:
@@ -348,6 +351,9 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float,
             f"the outlier count must lie in 0..{n_sensors}, got {n_outliers}"
         )
     m = (n_sensors - 1) // 2
+    kernel = build_kernel(m)  # rejects m < 4 before 4 / (N - 1) or any draw
+    if separation is None:
+        separation = 4.0 / (n_sensors - 1)
     rng_f, _, rng_pos, rng_val = _streams(seed)
     freqs = np.sort((rng_f.random() + separation * np.arange(n_frequencies)) % 1.0)
     omega = np.sort(rng_pos.choice(n_sensors, n_outliers, replace=False)) if n_outliers else np.array([], int)
@@ -356,7 +362,7 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float,
     b /= np.linalg.norm(b, axis=1, keepdims=True)
     r = _unit_phases(rng_val, (n_outliers, n_snapshots)) / math.sqrt(n_snapshots)
 
-    kernel = restrict_kernel(build_kernel(m), omega)
+    kernel = restrict_kernel(kernel, omega)
     # premodulate the node targets so that Q itself interpolates h_k b_k^H
     h_mod = np.exp(2j * np.pi * m * freqs) * h
     system = build_system(freqs, omega, h_mod, b, r, kernel)

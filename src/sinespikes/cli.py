@@ -2,8 +2,9 @@
 
 Every command is driven by a JSON config file plus a handful of overriding
 flags and is a pure function of (config, seed): identical inputs produce
-identical output files. Numeric CSV cells use shortest round-trip decimal
-representation.
+identical output files. A command exits 4 on any config key it does not
+read, before any work or output. Numeric CSV cells use shortest round-trip
+decimal representation.
 
 Exit codes: 0 ok, 2 solver did not converge, 3 I/O failure, 4 invalid config
 or command line.
@@ -62,29 +63,44 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-# The keys a config may hold, per section (None is the top level). A key no
-# command reads is rejected before any command runs.
-_CONFIG_KEYS = {
-    None: {"instance", "synthesis", "lambda", "solver", "seed", "threads",
-           "phase_transition", "certificate"},
-    "synthesis": {f.name for f in fields(SynthesisConfig)},
-    "solver": {f.name for f in fields(SolverOptions)},
-    "phase_transition": {"f1", "delta_start", "delta_step", "delta_stop",
-                         "snapshot_counts", "trials", "total_outliers"},
-    "certificate": {"n_sensors", "n_frequencies", "separation", "n_outliers",
-                    "n_snapshots", "seeds", "grid_size"},
+_SYNTHESIS_KEYS = {f.name for f in fields(SynthesisConfig)}
+_SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
+
+# The keys each command reads, per section (None is the top level). A command
+# rejects every other key before it does any work, so no key is dropped.
+_READS = {
+    "synth": {None: {"synthesis"}, "synthesis": _SYNTHESIS_KEYS},
+    "demix": {None: {"instance", "synthesis", "lambda", "solver"},
+              "synthesis": _SYNTHESIS_KEYS, "solver": _SOLVER_KEYS},
+    # trials draw their own instances and use lambda = 1/sqrt(N), as in the
+    # paper, so of the synthesis keys only n_sensors is read
+    "phase-transition": {
+        None: {"synthesis", "solver", "seed", "threads", "phase_transition"},
+        "synthesis": {"n_sensors"},
+        "solver": _SOLVER_KEYS,
+        "phase_transition": {"f1", "delta_start", "delta_step", "delta_stop",
+                             "snapshot_counts", "trials", "total_outliers"},
+    },
+    "certificate": {
+        None: {"certificate", "lambda", "seed"},
+        "certificate": {"n_sensors", "n_frequencies", "separation", "n_outliers",
+                        "n_snapshots", "seeds", "grid_size"},
+    },
 }
 
 
-def _check_keys(config) -> None:
-    for name, known in _CONFIG_KEYS.items():
-        section = config if name is None else config.get(name, {})
-        where = name or "the top level"
-        if not isinstance(section, dict):
-            raise ValueError(f"{where} of the config must be a JSON object")
-        unknown = sorted(set(section) - known)
-        if unknown:
-            raise ValueError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
+def _check_keys(command: str, config) -> None:
+    if not isinstance(config, dict):
+        raise ValueError("the top level of the config must be a JSON object")
+    reads = _READS[command]
+    nested = []
+    for name in sorted(reads.keys() & config.keys()):
+        if not isinstance(config[name], dict):
+            raise ValueError(f"{name} of the config must be a JSON object")
+        nested += [f"{name}.{key}" for key in set(config[name]) - reads[name]]
+    dropped = sorted(config.keys() - reads[None]) + sorted(nested)
+    if dropped:
+        raise ValueError(f"{command} does not read {', '.join(dropped)}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -141,6 +157,8 @@ def _trace_rows(gamma: np.ndarray, grid: int | None):
 
 def cmd_demix(args, config: dict) -> int:
     if "instance" in config:
+        if "synthesis" in config:
+            raise ValueError("demix does not read synthesis when an instance is given")
         instance = MixtureInstance.load(config["instance"])
     else:
         instance = synth_instance(_synth_config(config.get("synthesis", {}), args.seed))
@@ -208,13 +226,7 @@ def _phase_trial(payload) -> tuple:
 
 def cmd_phase_transition(args, config: dict) -> int:
     section = config.get("phase_transition", {})
-    synth_section = config.get("synthesis", {})
-    # trials draw their own instances and use lambda = 1/sqrt(N), as in the paper
-    dropped = [f"synthesis.{key}" for key in sorted(synth_section) if key != "n_sensors"]
-    dropped += ["lambda"] if "lambda" in config else []
-    if dropped:
-        raise ValueError(f"phase-transition does not read {', '.join(dropped)}")
-    n_sensors = int(synth_section.get("n_sensors", 50))
+    n_sensors = int(config.get("synthesis", {}).get("n_sensors", 50))
     f1 = float(section.get("f1", 0.2))
     start = float(section.get("delta_start", 0.1))
     step = float(section.get("delta_step", 0.1))
@@ -285,11 +297,9 @@ def cmd_phase_transition(args, config: dict) -> int:
 def cmd_certificate(args, config: dict) -> int:
     section = config.get("certificate", {})
     n_sensors = int(section.get("n_sensors", 201))
-    if n_sensors % 2 != 1 or n_sensors < 9:  # N = 2m + 1 with m >= 4
-        raise ValueError(f"the construction needs an odd sensor count >= 9, got {n_sensors}")
     n_freqs = int(section.get("n_frequencies", 2))
     separation = section.get("separation")
-    separation = 4.0 / (n_sensors - 1) if separation is None else float(separation)
+    separation = None if separation is None else float(separation)
     n_outliers = int(section.get("n_outliers", 5))
     n_snapshots = int(section.get("n_snapshots", 3))
     n_seeds = int(section.get("seeds", 1))
@@ -385,7 +395,7 @@ def main(argv=None) -> int:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _check_keys(config)
+        _check_keys(args.command, config)
         return args.handler(args, config)
     except (SineSpikesError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -72,8 +72,8 @@ class DualSdpProblem:
             raise InvalidDimensionError(f"measurement must be N x L, got {y.shape}")
         if not np.all(np.isfinite(y)):
             raise InvalidConfigurationError("measurement contains non-finite entries")
-        if not self.lam > 0:
-            raise InvalidConfigurationError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise InvalidConfigurationError(f"lambda must be positive and finite, got {self.lam}")
 
     @property
     def n_sensors(self) -> int:
@@ -177,7 +177,8 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     The stopping threshold is ``_EPS_ABS * (N + L) + _EPS_REL * max(|X|_F
     over the last two iterates)`` applied to both the primal residual
     |X - Z|_F and the dual residual rho * |Z - Z_prev|_F. On non-convergence
-    the best (final) iterate is returned with ``converged=False``.
+    the final iterate is returned with ``converged=False``; it need not be
+    the best one, since the residuals of a stalled solve can grow.
     """
     opts = opts or SolverOptions()
     y = np.asarray(problem.measurement, dtype=complex)

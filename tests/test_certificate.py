@@ -314,6 +314,11 @@ class TestValidateCertificate:
         assert report.outlier_row_margin == 0.0
         assert report.passed
 
+    def test_default_separation_is_four_over_n_minus_one(self):
+        _, report = run_certificate(201, 2, None, 5)
+        _, expected = run_certificate(201, 2, 4 / 200, 5)
+        assert report == expected
+
     def test_json_schema(self):
         _, report = run_certificate(61, 1, 0.0, 0, seed=0)
         payload = report.to_json()

@@ -285,23 +285,60 @@ def test_unknown_config_key_exit_code(tmp_path, capsys, monkeypatch, command, co
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra, named", [
-    ({"synthesis": {"n_sensors": 16, "outlier_mode": "per-snapshot", "n_snapshots": 9}},
-     "synthesis.n_snapshots, synthesis.outlier_mode"),
-    ({"synthesis": {"n_sensors": 16, "seed": 4}}, "synthesis.seed"),
-    ({"synthesis": {"n_sensors": 16}, "lambda": 0.05}, "lambda"),
-    ({"lambda": "auto"}, "lambda"),
-])
-def test_phase_transition_rejects_keys_it_drops(tmp_path, capsys, monkeypatch, extra, named):
-    payloads = record_trials(monkeypatch)
-    cfg = write_config(tmp_path / "c.json", dict({
+# a config holding only keys the command reads; the tests below add the keys it would drop
+ACCEPTED_CONFIG = {
+    "synth": {"synthesis": SMALL_SYNTH},
+    "demix": {"synthesis": SMALL_SYNTH},
+    "phase-transition": {
         "phase_transition": {"delta_start": 1.4, "delta_stop": 1.5, "snapshot_counts": [2],
                              "trials": 1, "total_outliers": 2},
-    }, **extra))
+    },
+    "certificate": {"certificate": {"n_sensors": 61, "n_frequencies": 1, "separation": 0.0,
+                                    "n_outliers": 0, "n_snapshots": 2}},
+}
+
+
+@pytest.mark.parametrize("command, extra, named", [
+    pytest.param("phase-transition",
+                 {"synthesis": {"n_sensors": 16, "outlier_mode": "per-snapshot",
+                                "n_snapshots": 9}},
+                 "synthesis.n_snapshots, synthesis.outlier_mode",
+                 id="phase-transition-synthesis.n_snapshots+outlier_mode"),
+    pytest.param("phase-transition", {"synthesis": {"n_sensors": 16, "seed": 4}},
+                 "synthesis.seed", id="phase-transition-synthesis.seed"),
+    pytest.param("phase-transition", {"synthesis": {"n_sensors": 16}, "lambda": 0.05},
+                 "lambda", id="phase-transition-lambda"),
+    pytest.param("phase-transition", {"lambda": "auto"}, "lambda",
+                 id="phase-transition-lambda-auto"),
+    # its instance would come from synthesis.seed or --seed, not from this key
+    pytest.param("demix", {"seed": 9}, "seed", id="demix-seed"),
+    pytest.param("demix", {"threads": 2}, "threads", id="demix-threads"),
+    # rejected before the instance is read, so the file need not exist
+    pytest.param("demix", {"instance": "instance.json"}, "synthesis when an instance is given",
+                 id="demix-instance+synthesis"),
+    pytest.param("certificate", {"synthesis": SMALL_SYNTH}, "synthesis",
+                 id="certificate-synthesis"),
+    pytest.param("certificate", {"solver": {"max_iterations": 10}}, "solver",
+                 id="certificate-solver"),
+    pytest.param("synth", {"lambda": 0.1}, "lambda", id="synth-lambda"),
+])
+def test_command_rejects_keys_it_drops(tmp_path, capsys, monkeypatch, command, extra, named):
+    payloads = record_trials(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", dict(ACCEPTED_CONFIG[command], **extra))
     out = tmp_path / "o"
-    assert main(["phase-transition", "--config", cfg, "--out", str(out)]) == 4
-    assert f"does not read {named}" in capsys.readouterr().err
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert f"{command} does not read {named}" in capsys.readouterr().err
     assert payloads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["demix", "certificate"])
+@pytest.mark.parametrize("lam", ["0", "-0.5", "nan", "inf"])
+def test_unusable_lambda_exit_code(tmp_path, capsys, command, lam):
+    cfg = write_config(tmp_path / "c.json", ACCEPTED_CONFIG[command])
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--lambda", lam]) == 4
+    assert "lambda must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 
