@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +60,29 @@ _NEAR_RADIUS = 0.09
 _NEAR_GRID = 401
 _CONDITION_LIMIT = 1e10
 
+# |x - 1| <= _UNIT_TOL is np.allclose(x, 1.0, atol=1e-9) with its default
+# rtol of 1e-5; NaN and infinities fail it as they fail allclose.
+_UNIT_TOL = 1e-9 + 1e-5
+
+
+def _is_unit(values: np.ndarray) -> bool:
+    return bool(np.all(np.abs(values - 1.0) <= _UNIT_TOL))
+
+
+def _sensor_rows(omega, n: int) -> np.ndarray:
+    """The sensor indices ``omega`` sorted; each must lie in 0..n-1 and appear once."""
+    idx = np.sort(np.atleast_1d(np.asarray(omega, dtype=int)))
+    if idx.size and (idx[0] < 0 or idx[-1] >= n):
+        raise InvalidConfigurationError(
+            f"sensor indices must lie in 0..{n - 1}, got range [{idx[0]}, {idx[-1]}]"
+        )
+    repeated = idx[1:][idx[1:] == idx[:-1]]
+    if repeated.size:
+        raise InvalidConfigurationError(
+            f"sensor indices must be distinct, got {repeated[0]} more than once"
+        )
+    return idx
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -79,9 +103,20 @@ class Kernel:
 
 
 def build_kernel(m: int) -> Kernel:
-    """Convolve three Dirichlet coefficient boxes; peak value is one at f=0."""
+    """Convolve three Dirichlet coefficient boxes; peak value is one at f=0.
+
+    The coefficients and kappa depend on m only and are computed once per
+    m; each call returns its own copy of the coefficients.
+    """
     if m < 4:
         raise InvalidConfigurationError(f"kernel half-length must be >= 4, got {m}")
+    coeffs, kappa = _kernel_coefficients(m)
+    return Kernel(half_length=m, coefficients=coeffs.copy(), kappa=kappa)
+
+
+@lru_cache(maxsize=16)
+def _kernel_coefficients(m: int) -> tuple[np.ndarray, float]:
+    """The read-only coefficients over l = -m..m and kappa of ``build_kernel(m)``."""
     coeffs = np.array([1.0])
     for rate in FACTOR_RATES:
         mi = int(math.floor(rate * m))
@@ -91,20 +126,17 @@ def build_kernel(m: int) -> Kernel:
     full[m - half_support : m + half_support + 1] = coeffs
     # K''(0) = -sum_l (2*pi*l)^2 c_l
     kappa = 1.0 / math.sqrt(np.sum((2 * np.pi * np.arange(-m, m + 1)) ** 2 * full))
-    return Kernel(half_length=m, coefficients=full, kappa=kappa)
+    full.flags.writeable = False
+    return full, kappa
 
 
 def restrict_kernel(kernel: Kernel, omega) -> Kernel:
-    """Zero the coefficients on the sensor rows ``omega``; kappa is kept."""
-    n = kernel.n_sensors
-    idx = np.asarray(sorted(int(i) for i in np.atleast_1d(omega)), dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise InvalidConfigurationError(
-            f"sensor indices must lie in 0..{n - 1}, got range "
-            f"[{idx.min()}, {idx.max()}]"
-        )
+    """Zero the coefficients on the sensor rows ``omega``; kappa is kept.
+
+    ``omega`` must hold distinct indices in 0..N-1.
+    """
     coeffs = kernel.coefficients.copy()
-    coeffs[idx] = 0.0
+    coeffs[_sensor_rows(omega, kernel.n_sensors)] = 0.0
     return replace(kernel, coefficients=coeffs)
 
 
@@ -130,21 +162,22 @@ def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
     """Fill the interpolation blocks for the given sign pattern.
 
     D0, D1, D2 hold the restricted kernel and its derivatives, scaled by
-    kappa and kappa^2, at the pairwise frequency differences.
+    kappa and kappa^2, at the pairwise frequency differences. ``omega``
+    must hold distinct indices in 0..N-1.
     """
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    om = np.asarray(sorted(int(i) for i in np.atleast_1d(omega)), dtype=int)
+    om = _sensor_rows(omega, kernel.n_sensors)
     h = np.atleast_1d(np.asarray(h, dtype=complex))
     b = np.atleast_2d(np.asarray(b, dtype=complex))
     r = np.asarray(r, dtype=complex).reshape(om.size, -1) if om.size else np.zeros((0, b.shape[1]), complex)
     k = f.size
     if h.shape != (k,) or b.shape[0] != k:
         raise InvalidConfigurationError("h and b must provide one row per frequency")
-    if not np.allclose(np.abs(h), 1.0, atol=1e-9):
+    if not _is_unit(np.abs(h)):
         raise InvalidConfigurationError("h entries must be unit modulus")
-    if not np.allclose(np.linalg.norm(b, axis=1), 1.0, atol=1e-9):
+    if not _is_unit(np.linalg.norm(b, axis=1)):
         raise InvalidConfigurationError("b rows must be unit norm")
-    if om.size and not np.allclose(np.linalg.norm(r, axis=1), 1.0, atol=1e-9):
+    if om.size and not _is_unit(np.linalg.norm(r, axis=1)):
         raise InvalidConfigurationError("r rows must be unit norm")
 
     l = kernel.half_length - np.arange(kernel.n_sensors)
@@ -309,8 +342,9 @@ def validate_certificate(cert: CertificateSolution,
 
     # rows outside the support must stay strictly inside the ball
     row_norms = np.linalg.norm(gamma, axis=1)
-    clean = np.setdiff1d(np.arange(n), sys.omega)
-    outlier_row_margin = float(row_norms[clean].max() / cert.lam) if clean.size else 0.0
+    clean = np.ones(n, dtype=bool)
+    clean[sys.omega] = False
+    outlier_row_margin = float(row_norms[clean].max() / cert.lam) if clean.any() else 0.0
 
     passed = (
         interpolation_residual <= 1e-8
@@ -350,6 +384,8 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float | None
         raise InvalidConfigurationError(
             f"the outlier count must lie in 0..{n_sensors}, got {n_outliers}"
         )
+    opts = opts or ValidationOptions()
+    trigpoly.grid_points(n_sensors, opts.grid_size)  # a coarse grid fails before any draw
     m = (n_sensors - 1) // 2
     kernel = build_kernel(m)  # rejects m < 4 before 4 / (N - 1) or any draw
     if separation is None:

@@ -28,6 +28,8 @@ Rows of ``gamma`` are the coefficients, in the scale the SDP bounds by one.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InvalidConfigurationError, InvalidDimensionError
@@ -97,16 +99,26 @@ def _check_coefficients(coef) -> None:
         )
 
 
+@lru_cache(maxsize=8)
+def _grid(size: int) -> np.ndarray:
+    """The read-only points i/size, computed once per size."""
+    f = np.arange(size) / size
+    f.flags.writeable = False
+    return f
+
+
 def scan(coef: np.ndarray, grid_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Grid points i/G and ||Q|| there, with G = ``grid_points(N, grid_size)``.
 
     ``coef`` holds the N coefficients of ||Q||^2. ||Q(i/G)||^2 is one real
     FFT of length G of them, zero-padded, which G >= 2N allows; the square
-    root clamps the rounding below zero at zeros of Q.
+    root clamps the rounding below zero at zeros of Q. The grid depends on
+    G only, so it is computed once per G and returned read-only; the values
+    are a new array on every call.
     """
     _check_coefficients(coef)
     grid_size = grid_points(coef.size, grid_size)
-    f = np.arange(grid_size) / grid_size
+    f = _grid(grid_size)
     # hfft(c, G)[i] = c_0 + 2 Re sum_{k>0} c_k exp(-2i*pi*k*i/G) = ||Q(i/G)||^2
     sq = np.fft.hfft(coef, grid_size)
     return f, np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
@@ -131,7 +143,9 @@ def arc_curvature(coef: np.ndarray, centers, radius: float, count: int) -> np.nd
     w^(i^2/2) sum_j (x_j w^(j^2/2)) w^(-(i-j)^2/2): one FFT convolution, of
     a power-of-two length >= N + count - 1, with one column per centre.
     The absolute error is a small multiple of eps * (2*pi*N)^2 *
-    ||gamma||_F^2.
+    ||gamma||_F^2. The chirp and the FFT of the convolution kernel depend
+    on (N, count, h) only; they are computed once per such triple and
+    kept read-only, and every call returns a new array.
     """
     _check_coefficients(coef)
     if count < 2:
@@ -141,15 +155,29 @@ def arc_curvature(coef: np.ndarray, centers, radius: float, count: int) -> np.nd
     h = 2.0 * radius / (count - 1)
     k = np.arange(n)
     x = -(2.0 * np.pi * k) ** 2 * coef * np.exp(-2j * np.pi * np.outer(starts, k))
+    in_chirp, out_chirp, kernel_fft = _bluestein(n, count, h)
+    y = np.fft.ifft(np.fft.fft(in_chirp * x, kernel_fft.size) * kernel_fft)[:, :count]
+    # the output chirp w^(i^2/2) must be applied before the real part is taken
+    return (y * out_chirp).real.T
 
+
+@lru_cache(maxsize=16)
+def _bluestein(n: int, count: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The input chirp w^(j^2/2) for j < n, the output chirp for i < count,
+    and the FFT of the convolution kernel w^(-k^2/2), with w = exp(-2i*pi*h).
+
+    They depend on the sizes and the step only, so each triple is computed
+    once; the arrays are read-only.
+    """
     chirp = np.exp(-1j * np.pi * h * np.arange(max(n, count), dtype=float) ** 2)  # w^(k^2/2)
     size = 1 << (n + count - 2).bit_length()
     kernel = np.zeros(size, dtype=complex)
     kernel[:count] = chirp[:count].conj()
     kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    y = np.fft.ifft(np.fft.fft(chirp[:n] * x, size) * np.fft.fft(kernel))[:, :count]
-    # the output chirp w^(i^2/2) must be applied before the real part is taken
-    return (y * chirp[:count]).real.T
+    parts = chirp[:n], chirp[:count], np.fft.fft(kernel)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def refine(coef: np.ndarray, f0, steps: int) -> tuple[np.ndarray, np.ndarray]:

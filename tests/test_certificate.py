@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from sinespikes import (
     trigpoly,
     validate_certificate,
 )
-from sinespikes.certificate import _far_from
+from sinespikes import certificate
+from sinespikes.certificate import ValidationOptions, _far_from, _is_unit
 from sinespikes.errors import InvalidConfigurationError
 from sinespikes.model import wrap_distance
 
@@ -98,6 +100,15 @@ class TestKernel:
         with pytest.raises(InvalidConfigurationError):
             build_kernel(3)
 
+    def test_mutating_returned_coefficients_cannot_change_a_later_kernel(self):
+        first = build_kernel(17)
+        expected = first.coefficients.copy()
+        first.coefficients[:] = 7.0
+        again = build_kernel(17)
+        np.testing.assert_array_equal(again.coefficients, expected)
+        assert again.coefficients is not first.coefficients
+        assert again.kappa == first.kappa
+
 
 class TestRestrictKernel:
     def test_empty_restriction_is_identity(self):
@@ -114,6 +125,13 @@ class TestRestrictKernel:
         k = build_kernel(10)
         with pytest.raises(InvalidConfigurationError):
             restrict_kernel(k, [21])
+
+    @pytest.mark.parametrize("omega", [[-1], [4, 21], [3, 3], [0, 5, 0]],
+                             ids=["negative", "one-past-end", "repeated", "repeated-unsorted"])
+    def test_bad_sensor_rows_rejected(self, omega):
+        k = build_kernel(10)
+        with pytest.raises(InvalidConfigurationError):
+            restrict_kernel(k, omega)
 
     def test_expectation_scaling(self):
         # mean of random restrictions approaches (N - s)/N times the kernel
@@ -133,6 +151,30 @@ class TestRestrictKernel:
 
 
 class TestBuildSystem:
+    @pytest.mark.parametrize("omega", [[-1], [41], [3, 3], [9, 2, 9]],
+                             ids=["negative", "past-end", "repeated", "repeated-unsorted"])
+    def test_bad_sensor_rows_rejected(self, omega):
+        # -1 would silently address row N-1; a repeated row doubles its
+        # boundary term and breaks the interpolation
+        kern = build_kernel(20)
+        r = np.ones((len(omega), 1), dtype=complex)
+        with pytest.raises(InvalidConfigurationError):
+            build_system([0.3], omega, [1.0], np.ones((1, 1)), r, kern)
+
+    def test_sensor_rows_are_sorted(self):
+        kern = build_kernel(20)
+        sys = build_system([0.3], [17, 3], [1.0], np.ones((1, 1)), np.ones((2, 1)), kern)
+        np.testing.assert_array_equal(sys.omega, [3, 17])
+
+    @pytest.mark.parametrize("values", [
+        # allclose's bound is 1e-9 + 1e-5 * |1| = 1.0001e-5
+        [1.0], [1.0 + 1.0000e-5], [1.0 - 1.0000e-5], [1.0 + 1.0002e-5], [1.0 - 1.0002e-5],
+        [1.0 + 1e-9 + 1e-5], [np.nan], [np.inf], [-np.inf], [1.0, np.nan], [], [-1.0],
+    ])
+    def test_unit_check_is_allclose_to_one(self, values):
+        values = np.asarray(values, dtype=float)
+        assert _is_unit(values) == np.allclose(values, 1.0, atol=1e-9)
+
     def test_single_frequency_blocks(self):
         k = restrict_kernel(build_kernel(30), [])
         sys = build_system([0.3], [], [1.0], np.array([[1.0]]), np.zeros((0, 1)), k)
@@ -319,6 +361,14 @@ class TestValidateCertificate:
         _, expected = run_certificate(201, 2, 4 / 200, 5)
         assert report == expected
 
+    def test_coarse_grid_rejected_before_any_system_is_built(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("build_system ran before the grid was checked")
+
+        monkeypatch.setattr(certificate, "build_system", unreachable)
+        with pytest.raises(InvalidConfigurationError, match="too coarse"):
+            run_certificate(2001, 2, None, 5, opts=ValidationOptions(100))
+
     def test_json_schema(self):
         _, report = run_certificate(61, 1, 0.0, 0, seed=0)
         payload = report.to_json()
@@ -347,6 +397,49 @@ def test_report_matches_pinned_values(seed, passed, offgrid, curvature, margin):
     assert abs(report.outlier_row_margin - margin) <= 1e-12
     assert abs(report.near_curvature_max - curvature) <= 1e-10 * abs(curvature)
     assert report.interpolation_residual <= 1e-8
+
+
+# (n_sensors, n_frequencies, separation, n_outliers, n_snapshots, seed, lam,
+# grid_size) and json.dumps(report.to_json()), captured before the size-only
+# results (kernel, scan grid, chirp) were cached; the reports must not move
+# by a bit
+PINNED_JSON = [
+    ((11, 1, None, 0, 1, 0, None, None), '{"interpolation_residual": 8.671119018262734e-16, "offgrid_max": 0.9788634346984348, "near_curvature_max": -116.84602655977824, "outlier_row_margin": 0.6633249580710799, "condition_number_d": 1.0000000000000002, "pass": true, "failure": null}'),
+    ((11, 2, None, 0, 3, 1, None, None), '{"interpolation_residual": 1.2177709378935644e-15, "offgrid_max": 0.9793331860586915, "near_curvature_max": -114.20663070586573, "outlier_row_margin": 1.1533093197728126, "condition_number_d": 1.1089165781245913, "pass": false, "failure": null}'),
+    ((11, 1, 0.0, 6, 3, 2, None, None), '{"interpolation_residual": 5.1115133683891794e-15, "offgrid_max": 1.4648501628974107, "near_curvature_max": -93.40150108517942, "outlier_row_margin": 1.1382381129719934, "condition_number_d": 5.354624864360026, "pass": false, "failure": null}'),
+    ((61, 1, 0.0, 56, 1, 0, None, None), '{"interpolation_residual": 2.1466385401689487e-14, "offgrid_max": 3.2729122263257984, "near_curvature_max": -9235.530969621603, "outlier_row_margin": 5.366832928676876, "condition_number_d": 1.6378744727549561, "pass": false, "failure": null}'),
+    ((61, 2, None, 50, 3, 3, None, None), '{"interpolation_residual": 1.7815907042629985e-14, "offgrid_max": 2.1666430436722175, "near_curvature_max": 3331.1199737824445, "outlier_row_margin": 3.365422495562373, "condition_number_d": 3.5414267189017914, "pass": false, "failure": null}'),
+    ((201, 3, 0.06, 190, 3, 4, None, None), '{"interpolation_residual": 5.695643894736981e-14, "offgrid_max": 2.575602782753885, "near_curvature_max": 22433.28614989864, "outlier_row_margin": 6.558996641436737, "condition_number_d": 4.669093237086417, "pass": false, "failure": null}'),
+    ((21, 2, 4 / 20, 19, 1, 1, None, None), '{"interpolation_residual": NaN, "offgrid_max": NaN, "near_curvature_max": NaN, "outlier_row_margin": NaN, "condition_number_d": 1.2972092244748219e+17, "pass": false, "failure": "interpolation system condition number 1.297e+17 exceeds 1.0e+10"}'),
+    ((401, 2, 4 / 400, 5, 3, 0, None, None), '{"interpolation_residual": 8.539638049860881e-14, "offgrid_max": 0.9835999519466466, "near_curvature_max": -123272.94224463392, "outlier_row_margin": 0.17897476566807147, "condition_number_d": 1.0370147246171955, "pass": true, "failure": null}'),
+    ((401, 2, 4 / 400, 5, 1, 7, None, None), '{"interpolation_residual": 1.0411412019795186e-14, "offgrid_max": 0.9955436249002174, "near_curvature_max": -41377.3360802486, "outlier_row_margin": 0.20482850691461216, "condition_number_d": 1.0472554310157938, "pass": true, "failure": null}'),
+    ((101, 2, None, 3, 3, 6, 0.2, 1000), '{"interpolation_residual": 2.0565781204805766e-14, "offgrid_max": 0.9792423044983098, "near_curvature_max": -9616.976202514325, "outlier_row_margin": 0.1522546914765243, "condition_number_d": 1.1108974635352131, "pass": true, "failure": null}'),
+    ((1001, 4, None, 20, 3, 5, None, None), '{"interpolation_residual": 3.5534705671252297e-13, "offgrid_max": 0.9827738067077212, "near_curvature_max": -636404.1881981605, "outlier_row_margin": 0.19641853992741917, "condition_number_d": 1.0669784080658138, "pass": true, "failure": null}'),
+]
+
+
+def pinned_report_json(case):
+    n, k, sep, s, l, seed, lam, grid = case
+    opts = ValidationOptions() if grid is None else ValidationOptions(grid)
+    _, report = run_certificate(n, k, sep, s, n_snapshots=l, seed=seed, lam=lam, opts=opts)
+    return json.dumps(report.to_json())
+
+
+@pytest.mark.parametrize("case, expected", PINNED_JSON,
+                         ids=[f"N{c[0]}-K{c[1]}-s{c[3]}-L{c[4]}-seed{c[5]}" for c, _ in PINNED_JSON])
+def test_report_json_matches_pinned_bytes(case, expected):
+    assert pinned_report_json(case) == expected
+
+
+def test_cold_and_warm_caches_give_identical_reports():
+    caches = (certificate._kernel_coefficients, trigpoly._grid, trigpoly._bluestein)
+    for cache in caches:
+        cache.cache_clear()
+    cold = [pinned_report_json(case) for case, _ in PINNED_JSON]
+    assert all(cache.cache_info().misses for cache in caches)
+    warm = [pinned_report_json(case) for case, _ in PINNED_JSON]
+    assert all(cache.cache_info().hits for cache in caches)
+    assert cold == warm
 
 
 @settings(max_examples=200, deadline=None)

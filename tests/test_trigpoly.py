@@ -253,3 +253,26 @@ def test_arc_curvature_without_centers():
 def test_arc_curvature_rejects_fewer_than_two_points(count):
     with pytest.raises(InvalidConfigurationError):
         trigpoly.arc_curvature(trigpoly.coefficients(np.ones((8, 1))), [0.2], 0.01, count)
+
+
+def test_scan_grid_is_shared_read_only_and_cannot_change_a_later_scan():
+    coef = trigpoly.coefficients(random_gamma(3, 20, 2))
+    f, first = trigpoly.scan(coef, 64)
+    with pytest.raises(ValueError):
+        f[1] = 0.5
+    first[:] = -1.0  # the values are the caller's own
+    again, values = trigpoly.scan(coef, 64)
+    np.testing.assert_array_equal(again, np.arange(64) / 64)
+    assert values.min() >= 0.0
+
+
+def test_arc_curvature_is_the_same_from_a_cold_and_a_warm_cache():
+    coef = trigpoly.coefficients(random_gamma(5, 61, 3))
+    centers, radius = [0.1, 0.6], 0.09 / 30
+    trigpoly._bluestein.cache_clear()
+    cold = trigpoly.arc_curvature(coef, centers, radius, 401)
+    cold_copy = cold.copy()
+    cold[:] = 0.0  # the result is the caller's own
+    warm = trigpoly.arc_curvature(coef, centers, radius, 401)
+    assert trigpoly._bluestein.cache_info().hits >= 1
+    np.testing.assert_array_equal(warm, cold_copy)
