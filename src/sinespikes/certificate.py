@@ -26,15 +26,15 @@ the off-support row norms on finite grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import trigpoly
 from .errors import CertificateFailureError, InvalidConfigurationError
-from .model import wrap_distance
-from .synthesis import _streams, _unit_phases
+from .model import sensor_rows, wrap_distance
+from .synthesis import _unit_phases
 
 __all__ = [
     "CertificateReport",
@@ -67,21 +67,6 @@ _UNIT_TOL = 1e-9 + 1e-5
 
 def _is_unit(values: np.ndarray) -> bool:
     return bool(np.all(np.abs(values - 1.0) <= _UNIT_TOL))
-
-
-def _sensor_rows(omega, n: int) -> np.ndarray:
-    """The sensor indices ``omega`` sorted; each must lie in 0..n-1 and appear once."""
-    idx = np.sort(np.atleast_1d(np.asarray(omega, dtype=int)))
-    if idx.size and (idx[0] < 0 or idx[-1] >= n):
-        raise InvalidConfigurationError(
-            f"sensor indices must lie in 0..{n - 1}, got range [{idx[0]}, {idx[-1]}]"
-        )
-    repeated = idx[1:][idx[1:] == idx[:-1]]
-    if repeated.size:
-        raise InvalidConfigurationError(
-            f"sensor indices must be distinct, got {repeated[0]} more than once"
-        )
-    return idx
 
 
 @dataclass(frozen=True)
@@ -130,14 +115,33 @@ def _kernel_coefficients(m: int) -> tuple[np.ndarray, float]:
     return full, kappa
 
 
+@lru_cache(maxsize=16)
+def _row_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only kernel indices l_j = m - j of the 2m+1 rows, and the
+    column 2i*pi*l_j that weights the rows of P into the rows of P'.
+    """
+    l = m - np.arange(2 * m + 1)
+    weight = 2j * np.pi * l[:, None]
+    l.flags.writeable = weight.flags.writeable = False
+    return l, weight
+
+
+@lru_cache(maxsize=16)
+def _scaled_derivative_weight(m: int, kappa: float) -> np.ndarray:
+    """The read-only weights 2i*pi*kappa*l_j of the derivative columns of F."""
+    weight = 2j * np.pi * kappa * _row_indices(m)[0]
+    weight.flags.writeable = False
+    return weight
+
+
 def restrict_kernel(kernel: Kernel, omega) -> Kernel:
     """Zero the coefficients on the sensor rows ``omega``; kappa is kept.
 
-    ``omega`` must hold distinct indices in 0..N-1.
+    ``omega`` must hold distinct integer indices in 0..N-1.
     """
     coeffs = kernel.coefficients.copy()
-    coeffs[_sensor_rows(omega, kernel.n_sensors)] = 0.0
-    return replace(kernel, coefficients=coeffs)
+    coeffs[sensor_rows(omega, kernel.n_sensors)] = 0.0
+    return Kernel(half_length=kernel.half_length, coefficients=coeffs, kappa=kernel.kappa)
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,13 @@ def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
 
     D0, D1, D2 hold the restricted kernel and its derivatives, scaled by
     kappa and kappa^2, at the pairwise frequency differences. ``omega``
-    must hold distinct indices in 0..N-1.
+    must hold distinct integer indices in 0..N-1. The row indices l_j and
+    the derivative weights 2i*pi*kappa*l_j depend on (m, kappa) only,
+    which ``build_kernel`` derives from m; they are computed once per pair
+    and kept read-only.
     """
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    om = _sensor_rows(omega, kernel.n_sensors)
+    om = sensor_rows(omega, kernel.n_sensors)
     h = np.atleast_1d(np.asarray(h, dtype=complex))
     b = np.atleast_2d(np.asarray(b, dtype=complex))
     r = np.asarray(r, dtype=complex).reshape(om.size, -1) if om.size else np.zeros((0, b.shape[1]), complex)
@@ -180,9 +187,10 @@ def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
     if om.size and not _is_unit(np.linalg.norm(r, axis=1)):
         raise InvalidConfigurationError("r rows must be unit norm")
 
-    l = kernel.half_length - np.arange(kernel.n_sensors)
+    l = _row_indices(kernel.half_length)[0]
     e = np.exp(-2j * np.pi * np.outer(l, f))
-    basis = np.hstack([e, (2j * np.pi * kernel.kappa * l)[:, None] * e])
+    weight = _scaled_derivative_weight(kernel.half_length, kernel.kappa)
+    basis = np.concatenate([e, weight[:, None] * e], axis=1)
     matrix = basis.conj().T @ (kernel.coefficients[:, None] * basis)
     phi = h[:, None] * b.conj()
     return InterpolationSystem(
@@ -235,7 +243,7 @@ def solve_certificate(system: InterpolationSystem,
             f"interpolation system condition number {cond:.3e} exceeds {_CONDITION_LIMIT:.1e}"
         )
 
-    rhs = np.vstack([system.phi, np.zeros((k, n_snap))])
+    rhs = np.concatenate([system.phi, np.zeros((k, n_snap))])
     if system.omega.size:
         rhs = rhs - lam * (system.b_omega @ system.r)
     ab = np.linalg.solve(system.matrix, rhs)
@@ -281,20 +289,18 @@ class CertificateReport:
         }
 
 
-def _far_from(grid: np.ndarray, freqs: np.ndarray, radius: float) -> np.ndarray:
-    """Mask of the grid points i/G farther than ``radius`` from every frequency.
+def _near_indices(grid: np.ndarray, freqs: np.ndarray, radius: float) -> np.ndarray:
+    """Indices of the grid points i/G within ``radius`` of some frequency.
 
     A point within ``radius`` of f_k lies less than radius * G + 1 steps
     from the grid index nearest f_k, so the distance is evaluated on those
-    indices only.
+    indices only. An index near two frequencies may appear twice.
     """
     size = grid.size
     freqs = np.asarray(freqs, dtype=float)[:, None]
     reach = math.ceil(radius * size) + 1
     idx = (np.rint(freqs * size).astype(int) + np.arange(-reach, reach + 1)) % size
-    far = np.ones(size, dtype=bool)
-    far[idx[wrap_distance(grid[idx], freqs) <= radius]] = False
-    return far
+    return idx[wrap_distance(grid[idx], freqs) <= radius]
 
 
 def validate_certificate(cert: CertificateSolution,
@@ -308,6 +314,12 @@ def validate_certificate(cert: CertificateSolution,
     near regions, and the off-support rows of the dual variable staying
     strictly inside the ball. The on-support rows equal lam times the drawn
     unit rows by construction.
+
+    The node-derivative weights 2i*pi*l_j depend on m only; they are
+    computed once per m and kept read-only. The off-support bound is the
+    maximum of the scan after its near-region points are set to -inf, so no
+    grid-sized mask is built; it is inf when no grid point is left and NaN
+    when a value left is NaN.
     """
     opts = opts or ValidationOptions()
     sys = cert.system
@@ -319,10 +331,10 @@ def validate_certificate(cert: CertificateSolution,
     # interpolation residual: P(f) = sum_j gamma[j] exp(2i*pi*l_j*f) with
     # l_j = m - j, so P and P' at the nodes are exp(2i*pi*m*f_k) times the
     # row sums of gamma and of 2i*pi*l_j gamma[j]
-    l = m - np.arange(n)
+    n_snap = gamma.shape[1]
     nodes = np.exp(2j * np.pi * m * freqs)[:, None] * trigpoly.evaluate(
-        np.hstack([gamma, 2j * np.pi * l[:, None] * gamma]), freqs)
-    p_val, p_der = np.split(nodes, 2, axis=1)
+        np.concatenate([gamma, _row_indices(m)[1] * gamma], axis=1), freqs)
+    p_val, p_der = nodes[:, :n_snap], nodes[:, n_snap:]
     res_val = float(np.linalg.norm(p_val - sys.phi, axis=1).max(initial=0.0))
     res_der = float((sys.kernel.kappa * np.linalg.norm(p_der, axis=1)).max(initial=0.0))
     interpolation_residual = max(res_val, res_der)
@@ -332,8 +344,10 @@ def validate_certificate(cert: CertificateSolution,
     # off-support bound on a dense grid, excluding the near regions
     grid, qnorm = trigpoly.scan(coef, opts.grid_size)
     radius = _NEAR_RADIUS / m
-    far = _far_from(grid, freqs, radius)
-    offgrid_max = float(qnorm[far].max()) if far.any() else math.inf
+    qnorm[_near_indices(grid, freqs, radius)] = -math.inf
+    offgrid_max = float(qnorm.max())
+    if offgrid_max == -math.inf:
+        offgrid_max = math.inf
 
     # curvature of ||Q||^2 at _NEAR_GRID equispaced points across each near
     # region; every region shares the step, so one chirp-z transform samples all
@@ -390,7 +404,13 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float | None
     kernel = build_kernel(m)  # rejects m < 4 before 4 / (N - 1) or any draw
     if separation is None:
         separation = 4.0 / (n_sensors - 1)
-    rng_f, _, rng_pos, rng_val = _streams(seed)
+    # the frequency, position and value streams of synthesis, children 0, 2
+    # and 3 of SeedSequence(seed).spawn(4); spawn gives child i the spawn_key
+    # (i,), so each is built alone and the unread amplitude stream is not
+    rng_f, rng_pos, rng_val = (
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+        for i in (0, 2, 3)
+    )
     freqs = np.sort((rng_f.random() + separation * np.arange(n_frequencies)) % 1.0)
     omega = np.sort(rng_pos.choice(n_sensors, n_outliers, replace=False)) if n_outliers else np.array([], int)
     h = _unit_phases(rng_val, n_frequencies)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import trigpoly
 from .errors import IllPosedRecoveryError
-from .model import signal_matrix, wrap_distance
+from .model import sensor_rows, signal_matrix, wrap_distance
 from .solver import DualSdpProblem, SdpSolution, SolverOptions, solve_dual_sdp
 
 __all__ = [
@@ -66,12 +66,13 @@ def locate_outliers(gamma: np.ndarray, lam: float) -> np.ndarray:
 def recover_amplitudes(measurement: np.ndarray, freqs, outlier_rows):
     """Least-squares amplitudes on the clean rows; outliers as the residual.
 
-    Returns (A, Z) where A is K x L and Z is supported on ``outlier_rows``.
+    Returns (A, Z) where A is K x L and Z is supported on ``outlier_rows``,
+    distinct integer indices in 0..N-1.
     """
     y = np.asarray(measurement, dtype=complex)
     n, l = y.shape
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    rows = np.asarray(sorted(int(i) for i in np.atleast_1d(outlier_rows)), dtype=int)
+    rows = sensor_rows(outlier_rows, n)
     k = f.size
     if k + rows.size > n:
         raise IllPosedRecoveryError(

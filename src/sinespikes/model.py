@@ -30,6 +30,7 @@ __all__ = [
     "atom",
     "default_lambda",
     "min_separation",
+    "sensor_rows",
     "signal_matrix",
     "toeplitz_adjoint",
     "wrap_distance",
@@ -60,6 +61,31 @@ def wrap_distance(a, b):
     """Distance on the unit circle: min(|a-b|, 1-|a-b|)."""
     d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
     return np.minimum(d, 1.0 - d)
+
+
+def sensor_rows(rows, n_sensors: int) -> np.ndarray:
+    """The sensor indices ``rows`` sorted, as an integer array.
+
+    Each index must be an integer in 0..n_sensors-1 and appear once. The
+    dtype is checked before any cast, so a float is not truncated and a
+    boolean mask is not read as indices; an empty input selects no rows.
+    """
+    idx = np.atleast_1d(np.asarray(rows))
+    if idx.size == 0:
+        return np.zeros(0, dtype=int)
+    if idx.dtype.kind not in "iu":
+        raise InvalidConfigurationError(f"sensor indices must be integers, got dtype {idx.dtype}")
+    idx = np.sort(idx)
+    if idx[0] < 0 or idx[-1] >= n_sensors:
+        raise InvalidConfigurationError(
+            f"sensor indices must lie in 0..{n_sensors - 1}, got range [{idx[0]}, {idx[-1]}]"
+        )
+    repeated = idx[1:][idx[1:] == idx[:-1]]
+    if repeated.size:
+        raise InvalidConfigurationError(
+            f"sensor indices must be distinct, got {repeated[0]} more than once"
+        )
+    return idx.astype(int, copy=False)
 
 
 def min_separation(freqs) -> float:

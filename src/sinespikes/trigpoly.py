@@ -143,9 +143,10 @@ def arc_curvature(coef: np.ndarray, centers, radius: float, count: int) -> np.nd
     w^(i^2/2) sum_j (x_j w^(j^2/2)) w^(-(i-j)^2/2): one FFT convolution, of
     a power-of-two length >= N + count - 1, with one column per centre.
     The absolute error is a small multiple of eps * (2*pi*N)^2 *
-    ||gamma||_F^2. The chirp and the FFT of the convolution kernel depend
-    on (N, count, h) only; they are computed once per such triple and
-    kept read-only, and every call returns a new array.
+    ||gamma||_F^2. The indices j and the weights -(2*pi*j)^2 depend on N
+    only, and the chirp and the FFT of the convolution kernel on (N, count,
+    h) only; each is computed once per size or triple and kept read-only,
+    and every call returns a new array.
     """
     _check_coefficients(coef)
     if count < 2:
@@ -153,12 +154,21 @@ def arc_curvature(coef: np.ndarray, centers, radius: float, count: int) -> np.nd
     n = coef.size
     starts = np.atleast_1d(np.asarray(centers, dtype=float)) - radius
     h = 2.0 * radius / (count - 1)
-    k = np.arange(n)
-    x = -(2.0 * np.pi * k) ** 2 * coef * np.exp(-2j * np.pi * np.outer(starts, k))
+    k, weight = _curvature_weights(n)
+    x = weight * coef * np.exp(-2j * np.pi * np.outer(starts, k))
     in_chirp, out_chirp, kernel_fft = _bluestein(n, count, h)
     y = np.fft.ifft(np.fft.fft(in_chirp * x, kernel_fft.size) * kernel_fft)[:, :count]
     # the output chirp w^(i^2/2) must be applied before the real part is taken
     return (y * out_chirp).real.T
+
+
+@lru_cache(maxsize=16)
+def _curvature_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only indices j < n and second-derivative weights -(2*pi*j)^2."""
+    k = np.arange(n)
+    weight = -(2.0 * np.pi * k) ** 2
+    k.flags.writeable = weight.flags.writeable = False
+    return k, weight
 
 
 @lru_cache(maxsize=16)

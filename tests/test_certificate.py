@@ -18,9 +18,10 @@ from sinespikes import (
     validate_certificate,
 )
 from sinespikes import certificate
-from sinespikes.certificate import ValidationOptions, _far_from, _is_unit
+from sinespikes.certificate import ValidationOptions, _is_unit, _near_indices
 from sinespikes.errors import InvalidConfigurationError
 from sinespikes.model import wrap_distance
+from sinespikes.synthesis import _streams
 
 
 def dirichlet_product(m, f):
@@ -115,6 +116,8 @@ class TestRestrictKernel:
         k = build_kernel(20)
         r = restrict_kernel(k, [])
         np.testing.assert_allclose(r.coefficients, k.coefficients)
+        r = restrict_kernel(k, np.array([], dtype=int))
+        np.testing.assert_allclose(r.coefficients, k.coefficients)
 
     def test_full_restriction_is_zero(self):
         k = build_kernel(20)
@@ -126,9 +129,12 @@ class TestRestrictKernel:
         with pytest.raises(InvalidConfigurationError):
             restrict_kernel(k, [21])
 
-    @pytest.mark.parametrize("omega", [[-1], [4, 21], [3, 3], [0, 5, 0]],
-                             ids=["negative", "one-past-end", "repeated", "repeated-unsorted"])
+    @pytest.mark.parametrize("omega", [[-1], [4, 21], [3, 3], [0, 5, 0],
+                                       [2.7], [True, False], np.array([1.0])],
+                             ids=["negative", "one-past-end", "repeated", "repeated-unsorted",
+                                  "float", "boolean-mask", "float-array"])
     def test_bad_sensor_rows_rejected(self, omega):
+        # a float used to be truncated and a boolean mask read as indices
         k = build_kernel(10)
         with pytest.raises(InvalidConfigurationError):
             restrict_kernel(k, omega)
@@ -151,8 +157,10 @@ class TestRestrictKernel:
 
 
 class TestBuildSystem:
-    @pytest.mark.parametrize("omega", [[-1], [41], [3, 3], [9, 2, 9]],
-                             ids=["negative", "past-end", "repeated", "repeated-unsorted"])
+    @pytest.mark.parametrize("omega", [[-1], [41], [3, 3], [9, 2, 9],
+                                       [2.7], [True, False], np.array([1.0])],
+                             ids=["negative", "past-end", "repeated", "repeated-unsorted",
+                                  "float", "boolean-mask", "float-array"])
     def test_bad_sensor_rows_rejected(self, omega):
         # -1 would silently address row N-1; a repeated row doubles its
         # boundary term and breaks the interpolation
@@ -165,6 +173,14 @@ class TestBuildSystem:
         kern = build_kernel(20)
         sys = build_system([0.3], [17, 3], [1.0], np.ones((1, 1)), np.ones((2, 1)), kern)
         np.testing.assert_array_equal(sys.omega, [3, 17])
+
+    def test_mutating_a_system_cannot_change_a_later_system(self):
+        kern = restrict_kernel(build_kernel(20), [4])
+        args = ([0.3, 0.6], [4], [1.0, 1.0], np.ones((2, 1)), np.ones((1, 1)), kern)
+        first = build_system(*args)
+        expected = first.basis.copy()
+        first.basis[:] = 0.0  # the basis is the caller's own
+        np.testing.assert_array_equal(build_system(*args).basis, expected)
 
     @pytest.mark.parametrize("values", [
         # allclose's bound is 1e-9 + 1e-5 * |1| = 1.0001e-5
@@ -361,6 +377,21 @@ class TestValidateCertificate:
         _, expected = run_certificate(201, 2, 4 / 200, 5)
         assert report == expected
 
+    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 3])
+    def test_draws_come_from_the_streams_synthesis_spawns(self, seed):
+        # run_certificate builds only the generators it reads, children 0, 2
+        # and 3 of synthesis' four streams; the draws must be theirs
+        cert, _ = run_certificate(61, 3, None, 7, n_snapshots=2, seed=seed)
+        rng_f, _, rng_pos, rng_val = _streams(seed)
+        freqs = np.sort((rng_f.random() + 4 / 60 * np.arange(3)) % 1.0)
+        np.testing.assert_array_equal(cert.freqs, freqs)
+        np.testing.assert_array_equal(cert.omega, np.sort(rng_pos.choice(61, 7, replace=False)))
+        rng_val.random(3)  # h
+        rng_val.standard_normal((3, 2))  # b, real and imaginary parts
+        rng_val.standard_normal((3, 2))
+        r = np.exp(2j * np.pi * rng_val.random((7, 2))) / math.sqrt(2)
+        np.testing.assert_array_equal(cert.system.r, r)
+
     def test_coarse_grid_rejected_before_any_system_is_built(self, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("build_system ran before the grid was checked")
@@ -432,7 +463,9 @@ def test_report_json_matches_pinned_bytes(case, expected):
 
 
 def test_cold_and_warm_caches_give_identical_reports():
-    caches = (certificate._kernel_coefficients, trigpoly._grid, trigpoly._bluestein)
+    caches = (certificate._kernel_coefficients, certificate._row_indices,
+              certificate._scaled_derivative_weight, trigpoly._grid,
+              trigpoly._curvature_weights, trigpoly._bluestein)
     for cache in caches:
         cache.cache_clear()
     cold = [pinned_report_json(case) for case, _ in PINNED_JSON]
@@ -442,9 +475,67 @@ def test_cold_and_warm_caches_give_identical_reports():
     assert cold == warm
 
 
+@pytest.mark.parametrize("cached", [
+    lambda: certificate._row_indices(20),
+    lambda: (certificate._scaled_derivative_weight(20, build_kernel(20).kappa),),
+    lambda: trigpoly._curvature_weights(41),
+], ids=["row-indices", "scaled-derivative-weight", "curvature-weights"])
+def test_size_only_arrays_are_shared_read_only(cached):
+    first = cached()
+    for array in first:
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert all(a is b for a, b in zip(first, cached()))
+
+
+def dense_offgrid_max(cert, grid_size):
+    """max ||Q|| over every scan point farther than the near radius from every node."""
+    _, qnorm = trigpoly.scan(trigpoly.coefficients(cert.gamma), grid_size)
+    grid = np.arange(qnorm.size) / qnorm.size
+    radius = certificate._NEAR_RADIUS / cert.system.kernel.half_length
+    far = wrap_distance(grid[:, None], cert.freqs).min(axis=1, initial=math.inf) > radius
+    return float(qnorm[far].max()) if far.any() else math.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(5, 100), k=st.integers(1, 4), l=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_offgrid_max_is_the_dense_maximum_off_the_near_regions(m, k, l, seed, data):
+    n = 2 * m + 1
+    s = data.draw(st.integers(0, n - 5))
+    separation = data.draw(st.sampled_from([None, 1.0 / (2 * m), 0.0]))
+    grid_size = data.draw(st.sampled_from([None, 2 * n, 2 * n + 1, 1000]))
+    opts = ValidationOptions() if grid_size is None else ValidationOptions(grid_size)
+    cert, report = run_certificate(n, k, separation, s, n_snapshots=l, seed=seed, opts=opts)
+    if cert is not None:
+        assert report.offgrid_max == dense_offgrid_max(cert, opts.grid_size)
+
+
+def test_offgrid_max_is_inf_when_no_grid_point_is_far():
+    cert, _ = run_certificate(11, 1, None, 0, n_snapshots=2, seed=0)
+    freqs = np.arange(22) / 22  # a node on every point of a 22-point scan
+    covering = build_system(freqs, [], np.ones(22), np.full((22, 2), 1 / math.sqrt(2)),
+                            np.zeros((0, 2)), cert.system.kernel)
+    cert = CertificateSolution(alpha=cert.alpha, beta=cert.beta, gamma=cert.gamma,
+                               system=covering, lam=cert.lam, condition_number=1.0)
+    assert dense_offgrid_max(cert, 22) == math.inf
+    assert validate_certificate(cert, ValidationOptions(22)).offgrid_max == math.inf
+
+
+def test_offgrid_max_propagates_nan():
+    cert, _ = run_certificate(21, 1, None, 0, seed=0)
+    gamma = cert.gamma.copy()
+    gamma[3, 0] = np.nan
+    cert = CertificateSolution(alpha=cert.alpha, beta=cert.beta, gamma=gamma,
+                               system=cert.system, lam=cert.lam, condition_number=1.0)
+    report = validate_certificate(cert)
+    assert math.isnan(report.offgrid_max)
+    assert not report.passed
+
+
 @settings(max_examples=200, deadline=None)
 @given(size=st.integers(4, 20000), data=st.data())
-def test_far_mask_matches_distance_to_every_node(size, data):
+def test_near_indices_match_distance_to_every_node(size, data):
     # nodes and radii on and halfway between grid points hit the window edges
     steps = st.integers(0, 4 * size).map(lambda k: k / (2 * size))
     freqs = np.array(data.draw(st.lists(st.one_of(steps.map(lambda f: f % 1.0),
@@ -452,5 +543,6 @@ def test_far_mask_matches_distance_to_every_node(size, data):
                                         max_size=5)))
     radius = data.draw(st.one_of(steps.map(lambda r: r / 4), st.floats(0.0, 0.6)))
     grid = np.arange(size) / size
-    dense = wrap_distance(grid[:, None], freqs).min(axis=1, initial=math.inf) > radius
-    np.testing.assert_array_equal(_far_from(grid, freqs, radius), dense)
+    dense = wrap_distance(grid[:, None], freqs).min(axis=1, initial=math.inf) <= radius
+    np.testing.assert_array_equal(np.unique(_near_indices(grid, freqs, radius)),
+                                  np.flatnonzero(dense))

@@ -156,6 +156,22 @@ class TestRecoverAmplitudes:
         with pytest.raises(IllPosedRecoveryError):
             recover_amplitudes(y, [0.1], range(5))
 
+    @pytest.mark.parametrize("rows", [[2.7], [True, False], [-1], [3, 3], [12]],
+                             ids=["float", "boolean-mask", "negative", "repeated", "past-end"])
+    def test_bad_outlier_rows_rejected(self, rows):
+        # these used to read row 2, rows 0 and 1, row 9, row 3 twice, and
+        # raise a bare IndexError
+        y = np.arange(20, dtype=complex).reshape(10, 2)
+        with pytest.raises(InvalidConfigurationError):
+            recover_amplitudes(y, [0.1], rows)
+
+    def test_rows_located_as_outliers_are_accepted(self):
+        y = np.arange(20, dtype=complex).reshape(10, 2)
+        for norms in (np.zeros(10), np.r_[0.0, 1.0, 0.0, 1.0, np.zeros(6)]):
+            rows = locate_outliers(norms[:, None], 0.5)
+            _, z = recover_amplitudes(y, [0.1], rows)
+            np.testing.assert_array_equal(np.flatnonzero(np.abs(z).sum(axis=1)), rows)
+
 
 class TestDualityGap:
     def test_zero_everything(self):

@@ -9,6 +9,7 @@ from sinespikes import (
     toeplitz_adjoint,
     wrap_distance,
 )
+from sinespikes.model import sensor_rows
 from sinespikes.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
@@ -161,6 +162,27 @@ class TestMixtureInstance:
             MixtureInstance.from_components(
                 [0.2, 0.2], np.ones((2, 1)), np.zeros((6, 1))
             )
+
+
+@pytest.mark.parametrize("rows, dtype", [([2.7], "float64"), ([True, False], "bool"),
+                                         (np.array([1.0]), "float64")],
+                         ids=["float", "boolean-mask", "float-array"])
+def test_sensor_rows_reject_non_integer_dtypes_by_name(rows, dtype):
+    with pytest.raises(InvalidConfigurationError, match=f"dtype {dtype}"):
+        sensor_rows(rows, 10)
+
+
+@pytest.mark.parametrize("rows", [[], np.array([], dtype=int), np.flatnonzero(np.zeros(4))],
+                         ids=["empty-list", "empty-int-array", "empty-flatnonzero"])
+def test_sensor_rows_accept_empty_input(rows):
+    out = sensor_rows(rows, 10)
+    assert out.size == 0 and out.dtype == int
+
+
+def test_sensor_rows_are_sorted_integers():
+    out = sensor_rows(np.array([7, 2, 5], dtype=np.uint8), 10)
+    np.testing.assert_array_equal(out, [2, 5, 7])
+    assert out.dtype == int
 
 
 def test_wrap_distance_symmetry():
