@@ -18,7 +18,6 @@ from .dual_analysis import (
 )
 from .model import (
     MixtureInstance,
-    atom,
     default_lambda,
     min_separation,
     signal_matrix,
@@ -41,7 +40,6 @@ from .solver import (
     DualSdpProblem,
     SdpSolution,
     SolverOptions,
-    project_affine_lambda,
     project_psd,
     project_row_ball,
     solve_dual_sdp,

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import trigpoly
 from .errors import CertificateFailureError, InvalidConfigurationError
-from .model import sensor_rows, wrap_distance
-from .synthesis import _unit_phases
+from .model import default_lambda, sensor_rows, wrap_distance
+from .synthesis import _FREQUENCIES, _POSITIONS, _VALUES, _stream, _unit_phases
 
 __all__ = [
     "CertificateReport",
@@ -233,7 +233,7 @@ def solve_certificate(system: InterpolationSystem,
     k = system.freqs.size
     n_snap = system.phi.shape[1]
     if lam is None:
-        lam = 1.0 / math.sqrt(n)
+        lam = default_lambda(n)
     if not 0 < lam < math.inf:
         raise InvalidConfigurationError(f"lambda must be positive and finite, got {lam}")
 
@@ -404,13 +404,8 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float | None
     kernel = build_kernel(m)  # rejects m < 4 before 4 / (N - 1) or any draw
     if separation is None:
         separation = 4.0 / (n_sensors - 1)
-    # the frequency, position and value streams of synthesis, children 0, 2
-    # and 3 of SeedSequence(seed).spawn(4); spawn gives child i the spawn_key
-    # (i,), so each is built alone and the unread amplitude stream is not
-    rng_f, rng_pos, rng_val = (
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
-        for i in (0, 2, 3)
-    )
+    # synthesis' frequency, position and value streams; the amplitude stream is unread
+    rng_f, rng_pos, rng_val = (_stream(seed, i) for i in (_FREQUENCIES, _POSITIONS, _VALUES))
     freqs = np.sort((rng_f.random() + separation * np.arange(n_frequencies)) % 1.0)
     omega = np.sort(rng_pos.choice(n_sensors, n_outliers, replace=False)) if n_outliers else np.array([], int)
     h = _unit_phases(rng_val, n_frequencies)

@@ -1,4 +1,4 @@
-"""Core domain types: atoms, mixture instances, distances and adjoints.
+"""Core domain types: mixture instances, distances and adjoints.
 
 Conventions used throughout the package:
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -27,7 +27,6 @@ from .errors import (
 
 __all__ = [
     "MixtureInstance",
-    "atom",
     "default_lambda",
     "min_separation",
     "sensor_rows",
@@ -35,21 +34,6 @@ __all__ = [
     "toeplitz_adjoint",
     "wrap_distance",
 ]
-
-
-def atom(f: float, phi: float, n_sensors: int) -> np.ndarray:
-    """Unit-norm steering vector with entries exp(i*(phi + 2*pi*j*f)) / sqrt(N).
-
-    Parameters
-    ----------
-    f : frequency in [0, 1)
-    phi : global phase in radians
-    n_sensors : number of sensors N (>= 1)
-    """
-    if n_sensors < 1:
-        raise InvalidDimensionError(f"atom length must be >= 1, got {n_sensors}")
-    j = np.arange(n_sensors)
-    return np.exp(1j * (phi + 2.0 * np.pi * j * f)) / math.sqrt(n_sensors)
 
 
 def default_lambda(n_sensors: int) -> float:
@@ -154,56 +138,49 @@ class MixtureInstance:
     ----------
     frequencies : (K,) spectral support in [0, 1), pairwise distinct
     amplitudes : (K, L) complex amplitudes
-    outliers : (N, L) sparse corruption, nonzero rows inside ``outlier_rows``
+    outliers : (N, L) row-sparse corruption Z
     measurement : (N, L) observed matrix, equals signal + outliers
     seed : seed the instance was synthesized from, if any
+
+    The sizes N and L and the outlier support (the nonzero rows of Z) are
+    read from the arrays, not stored.
     """
 
-    n_sensors: int
-    n_snapshots: int
     frequencies: np.ndarray
     amplitudes: np.ndarray
     outliers: np.ndarray
-    outlier_rows: np.ndarray
     measurement: np.ndarray
-    seed: int | None = field(default=None)
+    seed: int | None = None
 
     def __post_init__(self):
-        n, l = self.n_sensors, self.n_snapshots
-        k = self.frequencies.size
-        if self.amplitudes.shape != (k, l):
-            raise InvalidDimensionError("amplitudes must be K x L")
-        if self.outliers.shape != (n, l) or self.measurement.shape != (n, l):
+        if self.outliers.ndim != 2 or self.measurement.shape != self.outliers.shape:
             raise InvalidDimensionError("outliers and measurement must be N x L")
-        if k >= 2 and min_separation(self.frequencies) == 0.0:
+        if self.amplitudes.shape != (self.frequencies.size, self.n_snapshots):
+            raise InvalidDimensionError("amplitudes must be K x L")
+        if self.frequencies.size >= 2 and min_separation(self.frequencies) == 0.0:
             raise InvalidConfigurationError("frequencies must be pairwise distinct")
-        hit = np.flatnonzero(np.linalg.norm(self.outliers, axis=1) > 0)
-        if not set(hit).issubset(set(int(i) for i in self.outlier_rows)):
-            raise InvalidConfigurationError(
-                "outlier support does not cover all nonzero outlier rows"
-            )
+
+    @property
+    def n_sensors(self) -> int:
+        return self.outliers.shape[0]
+
+    @property
+    def n_snapshots(self) -> int:
+        return self.outliers.shape[1]
+
+    @property
+    def outlier_rows(self) -> np.ndarray:
+        """Sorted indices of the nonzero rows of ``outliers``."""
+        return np.flatnonzero(np.linalg.norm(self.outliers, axis=1) > 0)
 
     @classmethod
-    def from_components(cls, frequencies, amplitudes, outliers,
-                        outlier_rows=None, seed=None) -> "MixtureInstance":
+    def from_components(cls, frequencies, amplitudes, outliers, seed=None) -> "MixtureInstance":
         """Build an instance from ground truth; the measurement is S + Z."""
         f = np.atleast_1d(np.asarray(frequencies, dtype=float)) % 1.0
         a = np.asarray(amplitudes, dtype=complex)
         z = np.asarray(outliers, dtype=complex)
-        n, l = z.shape
-        if outlier_rows is None:
-            outlier_rows = np.flatnonzero(np.linalg.norm(z, axis=1) > 0)
-        s = signal_matrix(f, a, n)
-        return cls(
-            n_sensors=n,
-            n_snapshots=l,
-            frequencies=f,
-            amplitudes=a,
-            outliers=z,
-            outlier_rows=np.sort(np.asarray(outlier_rows, dtype=int)),
-            measurement=s + z,
-            seed=seed,
-        )
+        return cls(frequencies=f, amplitudes=a, outliers=z,
+                   measurement=signal_matrix(f, a, z.shape[0]) + z, seed=seed)
 
     def to_json(self) -> dict:
         """JSON-ready dict; complex arrays stored as re/im pairs, row-major."""

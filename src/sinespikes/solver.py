@@ -43,7 +43,6 @@ __all__ = [
     "DualSdpProblem",
     "SdpSolution",
     "SolverOptions",
-    "project_affine_lambda",
     "project_psd",
     "project_row_ball",
     "solve_dual_sdp",
@@ -143,7 +142,7 @@ def _mirror_index(n: int) -> np.ndarray:
 
 
 def _affine_hermitian(h: np.ndarray) -> np.ndarray:
-    """Affine projection of an exactly Hermitian matrix (see project_affine_lambda)."""
+    """Affine projection of an exactly Hermitian matrix (see _project_affine_lambda)."""
     n = h.shape[0]
     defect = toeplitz_adjoint(h)
     defect[0] -= 1.0
@@ -151,7 +150,7 @@ def _affine_hermitian(h: np.ndarray) -> np.ndarray:
     return h - np.concatenate((defect, defect.conj()))[_mirror_index(n)]
 
 
-def project_affine_lambda(mat: np.ndarray) -> np.ndarray:
+def _project_affine_lambda(mat: np.ndarray) -> np.ndarray:
     """Nearest Hermitian matrix whose k-th superdiagonal sums to [k == 0].
 
     Subtracting the mean defect from each superdiagonal (and mirroring) is

@@ -1,14 +1,16 @@
 """Seeded generation of random demixing instances.
 
 Randomness is driven by the counter-based Philox generator with explicit
-stream splitting: the instance seed spawns four independent substreams
-(frequencies, amplitudes, outlier positions, outlier values), so results do
-not depend on call order or threading.
+stream splitting: an instance seed has four independent substreams
+(frequencies, amplitudes, outlier positions, outlier values), children
+0..3 of ``SeedSequence(seed).spawn(4)``, so results do not depend on call
+order or threading. Amplitudes are standard complex Gaussian; outlier
+values have unit modulus and uniform phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +18,6 @@ from .errors import InvalidConfigurationError, SynthesisFailureError
 from .model import MixtureInstance, min_separation
 
 __all__ = [
-    "AMPLITUDE_MODELS",
     "OUTLIER_MODES",
     "SynthesisConfig",
     "spread_total_outliers",
@@ -24,21 +25,22 @@ __all__ = [
     "synth_instance",
 ]
 
-AMPLITUDE_MODELS = ("complex-gaussian", "unit-modulus-uniform-phase")
 OUTLIER_MODES = ("per-snapshot", "distinct-sensors-overall")
 
 _MAX_REJECTIONS = 10**6
 
-
-def _streams(seed: int):
-    """Four independent Philox generators derived from one seed."""
-    children = np.random.SeedSequence(seed).spawn(4)
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
+# The substreams of an instance seed, in the order SeedSequence(seed).spawn(4)
+# numbers its children.
+_FREQUENCIES, _AMPLITUDES, _POSITIONS, _VALUES = range(4)
 
 
-def _complex_gaussian(rng, shape):
-    # standard complex normal: unit total variance per entry
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+def _stream(seed: int, index: int) -> np.random.Generator:
+    """Philox generator of substream ``index`` of ``seed``.
+
+    Child i of ``SeedSequence(seed).spawn(4)`` is the sequence with spawn key
+    (i,), so each substream is built alone and unread ones cost nothing.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 def _unit_phases(rng, shape):
@@ -49,16 +51,17 @@ def _unit_phases(rng, shape):
 class SynthesisConfig:
     """Describes one random instance.
 
-    Frequencies are either given explicitly (``frequencies``) or drawn by
-    rejection sampling (``n_frequencies`` points with pairwise wrap distance
-    at least ``min_separation``).
+    Frequencies are either given explicitly (``frequencies``) or drawn
+    (``n_frequencies`` points, by rejection sampling when their pairwise
+    wrap distance must be at least ``min_separation``); giving both is an
+    error.
 
     ``total_outliers`` are spread over the snapshots as evenly as possible
     (randomized assignment of the remainder; no draw when the snapshot count
     divides the total). In "distinct-sensors-overall" mode every outlier
     sits on its own sensor, so the total may not exceed the sensor count;
     in "per-snapshot" mode no snapshot may receive more outliers than there
-    are sensors.
+    are sensors. ``seed`` selects the instance's four substreams.
     """
 
     n_sensors: int
@@ -66,11 +69,8 @@ class SynthesisConfig:
     frequencies: tuple | None = None
     n_frequencies: int | None = None
     min_separation: float | None = None
-    amplitude_model: str = "complex-gaussian"
     total_outliers: int = 0
     outlier_mode: str = "per-snapshot"
-    outlier_magnitude: float = 1.0
-    outlier_value_model: str = "unit-modulus"
     seed: int = 0
 
     def __post_init__(self):
@@ -80,20 +80,15 @@ class SynthesisConfig:
             raise InvalidConfigurationError(
                 "give frequencies explicitly or set n_frequencies"
             )
-        if self.amplitude_model not in AMPLITUDE_MODELS:
+        if self.frequencies is not None and (self.n_frequencies is not None
+                                             or self.min_separation is not None):
             raise InvalidConfigurationError(
-                f"unknown amplitude model {self.amplitude_model!r}"
+                "explicit frequencies are not drawn: drop n_frequencies and min_separation"
             )
         if self.outlier_mode not in OUTLIER_MODES:
             raise InvalidConfigurationError(
                 f"unknown outlier mode {self.outlier_mode!r}"
             )
-        if self.outlier_value_model not in ("unit-modulus", "complex-gaussian"):
-            raise InvalidConfigurationError(
-                f"unknown outlier value model {self.outlier_value_model!r}"
-            )
-        if self.outlier_magnitude <= 0:
-            raise InvalidConfigurationError("outlier magnitude must be positive")
         if self.total_outliers < 0:
             raise InvalidConfigurationError("total_outliers must be nonnegative")
         if self.outlier_mode == "distinct-sensors-overall":
@@ -121,16 +116,15 @@ def spread_total_outliers(total: int, n_snapshots: int, rng) -> np.ndarray:
     return counts
 
 
-def synth_frequencies(n_frequencies: int, delta_min: float, seed_or_rng) -> np.ndarray:
-    """Draw frequencies uniformly, rejecting sets separated by < ``delta_min``."""
+def synth_frequencies(n_frequencies: int, delta_min: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Draw frequencies uniformly from ``rng``, rejecting sets separated by < ``delta_min``."""
     if n_frequencies < 1:
         raise InvalidConfigurationError("need at least one frequency")
     if n_frequencies * delta_min > 1.0:
         raise InvalidConfigurationError(
             f"{n_frequencies} frequencies at separation {delta_min} do not fit on the circle"
         )
-    rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
-           else np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_or_rng))))
     if n_frequencies == 1:
         return np.array([rng.random()])
     for _ in range(_MAX_REJECTIONS):
@@ -154,37 +148,27 @@ def _outlier_columns(cfg: SynthesisConfig, counts: np.ndarray, rng) -> list[np.n
 
 def synth_instance(cfg: SynthesisConfig) -> MixtureInstance:
     """Generate one instance; identical configs yield bit-identical output."""
-    rng_f, rng_a, rng_pos, rng_val = _streams(cfg.seed)
     n, l = cfg.n_sensors, cfg.n_snapshots
 
     if cfg.frequencies is not None:
         freqs = np.asarray(cfg.frequencies, dtype=float) % 1.0
+    elif cfg.min_separation is None:
+        freqs = np.sort(_stream(cfg.seed, _FREQUENCIES).random(cfg.n_frequencies))
     else:
-        if cfg.min_separation is None:
-            freqs = np.sort(rng_f.random(cfg.n_frequencies))
-        else:
-            freqs = synth_frequencies(cfg.n_frequencies, cfg.min_separation, rng_f)
-    k = freqs.size
+        freqs = synth_frequencies(cfg.n_frequencies, cfg.min_separation,
+                                  _stream(cfg.seed, _FREQUENCIES))
 
-    if cfg.amplitude_model == "complex-gaussian":
-        amplitudes = _complex_gaussian(rng_a, (k, l))
-    else:
-        amplitudes = _unit_phases(rng_a, (k, l))
+    # standard complex normal: unit total variance per entry
+    rng_a = _stream(cfg.seed, _AMPLITUDES)
+    shape = (freqs.size, l)
+    amplitudes = (rng_a.standard_normal(shape) + 1j * rng_a.standard_normal(shape)) / np.sqrt(2)
 
+    rng_pos = _stream(cfg.seed, _POSITIONS)
     counts = spread_total_outliers(cfg.total_outliers, l, rng_pos)
-    columns = _outlier_columns(cfg, counts, rng_pos)
-
+    rng_val = _stream(cfg.seed, _VALUES)
     outliers = np.zeros((n, l), dtype=complex)
-    for col, rows in enumerate(columns):
-        if rows.size == 0:
-            continue
-        if cfg.outlier_value_model == "unit-modulus":
-            vals = _unit_phases(rng_val, rows.size)
-        else:
-            vals = _complex_gaussian(rng_val, rows.size)
-        outliers[rows, col] = cfg.outlier_magnitude * vals
+    for col, rows in enumerate(_outlier_columns(cfg, counts, rng_pos)):
+        if rows.size:
+            outliers[rows, col] = _unit_phases(rng_val, rows.size)
 
-    support = np.unique(np.concatenate([c for c in columns] or [np.array([], int)]))
-    return MixtureInstance.from_components(
-        freqs, amplitudes, outliers, outlier_rows=support, seed=cfg.seed
-    )
+    return MixtureInstance.from_components(freqs, amplitudes, outliers, seed=cfg.seed)

@@ -21,7 +21,6 @@ from sinespikes import certificate
 from sinespikes.certificate import ValidationOptions, _is_unit, _near_indices
 from sinespikes.errors import InvalidConfigurationError
 from sinespikes.model import wrap_distance
-from sinespikes.synthesis import _streams
 
 
 def dirichlet_product(m, f):
@@ -382,7 +381,8 @@ class TestValidateCertificate:
         # run_certificate builds only the generators it reads, children 0, 2
         # and 3 of synthesis' four streams; the draws must be theirs
         cert, _ = run_certificate(61, 3, None, 7, n_snapshots=2, seed=seed)
-        rng_f, _, rng_pos, rng_val = _streams(seed)
+        rng_f, _, rng_pos, rng_val = (np.random.Generator(np.random.Philox(child))
+                                      for child in np.random.SeedSequence(seed).spawn(4))
         freqs = np.sort((rng_f.random() + 4 / 60 * np.arange(3)) % 1.0)
         np.testing.assert_array_equal(cert.freqs, freqs)
         np.testing.assert_array_equal(cert.omega, np.sort(rng_pos.choice(61, 7, replace=False)))

@@ -274,6 +274,13 @@ def test_phase_transition_rejected_before_first_trial(tmp_path, capsys, monkeypa
     ("phase-transition", {"synthesis": {"n_sensors": 16, "sedes": 3}}),
     ("synth", {"synthesis": SMALL_SYNTH, "sedes": 3}),
     ("synth", {"synthesis": SMALL_SYNTH, "certificate": 3}),
+    # modelling options that are constants now
+    ("synth", {"synthesis": dict(SMALL_SYNTH, amplitude_model="complex-gaussian")}),
+    ("synth", {"synthesis": dict(SMALL_SYNTH, outlier_magnitude=1.0)}),
+    ("synth", {"synthesis": dict(SMALL_SYNTH, outlier_value_model="unit-modulus")}),
+    ("demix", {"synthesis": dict(SMALL_SYNTH, amplitude_model="complex-gaussian")}),
+    ("demix", {"synthesis": dict(SMALL_SYNTH, outlier_magnitude=1.0)}),
+    ("demix", {"synthesis": dict(SMALL_SYNTH, outlier_value_model="unit-modulus")}),
 ])
 def test_unknown_config_key_exit_code(tmp_path, capsys, monkeypatch, command, config):
     payloads = record_trials(monkeypatch)
@@ -496,6 +503,17 @@ def test_invalid_config_exit_code(tmp_path):
                                                            "n_snapshots": 1,
                                                            "frequencies": [0.1]}})
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.parametrize("command", ["synth", "demix"])
+def test_explicit_and_drawn_frequencies_exit_code(tmp_path, capsys, command):
+    # 5 frequencies at separation 0.3 do not fit on the circle; none are drawn
+    cfg = write_config(tmp_path / "c.json", {"synthesis": dict(
+        SMALL_SYNTH, frequencies=[0.1, 0.2], n_frequencies=5, min_separation=0.3)})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert "explicit frequencies" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_exit_code(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from sinespikes import (
     DualSdpProblem,
-    atom,
     default_lambda,
     demix,
     duality_gap,
@@ -44,7 +43,7 @@ class TestEvalDualPoly:
     def test_single_atom_value(self):
         n, f0 = 16, 0.29
         b = np.array([0.6, 0.8], dtype=complex)
-        gamma = np.outer(atom(f0, 0.0, n), b.conj()) / np.sqrt(n)
+        gamma = np.outer(np.exp(2j * np.pi * np.arange(n) * f0), b.conj()) / n
         q = trigpoly.evaluate(gamma, f0)
         np.testing.assert_allclose(q, b.conj(), atol=1e-12)
         assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
@@ -204,6 +203,10 @@ class TestSuccess:
 
     def test_wrap(self):
         assert success([0.99999], [0.00004])
+        assert not success([0.9999], [0.00004])
+        # the estimates are paired with the truth in circular order
+        assert success([0.99998, 0.5], [0.00002, 0.5])
+        assert success([0.99998, 0.3, 0.6], [0.00001, 0.3, 0.6])
 
 
 class TestDemixReport:

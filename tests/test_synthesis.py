@@ -9,8 +9,10 @@ from sinespikes import (
     spread_total_outliers,
     synth_frequencies,
     synth_instance,
+    synthesis,
 )
 from sinespikes.errors import InvalidConfigurationError
+from sinespikes.synthesis import OUTLIER_MODES
 
 
 def fig_config(seed=0, **overrides):
@@ -63,17 +65,47 @@ def test_column_counts_exact():
         assert list(counts) == [3] * 5
 
 
+def spawned(seed, index):
+    """Child ``index`` of SeedSequence(seed).spawn(4) as a Philox generator."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(4)[index]))
+
+
 def test_amplitude_models():
-    gauss = synth_instance(fig_config(seed=1, amplitude_model="complex-gaussian"))
-    unit = synth_instance(fig_config(seed=1, amplitude_model="unit-modulus-uniform-phase"))
-    np.testing.assert_allclose(np.abs(unit.amplitudes), 1.0, atol=1e-12)
-    assert np.abs(gauss.amplitudes).std() > 0.1
+    # the one model: standard complex Gaussian from the amplitude stream
+    inst = synth_instance(fig_config(seed=1))
+    rng = spawned(1, 1)
+    expected = (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))) / np.sqrt(2)
+    np.testing.assert_array_equal(inst.amplitudes, expected)
+    assert np.abs(inst.amplitudes).std() > 0.1
 
 
 def test_outlier_magnitude_scale():
-    inst = synth_instance(fig_config(seed=2, outlier_magnitude=3.5))
+    # outlier values have unit modulus
+    inst = synth_instance(fig_config(seed=2))
     nz = inst.outliers[np.abs(inst.outliers) > 0]
-    np.testing.assert_allclose(np.abs(nz), 3.5, atol=1e-12)
+    assert nz.size == 15
+    np.testing.assert_allclose(np.abs(nz), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 3, 2**64 - 1])
+def test_streams_are_the_spawned_children(seed):
+    # the range of cli.trial_seed; each substream is built from its spawn key alone
+    for index in range(4):
+        np.testing.assert_array_equal(synthesis._stream(seed, index).random(8),
+                                      spawned(seed, index).random(8))
+
+
+@pytest.mark.parametrize("mode", OUTLIER_MODES)
+def test_outlier_rows_are_the_drawn_rows(tmp_path, mode):
+    # per-snapshot columns may share rows; the support is their union
+    cfg = fig_config(seed=4, outlier_mode=mode, total_outliers=12)
+    rng_pos = spawned(cfg.seed, 2)
+    counts = spread_total_outliers(cfg.total_outliers, cfg.n_snapshots, rng_pos)
+    drawn = np.unique(np.concatenate(synthesis._outlier_columns(cfg, counts, rng_pos)))
+    inst = synth_instance(cfg)
+    np.testing.assert_array_equal(inst.outlier_rows, drawn)
+    inst.save(tmp_path / "inst.json")
+    np.testing.assert_array_equal(MixtureInstance.load(tmp_path / "inst.json").outlier_rows, drawn)
 
 
 def test_total_outlier_spread():
@@ -90,23 +122,23 @@ def test_total_outlier_spread():
 
 class TestSynthFrequencies:
     def test_pair_within_torus_bounds(self):
-        f = synth_frequencies(2, 0.4, 0)
+        f = synth_frequencies(2, 0.4, np.random.default_rng(0))
         d = min_separation(f)
         assert 0.4 <= d <= 0.5
 
     def test_single_frequency(self):
-        f = synth_frequencies(1, 0.9, 1)
+        f = synth_frequencies(1, 0.9, np.random.default_rng(1))
         assert f.shape == (1,) and 0.0 <= f[0] < 1.0
 
     def test_separation_holds_across_seeds(self):
         delta = 2.52 / 49
         for seed in range(1000):
-            f = synth_frequencies(3, delta, seed)
+            f = synth_frequencies(3, delta, np.random.default_rng(seed))
             assert min_separation(f) >= delta
 
     def test_infeasible_target_rejected(self):
         with pytest.raises(InvalidConfigurationError):
-            synth_frequencies(3, 0.5, 0)
+            synth_frequencies(3, 0.5, np.random.default_rng(0))
 
 
 def test_distinct_mode_overflow_rejected():
@@ -139,9 +171,16 @@ def test_negative_outlier_total_rejected():
 
 
 def test_unknown_model_rejected():
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidConfigurationError, match="unknown outlier mode"):
         SynthesisConfig(n_sensors=8, n_snapshots=1, frequencies=(0.1,),
-                        amplitude_model="cauchy")
+                        outlier_mode="per-sensor")
+
+
+@pytest.mark.parametrize("drawn", [dict(n_frequencies=5), dict(min_separation=0.3),
+                                   dict(n_frequencies=5, min_separation=0.3)])
+def test_explicit_frequencies_exclude_drawn_ones(drawn):
+    with pytest.raises(InvalidConfigurationError, match="explicit frequencies"):
+        SynthesisConfig(n_sensors=8, n_snapshots=1, frequencies=(0.1, 0.2), **drawn)
 
 
 def test_rejection_sampled_instance():
