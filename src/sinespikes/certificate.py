@@ -44,6 +44,8 @@ __all__ = [
     "ValidationOptions",
     "build_kernel",
     "build_system",
+    "check_sizes",
+    "default_separation",
     "restrict_kernel",
     "run_certificate",
     "solve_certificate",
@@ -376,6 +378,23 @@ def validate_certificate(cert: CertificateSolution,
     )
 
 
+def default_separation(n_sensors: int) -> float:
+    """Separation 4 / (N - 1) of ``run_certificate``'s train when none is given."""
+    return 4.0 / (n_sensors - 1)
+
+
+def check_sizes(n_sensors: int, n_frequencies: int, n_outliers: int, n_snapshots: int) -> None:
+    """Reject the sizes the construction is not defined for (m = (N - 1) / 2 >= 4)."""
+    if n_sensors % 2 != 1 or n_sensors < 9:
+        raise InvalidConfigurationError(f"n_sensors must be odd and at least 9, got {n_sensors}")
+    if n_frequencies < 1:
+        raise InvalidConfigurationError(f"n_frequencies must be at least 1, got {n_frequencies}")
+    if n_snapshots < 1:
+        raise InvalidConfigurationError(f"n_snapshots must be at least 1, got {n_snapshots}")
+    if not 0 <= n_outliers <= n_sensors:
+        raise InvalidConfigurationError(f"n_outliers must lie in 0..{n_sensors}, got {n_outliers}")
+
+
 def run_certificate(n_sensors: int, n_frequencies: int, separation: float | None,
                     n_outliers: int, n_snapshots: int = 3, seed: int = 0,
                     lam: float | None = None,
@@ -383,27 +402,21 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float | None
     """Draw a random instance of the construction, solve and validate it.
 
     Frequencies are an equispaced train at the requested separation (None
-    means 4 / (N - 1)) with a random offset; the sign pattern (node phases,
-    node directions, outlier row directions) follows the uniform-phase
-    model. Returns the pair
+    means ``default_separation(n_sensors)``) with a random offset; the
+    separation is not checked, so a train may wrap onto itself. The sign
+    pattern (node phases, node directions, outlier row directions) follows
+    the uniform-phase model. Returns the pair
     (CertificateSolution or None, CertificateReport).
     """
-    if n_sensors % 2 != 1:
-        raise InvalidConfigurationError("the construction needs an odd sensor count")
-    if n_frequencies < 1:
-        raise InvalidConfigurationError(f"need at least one frequency, got {n_frequencies}")
-    if n_snapshots < 1:
-        raise InvalidConfigurationError(f"need at least one snapshot, got {n_snapshots}")
-    if not 0 <= n_outliers <= n_sensors:
-        raise InvalidConfigurationError(
-            f"the outlier count must lie in 0..{n_sensors}, got {n_outliers}"
-        )
+    check_sizes(n_sensors, n_frequencies, n_outliers, n_snapshots)
+    if seed < 0:
+        raise InvalidConfigurationError(f"seed must be nonnegative, got {seed}")
     opts = opts or ValidationOptions()
     trigpoly.grid_points(n_sensors, opts.grid_size)  # a coarse grid fails before any draw
     m = (n_sensors - 1) // 2
-    kernel = build_kernel(m)  # rejects m < 4 before 4 / (N - 1) or any draw
+    kernel = build_kernel(m)
     if separation is None:
-        separation = 4.0 / (n_sensors - 1)
+        separation = default_separation(n_sensors)
     # synthesis' frequency, position and value streams; the amplitude stream is unread
     rng_f, rng_pos, rng_val = (_stream(seed, i) for i in (_FREQUENCIES, _POSITIONS, _VALUES))
     freqs = np.sort((rng_f.random() + separation * np.arange(n_frequencies)) % 1.0)

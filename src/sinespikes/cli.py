@@ -2,12 +2,15 @@
 
 Every command is driven by a JSON config file plus a handful of overriding
 flags and is a pure function of (config, seed): identical inputs produce
-identical output files. A command exits 4 on any config key it does not
-read, before any work or output. Numeric CSV cells use shortest round-trip
-decimal representation.
+identical output files. The config is read once, by ``parse.read``, into
+the command's dataclass (``_CONFIGS``), whose fields are the keys the
+command reads. A key the command does not read, or a value of the wrong type
+or out of range, exits 4 before any work or output. Numeric CSV cells use
+shortest round-trip decimal representation.
 
 Exit codes: 0 ok, 2 solver did not converge, 3 I/O failure, 4 invalid config
-or command line.
+or command line (a ``SineSpikesError``, or a file that is not JSON). Any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +29,9 @@ import numpy as np
 from . import certificate as cert_mod
 from . import trigpoly
 from .dual_analysis import demix, success
-from .errors import SineSpikesError
-from .model import MixtureInstance, default_lambda
+from .errors import InvalidConfigurationError, SineSpikesError
+from .model import MixtureInstance, default_lambda, resolve_lambda
+from .parse import json_key, read, sections
 from .solver import SolverOptions
 from .synthesis import SynthesisConfig, synth_instance
 
@@ -63,44 +68,140 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-_SYNTHESIS_KEYS = {f.name for f in fields(SynthesisConfig)}
-_SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
+@dataclass(frozen=True)
+class SweepSynthesis:
+    """The sweep's synthesis section: trials draw everything but the sensor count."""
+
+    n_sensors: int = 50
+
+
+@dataclass(frozen=True)
+class PhaseTransitionSection:
+    """Cells at delta*N = delta_start, + delta_step, ... up to delta_stop, per snapshot count."""
+
+    f1: float = 0.2
+    delta_start: float = 0.1
+    delta_step: float = 0.1
+    delta_stop: float = 1.5
+    snapshot_counts: tuple[int, ...] = (1, 3, 5)
+    trials: int = 20
+    total_outliers: int = 10
+
+    def __post_init__(self):
+        start, step, stop = self.delta_start, self.delta_step, self.delta_stop
+        counts = self.snapshot_counts
+        if not start < stop:
+            raise InvalidConfigurationError(f"delta_start {start} must be below delta_stop {stop}")
+        if not (start > 0 and step > 0):
+            raise InvalidConfigurationError(
+                f"delta_start {start} and delta_step {step} must be positive")
+        if not counts or len(set(counts)) != len(counts) or min(counts) < 1:
+            raise InvalidConfigurationError(
+                f"snapshot_counts must be nonempty, distinct and positive, got {list(counts)}")
+        if self.trials < 1:
+            raise InvalidConfigurationError(f"trials must be at least 1, got {self.trials}")
+
+
+@dataclass(frozen=True)
+class CertificateSection:
+    """The sizes of ``run_certificate``'s draws, the seed count and the grid.
+
+    A train of two or more lines may not wrap onto itself:
+    n_frequencies * separation lies in (0, 1].
+    """
+
+    n_sensors: int = 201
+    n_frequencies: int = 2
+    separation: float | None = None
+    n_outliers: int = 5
+    n_snapshots: int = 3
+    seeds: int = 1
+    grid_size: int | None = None
+
+    def __post_init__(self):
+        k, separation = self.n_frequencies, self.separation
+        cert_mod.check_sizes(self.n_sensors, k, self.n_outliers, self.n_snapshots)
+        if self.seeds < 1:
+            raise InvalidConfigurationError(f"seeds must be at least 1, got {self.seeds}")
+        if separation is not None and not 0 <= separation < math.inf:
+            raise InvalidConfigurationError(f"separation must be nonnegative, got {separation}")
+        if separation is None:
+            separation = cert_mod.default_separation(self.n_sensors)
+        if k >= 2 and not 0 < k * separation <= 1:
+            raise InvalidConfigurationError(
+                f"n_frequencies * separation must lie in (0, 1], got {k} * {separation}")
+
+
+# One dataclass per command: its fields are the config's top-level keys, and
+# the fields read as dataclasses are its sections.
+
+@dataclass(frozen=True)
+class _SynthConfig:
+    synthesis: SynthesisConfig
+
+
+@dataclass(frozen=True)
+class _DemixConfig:
+    instance: str | None = None
+    synthesis: SynthesisConfig | None = None
+    lam: float | str | None = field(default=None, metadata={"key": "lambda"})
+    solver: SolverOptions = SolverOptions()
+
+    def __post_init__(self):
+        if (self.instance is None) == (self.synthesis is None):
+            raise InvalidConfigurationError(
+                "demix needs an instance or a synthesis section" if self.instance is None
+                else "demix does not read synthesis when an instance is given")
+
+
+@dataclass(frozen=True)
+class _PhaseTransitionConfig:
+    # trials draw their own instances and use lambda = 1/sqrt(N), as in the
+    # paper, so of the synthesis keys only n_sensors is read
+    synthesis: SweepSynthesis = SweepSynthesis()
+    solver: SolverOptions = SolverOptions()
+    seed: int = 0
+    threads: int = 1
+    phase_transition: PhaseTransitionSection = PhaseTransitionSection()
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise InvalidConfigurationError(f"threads must be at least 1, got {self.threads}")
+
+
+@dataclass(frozen=True)
+class _CertificateConfig:
+    certificate: CertificateSection = CertificateSection()
+    lam: float | str | None = field(default=None, metadata={"key": "lambda"})
+    seed: int = 0
+
+
+_CONFIGS = {"synth": _SynthConfig, "demix": _DemixConfig,
+            "phase-transition": _PhaseTransitionConfig, "certificate": _CertificateConfig}
+
+
+def _keys(cls) -> set[str]:
+    return {json_key(f) for f in fields(cls)}
+
 
 # The keys each command reads, per section (None is the top level). A command
 # rejects every other key before it does any work, so no key is dropped.
-_READS = {
-    "synth": {None: {"synthesis"}, "synthesis": _SYNTHESIS_KEYS},
-    "demix": {None: {"instance", "synthesis", "lambda", "solver"},
-              "synthesis": _SYNTHESIS_KEYS, "solver": _SOLVER_KEYS},
-    # trials draw their own instances and use lambda = 1/sqrt(N), as in the
-    # paper, so of the synthesis keys only n_sensors is read
-    "phase-transition": {
-        None: {"synthesis", "solver", "seed", "threads", "phase_transition"},
-        "synthesis": {"n_sensors"},
-        "solver": _SOLVER_KEYS,
-        "phase_transition": {"f1", "delta_start", "delta_step", "delta_stop",
-                             "snapshot_counts", "trials", "total_outliers"},
-    },
-    "certificate": {
-        None: {"certificate", "lambda", "seed"},
-        "certificate": {"n_sensors", "n_frequencies", "separation", "n_outliers",
-                        "n_snapshots", "seeds", "grid_size"},
-    },
-}
+_READS = {command: {None: _keys(cls), **{name: _keys(sec) for name, sec in sections(cls).items()}}
+          for command, cls in _CONFIGS.items()}
 
 
 def _check_keys(command: str, config) -> None:
     if not isinstance(config, dict):
-        raise ValueError("the top level of the config must be a JSON object")
+        raise InvalidConfigurationError("the top level of the config must be a JSON object")
     reads = _READS[command]
     nested = []
     for name in sorted(reads.keys() & config.keys()):
         if not isinstance(config[name], dict):
-            raise ValueError(f"{name} of the config must be a JSON object")
+            raise InvalidConfigurationError(f"{name} of the config must be a JSON object")
         nested += [f"{name}.{key}" for key in set(config[name]) - reads[name]]
     dropped = sorted(config.keys() - reads[None]) + sorted(nested)
     if dropped:
-        raise ValueError(f"{command} does not read {', '.join(dropped)}")
+        raise InvalidConfigurationError(f"{command} does not read {', '.join(dropped)}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -109,19 +210,9 @@ def _load_config(path: str | None) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _resolve_lambda(value, n_sensors: int) -> float:
-    if value is None or value == "auto":
-        return default_lambda(n_sensors)
-    return float(value)
-
-
-def _synth_config(section: dict, seed: int | None) -> SynthesisConfig:
-    kwargs = dict(section)
-    if "frequencies" in kwargs and kwargs["frequencies"] is not None:
-        kwargs["frequencies"] = tuple(kwargs["frequencies"])
-    if seed is not None:
-        kwargs["seed"] = seed
-    return SynthesisConfig(**kwargs)
+def _override(value, **flags):
+    """``value`` with the fields that the given flags set; an unset flag is None."""
+    return replace(value, **{name: v for name, v in flags.items() if v is not None})
 
 
 def _out_dir(args) -> Path:
@@ -135,9 +226,8 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args, config: dict) -> int:
-    cfg = _synth_config(config.get("synthesis", {}), args.seed)
-    instance = synth_instance(cfg)
+def cmd_synth(args, cfg: _SynthConfig) -> int:
+    instance = synth_instance(_override(cfg.synthesis, seed=args.seed))
     out = _out_dir(args)
     instance.save(out / "instance.json")
     print(f"wrote {out / 'instance.json'} "
@@ -155,17 +245,14 @@ def _trace_rows(gamma: np.ndarray, grid: int | None):
     return zip(*trigpoly.scan(trigpoly.coefficients(gamma), grid))
 
 
-def cmd_demix(args, config: dict) -> int:
-    if "instance" in config:
-        if "synthesis" in config:
-            raise ValueError("demix does not read synthesis when an instance is given")
-        instance = MixtureInstance.load(config["instance"])
+def cmd_demix(args, cfg: _DemixConfig) -> int:
+    if cfg.instance is not None:
+        instance = MixtureInstance.load(cfg.instance)
     else:
-        instance = synth_instance(_synth_config(config.get("synthesis", {}), args.seed))
-    lam = _resolve_lambda(args.lam or config.get("lambda"), instance.n_sensors)
-    solver_opts = SolverOptions(**config.get("solver", {}))
+        instance = synth_instance(_override(cfg.synthesis, seed=args.seed))
+    lam = resolve_lambda(args.lam or cfg.lam, instance.n_sensors)
     trigpoly.grid_points(instance.n_sensors, args.grid)  # before the solve
-    report, solution = demix(instance.measurement, lam, solver_opts, args.grid)
+    report, solution = demix(instance.measurement, lam, cfg.solver, args.grid)
 
     out = _out_dir(args)
     payload = report.to_json()
@@ -210,12 +297,12 @@ def _trial_config(n_sensors, n_snapshots, f1, delta, total_outliers, seed) -> Sy
 
 def _phase_trial(payload) -> tuple:
     (n_sensors, n_snapshots, f1, delta, delta_idx, trial, seed,
-     total_outliers, solver_kwargs, grid) = payload
+     total_outliers, solver_opts, grid) = payload
     try:
         instance = synth_instance(
             _trial_config(n_sensors, n_snapshots, f1, delta, total_outliers, seed))
         report, _solution = demix(instance.measurement, default_lambda(n_sensors),
-                                  SolverOptions(**solver_kwargs), grid)
+                                  solver_opts, grid)
         ok = success(report.estimated_frequencies, instance.frequencies)
     except SineSpikesError as exc:  # counted as failure, never aborts the sweep
         print(f"trial failed (L={n_snapshots}, delta={delta}, seed={seed}): {exc}",
@@ -224,50 +311,34 @@ def _phase_trial(payload) -> tuple:
     return (n_snapshots, delta_idx, delta, trial, seed, bool(ok))
 
 
-def cmd_phase_transition(args, config: dict) -> int:
-    section = config.get("phase_transition", {})
-    n_sensors = int(config.get("synthesis", {}).get("n_sensors", 50))
-    f1 = float(section.get("f1", 0.2))
-    start = float(section.get("delta_start", 0.1))
-    step = float(section.get("delta_step", 0.1))
-    stop = float(section.get("delta_stop", 1.5))
-    if not start < stop:
-        raise ValueError("sweep start must be below stop")
-    if not (start > 0 and step > 0):
-        raise ValueError("sweep start and step must be positive")
-    snapshot_counts = [int(x) for x in section.get("snapshot_counts", [1, 3, 5])]
-    if not snapshot_counts or len(set(snapshot_counts)) != len(snapshot_counts):
-        raise ValueError(f"snapshot_counts must be nonempty and distinct, got {snapshot_counts}")
-    trials = int(args.trials if args.trials is not None else section.get("trials", 20))
-    if trials < 1:
-        raise ValueError("need at least one trial per cell")
-    threads = int(args.threads if args.threads is not None else config.get("threads", 1))
-    if threads < 1:
-        raise ValueError("need at least one thread")
-    total_outliers = int(section.get("total_outliers", 10))
-    base_seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-    solver_kwargs = config.get("solver", {})
-    # what every trial would reject is rejected once, before the first trial
-    SolverOptions(**solver_kwargs)
+def cmd_phase_transition(args, cfg: _PhaseTransitionConfig) -> int:
+    cfg = _override(cfg, seed=args.seed, threads=args.threads)
+    sweep = _override(cfg.phase_transition, trials=args.trials)
+    n_sensors = cfg.synthesis.n_sensors
+    # what every trial would reject is rejected once, before the first trial;
+    # any base seed is valid (trial seeds are masked to 64 bits), so 0 stands in
     trigpoly.grid_points(n_sensors, args.grid)
-    for L in snapshot_counts:
-        _trial_config(n_sensors, L, f1, 0.0, total_outliers, base_seed)
+    for L in sweep.snapshot_counts:
+        _trial_config(n_sensors, L, sweep.f1, 0.0, sweep.total_outliers, 0)
 
     # the 1e-9 keeps the last cell when (stop - start) / step lands just below a whole number
-    n_steps = math.floor((stop - start) / step + 1e-9) + 1
-    deltas = [(start + i * step) / n_sensors for i in range(n_steps)]
+    n_steps = math.floor((sweep.delta_stop - sweep.delta_start) / sweep.delta_step + 1e-9) + 1
+    deltas = [(sweep.delta_start + i * sweep.delta_step) / n_sensors for i in range(n_steps)]
 
     # costliest first, so the pool's last trials are short: small separations
     # run longest (unresolved ones to the cap) and more snapshots cost more per
     # iteration; the outputs are sorted below and do not depend on this order
     payloads = [
-        (n_sensors, L, f1, deltas[di], di, t,
-         trial_seed(base_seed, L, di, t), total_outliers, solver_kwargs, args.grid)
-        for di in range(n_steps) for L in sorted(snapshot_counts, reverse=True)
-        for t in range(trials)
+        (n_sensors, L, sweep.f1, deltas[di], di, t, trial_seed(cfg.seed, L, di, t),
+         sweep.total_outliers, cfg.solver, args.grid)
+        for di in range(n_steps) for L in sorted(sweep.snapshot_counts, reverse=True)
+        for t in range(sweep.trials)
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # the fork start method starts every worker at the first submit, so no
+    # more are asked for than there are trials or cores
+    workers = min(cfg.threads, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_phase_trial, payloads, chunksize=1))
     else:
         results = [_phase_trial(p) for p in payloads]
@@ -294,32 +365,23 @@ def cmd_phase_transition(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_certificate(args, config: dict) -> int:
-    section = config.get("certificate", {})
-    n_sensors = int(section.get("n_sensors", 201))
-    n_freqs = int(section.get("n_frequencies", 2))
-    separation = section.get("separation")
-    separation = None if separation is None else float(separation)
-    n_outliers = int(section.get("n_outliers", 5))
-    n_snapshots = int(section.get("n_snapshots", 3))
-    n_seeds = int(section.get("seeds", 1))
-    if n_seeds < 1:
-        raise ValueError("need at least one seed")
-    base_seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-    grid = args.grid if args.grid is not None else section.get("grid_size")
-    opts = cert_mod.ValidationOptions() if grid is None else cert_mod.ValidationOptions(int(grid))
-    lam = _resolve_lambda(args.lam or config.get("lambda"), n_sensors)
+def cmd_certificate(args, cfg: _CertificateConfig) -> int:
+    section = _override(cfg.certificate, grid_size=args.grid)
+    base_seed = cfg.seed if args.seed is None else args.seed
+    opts = (cert_mod.ValidationOptions() if section.grid_size is None
+            else cert_mod.ValidationOptions(section.grid_size))
+    lam = resolve_lambda(args.lam or cfg.lam, section.n_sensors)
 
     reports = []
-    for k in range(n_seeds):
+    for k in range(section.seeds):
         seed = base_seed + k
         cert, report = cert_mod.run_certificate(
-            n_sensors, n_freqs, separation, n_outliers,
-            n_snapshots=n_snapshots, seed=seed, lam=lam, opts=opts,
+            section.n_sensors, section.n_frequencies, section.separation, section.n_outliers,
+            n_snapshots=section.n_snapshots, seed=seed, lam=lam, opts=opts,
         )
         out = _out_dir(args)  # once a certificate is computed: a rejected config leaves none
         reports.append(report)
-        suffix = f"_{seed}" if n_seeds > 1 else ""
+        suffix = f"_{seed}" if section.seeds > 1 else ""
         (out / f"certificate_report{suffix}.json").write_text(
             json.dumps(report.to_json(), indent=1)
         )
@@ -331,9 +393,9 @@ def cmd_certificate(args, config: dict) -> int:
               f"offgrid={report.offgrid_max:.4f} "
               f"curvature={report.near_curvature_max:.3e} "
               f"row_margin={report.outlier_row_margin:.4f}")
-    if n_seeds > 1:
+    if section.seeds > 1:
         summary = {
-            "seeds": n_seeds,
+            "seeds": section.seeds,
             "pass_rate": float(np.mean([r.passed for r in reports])),
         }
         (out / "certificate_summary.json").write_text(json.dumps(summary, indent=1))
@@ -396,8 +458,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         _check_keys(args.command, config)
-        return args.handler(args, config)
-    except (SineSpikesError, ValueError, KeyError, TypeError) as exc:
+        return args.handler(args, read(_CONFIGS[args.command], config, None))
+    except (SineSpikesError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import trigpoly
 from .errors import IllPosedRecoveryError
-from .model import sensor_rows, signal_matrix, wrap_distance
+from .model import sensor_rows, wrap_distance
 from .solver import DualSdpProblem, SdpSolution, SolverOptions, solve_dual_sdp
 
 __all__ = [
@@ -106,7 +106,6 @@ class DemixReport:
     estimated_amplitudes: np.ndarray
     estimated_outlier_rows: np.ndarray
     estimated_outliers: np.ndarray
-    estimated_signal: np.ndarray
     duality_gap: float
     peak_values: np.ndarray
     converged: bool = True
@@ -177,17 +176,12 @@ def demix(measurement: np.ndarray, lam: float,
         # best effort: keep the outlier rows, drop the spectral estimate
         freqs = peaks = np.array([], dtype=float)
         amplitudes, outliers = recover_amplitudes(problem.measurement, freqs, rows)
-    if freqs.size:
-        signal = signal_matrix(freqs, amplitudes, problem.n_sensors)
-    else:
-        signal = np.zeros_like(problem.measurement)
     gap = duality_gap(amplitudes, outliers, solution, lam)
     report = DemixReport(
         estimated_frequencies=freqs,
         estimated_amplitudes=amplitudes,
         estimated_outlier_rows=rows,
         estimated_outliers=outliers,
-        estimated_signal=signal,
         duality_gap=gap,
         peak_values=peaks,
         converged=solution.converged,

@@ -24,11 +24,13 @@ from .errors import (
     InvalidDimensionError,
     UndefinedSeparationError,
 )
+from .parse import read
 
 __all__ = [
     "MixtureInstance",
     "default_lambda",
     "min_separation",
+    "resolve_lambda",
     "sensor_rows",
     "signal_matrix",
     "toeplitz_adjoint",
@@ -39,6 +41,19 @@ __all__ = [
 def default_lambda(n_sensors: int) -> float:
     """Outlier regularization weight 1/sqrt(N)."""
     return 1.0 / math.sqrt(n_sensors)
+
+
+def resolve_lambda(value: float | str | None, n_sensors: int) -> float:
+    """lambda from a number or numeric string; "auto" and None give ``default_lambda``."""
+    if value is None or value == "auto":
+        return default_lambda(n_sensors)
+    try:
+        lam = float(value)
+    except ValueError:
+        lam = math.nan
+    if not 0 < lam < math.inf:
+        raise InvalidConfigurationError(f"lambda must be positive and finite, got {value!r}")
+    return lam
 
 
 def wrap_distance(a, b):
@@ -153,8 +168,10 @@ class MixtureInstance:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.outliers.ndim != 2 or self.measurement.shape != self.outliers.shape:
-            raise InvalidDimensionError("outliers and measurement must be N x L")
+        z, y = self.outliers, self.measurement
+        if z.ndim != 2 or z.size == 0 or y.shape != z.shape:
+            raise InvalidDimensionError(
+                f"outliers and measurement must be nonempty N x L, got {z.shape} and {y.shape}")
         if self.amplitudes.shape != (self.frequencies.size, self.n_snapshots):
             raise InvalidDimensionError("amplitudes must be K x L")
         if self.frequencies.size >= 2 and min_separation(self.frequencies) == 0.0:
@@ -197,16 +214,15 @@ class MixtureInstance:
         }
 
     @classmethod
-    def from_json(cls, payload: dict) -> "MixtureInstance":
-        n = int(payload["n_sensors"])
-        l = int(payload["n_snapshots"])
-        f = np.asarray(payload["frequencies"], dtype=float)
-        k = f.size
-        a = (np.asarray(payload["amplitudes_re"], dtype=float)
-             + 1j * np.asarray(payload["amplitudes_im"], dtype=float)).reshape(k, l)
-        z = (np.asarray(payload["outliers_re"], dtype=float)
-             + 1j * np.asarray(payload["outliers_im"], dtype=float)).reshape(n, l)
-        return cls.from_components(f, a, z, seed=payload.get("seed"))
+    def from_json(cls, payload) -> "MixtureInstance":
+        """Read the layout ``to_json`` writes; every key is checked before use."""
+        saved = read(_SavedInstance, payload, "instance")
+        k, n, l = len(saved.frequencies), saved.n_sensors, saved.n_snapshots
+        a = (np.asarray(saved.amplitudes_re, dtype=float)
+             + 1j * np.asarray(saved.amplitudes_im, dtype=float)).reshape(k, l)
+        z = (np.asarray(saved.outliers_re, dtype=float)
+             + 1j * np.asarray(saved.outliers_im, dtype=float)).reshape(n, l)
+        return cls.from_components(saved.frequencies, a, z, seed=saved.seed)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json()))
@@ -214,3 +230,27 @@ class MixtureInstance:
     @classmethod
     def load(cls, path) -> "MixtureInstance":
         return cls.from_json(json.loads(Path(path).read_text()))
+
+
+@dataclass(frozen=True)
+class _SavedInstance:
+    """The layout ``MixtureInstance.to_json`` writes."""
+
+    n_sensors: int
+    n_snapshots: int
+    frequencies: tuple[float, ...]
+    amplitudes_re: tuple[float, ...]
+    amplitudes_im: tuple[float, ...]
+    outliers_re: tuple[float, ...]
+    outliers_im: tuple[float, ...]
+    seed: int | None = None
+
+    def __post_init__(self):
+        n, l, k = self.n_sensors, self.n_snapshots, len(self.frequencies)
+        if n < 1 or l < 1:
+            raise InvalidDimensionError(f"n_sensors {n} and n_snapshots {l} must be at least 1")
+        for key, rows in (("amplitudes_re", k), ("amplitudes_im", k),
+                          ("outliers_re", n), ("outliers_im", n)):
+            if len(getattr(self, key)) != rows * l:
+                raise InvalidDimensionError(
+                    f"{key} must hold {rows} x {l} values, got {len(getattr(self, key))}")

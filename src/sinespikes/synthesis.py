@@ -10,6 +10,7 @@ values have unit modulus and uniform phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ class SynthesisConfig:
 
     n_sensors: int
     n_snapshots: int
-    frequencies: tuple | None = None
+    frequencies: tuple[float, ...] | None = None
     n_frequencies: int | None = None
     min_separation: float | None = None
     total_outliers: int = 0
@@ -75,7 +76,8 @@ class SynthesisConfig:
 
     def __post_init__(self):
         if self.n_sensors < 1 or self.n_snapshots < 1:
-            raise InvalidConfigurationError("need at least one sensor and snapshot")
+            raise InvalidConfigurationError(
+                f"n_sensors {self.n_sensors} and n_snapshots {self.n_snapshots} must be at least 1")
         if self.frequencies is None and self.n_frequencies is None:
             raise InvalidConfigurationError(
                 "give frequencies explicitly or set n_frequencies"
@@ -85,19 +87,31 @@ class SynthesisConfig:
             raise InvalidConfigurationError(
                 "explicit frequencies are not drawn: drop n_frequencies and min_separation"
             )
+        if self.frequencies is not None and not np.all(np.isfinite(self.frequencies)):
+            raise InvalidConfigurationError(f"frequencies must be finite, got {self.frequencies}")
+        if self.n_frequencies is not None and self.n_frequencies < 0:
+            raise InvalidConfigurationError(
+                f"n_frequencies must be nonnegative, got {self.n_frequencies}")
+        if self.min_separation is not None and not 0 <= self.min_separation < math.inf:
+            raise InvalidConfigurationError(
+                f"min_separation must be nonnegative and finite, got {self.min_separation}")
         if self.outlier_mode not in OUTLIER_MODES:
             raise InvalidConfigurationError(
-                f"unknown outlier mode {self.outlier_mode!r}"
+                f"unknown outlier mode {self.outlier_mode!r}: "
+                f"outlier_mode is one of {OUTLIER_MODES}"
             )
         if self.total_outliers < 0:
-            raise InvalidConfigurationError("total_outliers must be nonnegative")
+            raise InvalidConfigurationError(
+                f"total_outliers must be nonnegative, got {self.total_outliers}")
+        if self.seed < 0:
+            raise InvalidConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.outlier_mode == "distinct-sensors-overall":
             needed = self.total_outliers  # sensors all outliers occupy
         else:  # sensors the fullest snapshot occupies
             needed = -(-self.total_outliers // self.n_snapshots)
         if needed > self.n_sensors:
             raise InvalidConfigurationError(
-                f"{self.outlier_mode} mode cannot place {self.total_outliers} outliers "
+                f"{self.outlier_mode} mode cannot place total_outliers={self.total_outliers} "
                 f"over {self.n_snapshots} snapshots on {self.n_sensors} sensors"
             )
 

@@ -69,7 +69,7 @@ def grid_points(n: int, grid_size: int | None = None) -> int:
         return max(8192, 32 * n)
     if grid_size < 2 * n:
         raise InvalidConfigurationError(
-            f"grid of {grid_size} points is too coarse for degree {n - 1}"
+            f"grid_size {grid_size} is too coarse for degree {n - 1}: need at least {2 * n} points"
         )
     return grid_size
 

@@ -400,6 +400,26 @@ class TestValidateCertificate:
         with pytest.raises(InvalidConfigurationError, match="too coarse"):
             run_certificate(2001, 2, None, 5, opts=ValidationOptions(100))
 
+    @pytest.mark.parametrize("args, named", [
+        ((61, 1, 0.0, 0, 2, -1), "seed"),
+        ((7, 1, 0.0, 0, 2, 0), "n_sensors"),
+        ((-61, 1, 0.0, 0, 2, 0), "n_sensors"),
+        ((61, 0, 0.0, 0, 2, 0), "n_frequencies"),
+        ((61, 1, 0.0, 62, 2, 0), "n_outliers"),
+        ((61, 1, 0.0, 0, 0, 0), "n_snapshots"),
+    ])
+    def test_unusable_arguments_rejected_by_name_before_any_draw(self, monkeypatch, args, named):
+        def unreachable(*a, **k):
+            raise AssertionError("a stream was drawn from")
+
+        monkeypatch.setattr(certificate, "_stream", unreachable)
+        n, k, separation, s, l, seed = args
+        with pytest.raises(InvalidConfigurationError, match=named):
+            run_certificate(n, k, separation, s, n_snapshots=l, seed=seed)
+
+    def test_default_separation(self):
+        assert certificate.default_separation(201) == 4 / 200
+
     def test_json_schema(self):
         _, report = run_certificate(61, 1, 0.0, 0, seed=0)
         payload = report.to_json()

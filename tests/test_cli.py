@@ -1,10 +1,20 @@
+import contextlib
+import dataclasses
+import io
 import json
+import math
+import tempfile
+import types
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinespikes import MixtureInstance
-from sinespikes import cli
+from sinespikes import cli, model, parse
 from sinespikes.cli import main, trial_seed
 
 
@@ -518,3 +528,253 @@ def test_explicit_and_drawn_frequencies_exit_code(tmp_path, capsys, command):
 
 def test_missing_config_exit_code(tmp_path):
     assert main(["synth", "--config", str(tmp_path / "nope.json")]) == 3
+
+
+def test_demix_zero_sensor_instance_exit_code(tmp_path, capsys):
+    # the saved file's sizes are read from the file, not from arrays
+    (tmp_path / "zero.json").write_text(json.dumps({
+        "n_sensors": 0, "n_snapshots": 2, "frequencies": [0.3], "amplitudes_re": [0.0, 0.0],
+        "amplitudes_im": [0.0, 0.0], "outliers_re": [], "outliers_im": [], "seed": None}))
+    cfg = write_config(tmp_path / "c.json", {"instance": str(tmp_path / "zero.json")})
+    out = tmp_path / "o"
+    assert main(["demix", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "n_sensors" in err
+    assert not out.exists()
+
+
+SWEEP_SECTION = {"delta_start": 1.4, "delta_stop": 1.5, "snapshot_counts": [2], "trials": 1,
+                 "total_outliers": 2}
+CERT_SECTION = {"n_sensors": 61, "n_frequencies": 1, "n_outliers": 0, "n_snapshots": 2}
+
+
+@pytest.mark.parametrize("command, config, flags, named", [
+    # each of these ran, and most exited 0, before every value was read by type
+    ("phase-transition", {"phase_transition": dict(SWEEP_SECTION, snapshot_counts="2")}, [],
+     "phase_transition.snapshot_counts"),
+    ("phase-transition", {"phase_transition": dict(SWEEP_SECTION, snapshot_counts="135")}, [],
+     "phase_transition.snapshot_counts"),
+    ("phase-transition", {"synthesis": {"n_sensors": 16.9}}, [], "synthesis.n_sensors"),
+    ("phase-transition", {"phase_transition": dict(SWEEP_SECTION, trials=1.7)}, [],
+     "phase_transition.trials"),
+    ("phase-transition", {"phase_transition": dict(SWEEP_SECTION, trials=True)}, [],
+     "phase_transition.trials"),
+    ("phase-transition", {"phase_transition": dict(SWEEP_SECTION, f1=math.nan)}, [],
+     "phase_transition.f1"),
+    ("phase-transition", {"synthesis": {"n_sensors": "8"}}, [], "synthesis.n_sensors"),
+    ("demix", {"synthesis": dict(SMALL_SYNTH, n_sensors="8")}, [], "synthesis.n_sensors"),
+    ("certificate", {"certificate": dict(CERT_SECTION, n_sensors=61.5)}, [],
+     "certificate.n_sensors"),
+    ("certificate", {"certificate": dict(CERT_SECTION, grid_size=4096.9)}, [],
+     "certificate.grid_size"),
+    ("certificate", {"certificate": dict(CERT_SECTION, seeds=True)}, [], "certificate.seeds"),
+    ("certificate", {"certificate": dict(CERT_SECTION, n_frequencies=2, separation=-0.1)}, [],
+     "separation"),
+    ("certificate", {"certificate": dict(CERT_SECTION, separation=-0.1)}, [], "separation"),
+    # two equal lines; the run wrote NaN fields
+    ("certificate", {"certificate": dict(CERT_SECTION, n_frequencies=2, separation=0)}, [],
+     "separation"),
+    # the default separation 4/40 wraps 30 lines onto each other
+    ("certificate", {"certificate": dict(CERT_SECTION, n_sensors=41, n_frequencies=30)}, [],
+     "separation"),
+    ("synth", {"synthesis": dict(SMALL_SYNTH, frequencies=[0.1, math.nan])}, [],
+     "synthesis.frequencies[1]"),
+    ("synth", {"synthesis": SMALL_SYNTH}, ["--seed", "-1"], "seed"),
+    ("certificate", {"certificate": CERT_SECTION}, ["--seed", "-1"], "seed"),
+    ("phase-transition", {"threads": 0}, [], "threads"),
+    ("demix", {"synthesis": SMALL_SYNTH, "lambda": "abc"}, [], "lambda"),
+    ("demix", {"synthesis": SMALL_SYNTH, "lambda": True}, [], "lambda"),
+])
+def test_values_rejected_by_key_before_any_work(tmp_path, capsys, monkeypatch, command, config,
+                                                flags, named):
+    payloads = record_trials(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)] + flags) == 4
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and named in err
+    assert payloads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads, cores, workers", [
+    (4000, 8, [6]),  # one per trial
+    (4000, 2, [2]),  # one per core
+    (3, 8, [3]),
+    (4000, None, []),  # an unknown core count runs the trials in process
+    (1, 8, []),
+])
+def test_phase_transition_pool_is_bounded(tmp_path, monkeypatch, threads, cores, workers):
+    payloads = record_trials(monkeypatch)
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    cfg = write_config(tmp_path / "c.json", {"phase_transition": {
+        "delta_start": 0.5, "delta_step": 0.5, "delta_stop": 1.0, "snapshot_counts": [1, 3, 5],
+        "trials": 1}})
+    argv = ["phase-transition", "--config", cfg, "--out", str(tmp_path / "o"),
+            "--threads", str(threads)]
+    assert main(argv) == 0
+    assert len(payloads) == 6
+    assert pools == workers
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError, TypeError])
+def test_error_inside_a_handler_propagates(tmp_path, monkeypatch, error):
+    # only the package's own errors and undecodable JSON mean a bad input
+    def broken(*args, **kwargs):
+        raise error("a bug")
+
+    monkeypatch.setattr(cli, "demix", broken)
+    cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH})
+    with pytest.raises(error, match="a bug"):
+        main(["demix", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+# --- every key, drawn wrong -------------------------------------------------
+
+FUZZ_SYNTH = {"n_sensors": 8, "n_snapshots": 2, "frequencies": [0.1, 0.4], "total_outliers": 1,
+              "outlier_mode": "per-snapshot", "seed": 1}
+# a config of each command that it accepts, small enough to run in milliseconds
+FUZZ_BASE = {
+    "synth": {"synthesis": FUZZ_SYNTH},
+    "demix": {"synthesis": FUZZ_SYNTH, "solver": {"max_iterations": 20}, "lambda": 0.3},
+    "phase-transition": {
+        "synthesis": {"n_sensors": 16}, "solver": {"max_iterations": 20}, "seed": 3, "threads": 1,
+        "phase_transition": dict(SWEEP_SECTION, f1=0.2, delta_step=0.1)},
+    "certificate": {
+        "certificate": dict(CERT_SECTION, n_frequencies=2, separation=0.05, n_outliers=1, seeds=1,
+                            grid_size=4096),
+        "lambda": 0.2, "seed": 1},
+}
+# a synthesis section that draws its frequencies, to read n_frequencies and min_separation
+FUZZ_DRAWN_SYNTH = {"n_sensors": 8, "n_snapshots": 2, "n_frequencies": 2, "min_separation": 0.1}
+FUZZ_INSTANCE = MixtureInstance.from_components([0.3], np.ones((1, 2)), np.zeros((8, 2))).to_json()
+
+# the keys whose negative values are valid, by section (by command at the top
+# level): a frequency, a sweep's base seed (masked to 64 bits), a saved
+# instance's arrays and seed; every other negative number is out of range
+FUZZ_NEGATIVE_OK = {("phase_transition", "f1"), ("synthesis", "frequencies"),
+                    ("phase-transition", "seed"),
+                    *[("instance.json", k) for k in ("frequencies", "amplitudes_re",
+                                                     "amplitudes_im", "outliers_re",
+                                                     "outliers_im", "seed")]}
+
+
+def _annotations(cls):
+    hints = typing.get_type_hints(cls)
+    return {parse.json_key(f): hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _fuzz_keys():
+    """(command, section, key, annotation) for every key of cli._READS and of a saved instance."""
+    keys = []
+    for command, cls in cli._CONFIGS.items():
+        for section, names in cli._READS[command].items():
+            annotations = _annotations(cls if section is None else parse.sections(cls)[section])
+            assert set(annotations) == names
+            keys += [(command, section, key, annotations[key]) for key in sorted(names)]
+    annotations = _annotations(model._SavedInstance)
+    assert set(annotations) == set(FUZZ_INSTANCE)
+    return keys + [("instance.json", None, key, tp) for key, tp in annotations.items()]
+
+
+def _not_a_positive_number(text):
+    try:
+        return text != "auto" and not 0 < float(text) < math.inf
+    except ValueError:
+        return True
+
+
+def _bad_values(tp, signed, key):
+    """Values of the wrong JSON type, non-finite, non-integral or (if signed) negative."""
+    alts = typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+    kinds = set(alts) - {type(None)}
+    kind = kinds.pop() if len(kinds) == 1 else None  # lambda is a float or a string
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    nonfinite = st.sampled_from([math.nan, math.inf, -math.inf])
+    wrong = [st.booleans()] + ([] if type(None) in alts else [st.none()])
+    if dataclasses.is_dataclass(kind):  # a section: anything but an object
+        return st.one_of(*wrong, finite, st.text(max_size=4), st.lists(st.integers(), max_size=2))
+    wrong.append(st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+    if key == "lambda":  # a number, a numeric string, "auto" or null
+        return st.one_of(*wrong, nonfinite, st.lists(finite, max_size=2), st.sampled_from([0, 0.0]),
+                         st.floats(max_value=-1e-300), st.integers(max_value=-1),
+                         st.text(max_size=6).filter(_not_a_positive_number))
+    if typing.get_origin(kind) is tuple:  # a list with one bad item, or no list
+        item = _bad_values(typing.get_args(kind)[0], signed, None)
+        with_bad_item = st.tuples(st.lists(st.just(1), max_size=2), item).map(
+            lambda t: t[0] + [t[1]])
+        return st.one_of(*wrong, finite, st.text(max_size=4), with_bad_item)
+    if kind is str:
+        return st.one_of(*wrong, finite, st.lists(st.text(max_size=2), max_size=2))
+    wrong += [nonfinite, st.text(max_size=4), st.lists(finite, max_size=2)]
+    if kind is int:
+        wrong.append(finite.filter(lambda x: not x.is_integer()))
+    if signed:
+        wrong.append(st.integers(max_value=-1) if kind is int else st.floats(max_value=-1e-300))
+    return st.one_of(*wrong)
+
+
+def _fuzz_config(command, section, key, value, workdir):
+    """(command, config) with ``value`` at ``section.key``, on a base that reads the key."""
+    if command == "instance.json":
+        (workdir / "instance.json").write_text(json.dumps(dict(FUZZ_INSTANCE, **{key: value})))
+        return "demix", {"instance": str(workdir / "instance.json")}
+    config = json.loads(json.dumps(FUZZ_BASE[command]))
+    if command == "demix" and key == "instance":
+        del config["synthesis"]
+    if section == "synthesis" and key in ("n_frequencies", "min_separation"):
+        config["synthesis"] = dict(FUZZ_DRAWN_SYNTH)
+    if section is None:
+        config[key] = value
+    else:
+        config.setdefault(section, {})[key] = value
+    return command, config
+
+
+FUZZ_KEYS = _fuzz_keys()
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASE))
+def test_fuzz_bases_are_accepted(tmp_path, monkeypatch, command):
+    record_trials(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", FUZZ_BASE[command])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 2)
+
+
+@pytest.mark.parametrize("command, section, key, tp", FUZZ_KEYS,
+                         ids=[f"{c}-{s + '.' if s else ''}{k}" for c, s, k, _ in FUZZ_KEYS])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_key_rejects_wrong_values_by_name(command, section, key, tp, data):
+    signed = (section or command, key) not in FUZZ_NEGATIVE_OK
+    value = data.draw(_bad_values(tp, signed, key), label=key)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        workdir = Path(tmp)
+        payloads = record_trials(mp)
+        run, config = _fuzz_config(command, section, key, value, workdir)
+        cfg = write_config(workdir / "c.json", config)
+        out = workdir / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([run, "--config", cfg, "--out", str(out)])
+        assert code == 4, err.getvalue()
+        assert "invalid configuration" in err.getvalue() and key in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert payloads == []
+        assert not out.exists()

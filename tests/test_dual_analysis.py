@@ -214,8 +214,8 @@ class TestDemixReport:
         inst = fig1_instance(seed=4)
         report, sol = demix(inst.measurement, default_lambda(50))
         # signal + outliers reproduce the measurement up to the LS residual
-        resid = np.abs(report.estimated_signal + report.estimated_outliers
-                       - inst.measurement).max()
+        signal = signal_matrix(report.estimated_frequencies, report.estimated_amplitudes, 50)
+        resid = np.abs(signal + report.estimated_outliers - inst.measurement).max()
         assert resid <= 1e-6
         outside = np.setdiff1d(np.arange(50), report.estimated_outlier_rows)
         assert np.abs(report.estimated_outliers[outside]).max() == 0.0

@@ -163,6 +163,30 @@ class TestMixtureInstance:
         back = MixtureInstance.load(tmp_path / "inst.json")
         assert np.array_equal(back.measurement, inst.measurement)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (6, 0), (0, 0)])
+    def test_empty_outliers_rejected(self, shape):
+        with pytest.raises(InvalidDimensionError, match="nonempty"):
+            MixtureInstance.from_components(np.zeros(0), np.zeros((0, shape[1])), np.zeros(shape))
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("n_sensors", 0, InvalidDimensionError),
+        ("n_snapshots", -4, InvalidDimensionError),
+        ("n_sensors", 20.0, InvalidConfigurationError),
+        ("amplitudes_re", [0.0] * 11, InvalidDimensionError),
+        ("outliers_im", [0.0] * 81, InvalidDimensionError),
+        ("frequencies", [0.12, "0.55", 0.9], InvalidConfigurationError),
+        ("seed", True, InvalidConfigurationError),
+    ])
+    def test_from_json_checks_each_key_by_name(self, key, value, error):
+        payload = dict(self._instance().to_json(), **{key: value})
+        with pytest.raises(error, match=key):
+            MixtureInstance.from_json(payload)
+
+    @pytest.mark.parametrize("payload", [[1, 2], {"n_sensors": 20}])
+    def test_from_json_rejects_what_is_not_a_saved_instance(self, payload):
+        with pytest.raises(InvalidConfigurationError):
+            MixtureInstance.from_json(payload)
+
     def test_duplicate_frequencies_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             MixtureInstance.from_components(

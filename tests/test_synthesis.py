@@ -166,8 +166,24 @@ def test_per_snapshot_overflow_rejected():
 
 
 def test_negative_outlier_total_rejected():
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidConfigurationError, match="total_outliers"):
         SynthesisConfig(n_sensors=10, n_snapshots=2, frequencies=(0.1,), total_outliers=-1)
+
+
+@pytest.mark.parametrize("values, named", [
+    (dict(frequencies=(0.1, float("nan"))), "frequencies"),
+    (dict(frequencies=(float("inf"),)), "frequencies"),
+    (dict(n_frequencies=-1), "n_frequencies"),
+    # NaN would fail every >= test and run all the rejection draws
+    (dict(n_frequencies=2, min_separation=float("nan")), "min_separation"),
+    (dict(n_frequencies=2, min_separation=-0.1), "min_separation"),
+    (dict(n_frequencies=2, min_separation=float("inf")), "min_separation"),
+    (dict(frequencies=(0.1,), seed=-1), "seed"),
+], ids=["nan-frequency", "inf-frequency", "negative-n_frequencies", "nan-separation",
+        "negative-separation", "inf-separation", "negative-seed"])
+def test_out_of_range_values_rejected_by_name(values, named):
+    with pytest.raises(InvalidConfigurationError, match=named):
+        SynthesisConfig(n_sensors=8, n_snapshots=1, **values)
 
 
 def test_unknown_model_rejected():
