@@ -229,7 +229,12 @@ class MixtureInstance:
 
     @classmethod
     def load(cls, path) -> "MixtureInstance":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        try:
+            payload = json.loads(Path(path).read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidConfigurationError(
+                f"saved instance {path} is not valid JSON: {exc}") from None
+        return cls.from_json(payload)
 
 
 @dataclass(frozen=True)

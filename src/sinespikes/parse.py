@@ -6,7 +6,8 @@ frozen dataclass whose fields are its keys; ``metadata["key"]`` renames one.
 dataclass' own range checks run: ``int`` is an integer and not a bool,
 ``float`` a finite number, ``str`` a string, ``tuple[X, ...]`` a list of X,
 a dataclass an object read by the same rules, ``X | Y`` either, and
-``X | None`` also null. Keys without a field are not read.
+``X | None`` also null. A key without a field is rejected, at each object
+before any of its values is read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import MISSING, fields, is_dataclass
 
 from .errors import InvalidConfigurationError
 
-__all__ = ["json_key", "read", "sections"]
+__all__ = ["json_key", "read"]
 
 
 def _finite(value) -> bool:
@@ -74,20 +75,20 @@ def read(cls, payload, section: str | None):
     """Build dataclass ``cls`` from a JSON object; messages name keys ``section.key``."""
     if not isinstance(payload, dict):
         raise InvalidConfigurationError(
-            f"{section} must be an object, got {reprlib.repr(payload)}")
+            f"{section or 'the config'} must be an object, got {reprlib.repr(payload)}")
+
+    def path(key):
+        return key if section is None else f"{section}.{key}"
+
+    unread = sorted(payload.keys() - {json_key(f) for f in fields(cls)})
+    if unread:
+        raise InvalidConfigurationError(
+            f"{', '.join(map(path, unread))} {'is' if len(unread) == 1 else 'are'} not read")
     hints, kwargs = typing.get_type_hints(cls), {}
     for f in fields(cls):
         key = json_key(f)
-        name = key if section is None else f"{section}.{key}"
         if key in payload:
-            kwargs[f.name] = _value(payload[key], hints[f.name], name)
+            kwargs[f.name] = _value(payload[key], hints[f.name], path(key))
         elif f.default is MISSING:
-            raise InvalidConfigurationError(f"{name} is required")
+            raise InvalidConfigurationError(f"{path(key)} is required")
     return cls(**kwargs)
-
-
-def sections(cls) -> dict:
-    """The fields of ``cls`` read as dataclasses, by key."""
-    hints = typing.get_type_hints(cls)
-    return {json_key(f): alt for f in fields(cls)
-            for alt in _alternatives(hints[f.name]) if is_dataclass(alt)}

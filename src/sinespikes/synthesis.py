@@ -132,9 +132,14 @@ def spread_total_outliers(total: int, n_snapshots: int, rng) -> np.ndarray:
 
 def synth_frequencies(n_frequencies: int, delta_min: float,
                       rng: np.random.Generator) -> np.ndarray:
-    """Draw frequencies uniformly from ``rng``, rejecting sets separated by < ``delta_min``."""
-    if n_frequencies < 1:
-        raise InvalidConfigurationError("need at least one frequency")
+    """Draw frequencies uniformly from ``rng``, rejecting sets separated by < ``delta_min``.
+
+    Zero frequencies draw nothing from ``rng``.
+    """
+    if n_frequencies < 0:
+        raise InvalidConfigurationError(f"n_frequencies must be nonnegative, got {n_frequencies}")
+    if n_frequencies == 0:
+        return np.zeros(0)
     if n_frequencies * delta_min > 1.0:
         raise InvalidConfigurationError(
             f"{n_frequencies} frequencies at separation {delta_min} do not fit on the circle"

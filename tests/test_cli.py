@@ -319,38 +319,86 @@ ACCEPTED_CONFIG = {
     pytest.param("phase-transition",
                  {"synthesis": {"n_sensors": 16, "outlier_mode": "per-snapshot",
                                 "n_snapshots": 9}},
-                 "synthesis.n_snapshots, synthesis.outlier_mode",
+                 "synthesis.n_snapshots, synthesis.outlier_mode are not read",
                  id="phase-transition-synthesis.n_snapshots+outlier_mode"),
     pytest.param("phase-transition", {"synthesis": {"n_sensors": 16, "seed": 4}},
-                 "synthesis.seed", id="phase-transition-synthesis.seed"),
+                 "synthesis.seed is not read", id="phase-transition-synthesis.seed"),
     pytest.param("phase-transition", {"synthesis": {"n_sensors": 16}, "lambda": 0.05},
-                 "lambda", id="phase-transition-lambda"),
-    pytest.param("phase-transition", {"lambda": "auto"}, "lambda",
+                 "lambda is not read", id="phase-transition-lambda"),
+    pytest.param("phase-transition", {"lambda": "auto"}, "lambda is not read",
                  id="phase-transition-lambda-auto"),
     # its instance would come from synthesis.seed or --seed, not from this key
-    pytest.param("demix", {"seed": 9}, "seed", id="demix-seed"),
-    pytest.param("demix", {"threads": 2}, "threads", id="demix-threads"),
+    pytest.param("demix", {"seed": 9}, "seed is not read", id="demix-seed"),
+    pytest.param("demix", {"threads": 2}, "threads is not read", id="demix-threads"),
     # rejected before the instance is read, so the file need not exist
-    pytest.param("demix", {"instance": "instance.json"}, "synthesis when an instance is given",
+    pytest.param("demix", {"instance": "instance.json"},
+                 "demix does not read synthesis when an instance is given",
                  id="demix-instance+synthesis"),
-    pytest.param("certificate", {"synthesis": SMALL_SYNTH}, "synthesis",
+    pytest.param("certificate", {"synthesis": SMALL_SYNTH}, "synthesis is not read",
                  id="certificate-synthesis"),
-    pytest.param("certificate", {"solver": {"max_iterations": 10}}, "solver",
+    pytest.param("certificate", {"solver": {"max_iterations": 10}}, "solver is not read",
                  id="certificate-solver"),
-    pytest.param("synth", {"lambda": 0.1}, "lambda", id="synth-lambda"),
+    pytest.param("synth", {"lambda": 0.1}, "lambda is not read", id="synth-lambda"),
 ])
 def test_command_rejects_keys_it_drops(tmp_path, capsys, monkeypatch, command, extra, named):
     payloads = record_trials(monkeypatch)
     cfg = write_config(tmp_path / "c.json", dict(ACCEPTED_CONFIG[command], **extra))
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 4
-    assert f"{command} does not read {named}" in capsys.readouterr().err
+    assert f"invalid configuration: {named}\n" in capsys.readouterr().err
+    assert payloads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("outlier_rows", [99]), ("sede", 5)])
+def test_demix_rejects_unread_instance_keys(tmp_path, capsys, key, value):
+    saved = dict(FUZZ_INSTANCE, **{key: value})
+    (tmp_path / "instance.json").write_text(json.dumps(saved))
+    cfg = write_config(tmp_path / "c.json", {"instance": str(tmp_path / "instance.json")})
+    out = tmp_path / "o"
+    assert main(["demix", "--config", cfg, "--out", str(out)]) == 4
+    assert f"invalid configuration: instance.{key} is not read\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a Python source file, and bytes that are not UTF-8
+NOT_JSON = [Path(__file__).read_bytes(), b"\xff\xfe\x00"]
+
+
+@pytest.mark.parametrize("content", NOT_JSON, ids=["python", "not-utf8"])
+def test_config_that_is_not_json_exit_code(tmp_path, capsys, content):
+    (tmp_path / "c.json").write_bytes(content)
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 4
+    assert "config is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", NOT_JSON, ids=["python", "not-utf8"])
+def test_demix_names_an_instance_that_is_not_json(tmp_path, capsys, content):
+    (tmp_path / "instance.json").write_bytes(content)
+    cfg = write_config(tmp_path / "c.json", {"instance": str(tmp_path / "instance.json")})
+    out = tmp_path / "o"
+    assert main(["demix", "--config", cfg, "--out", str(out)]) == 4
+    assert f"saved instance {tmp_path / 'instance.json'} is not valid JSON" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED_CONFIG))
+@pytest.mark.parametrize("config", [[], [{"synthesis": SMALL_SYNTH}], 3])
+def test_config_that_is_not_an_object_exit_code(tmp_path, capsys, monkeypatch, command, config):
+    payloads = record_trials(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert "invalid configuration: the config must be an object" in capsys.readouterr().err
     assert payloads == []
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["demix", "certificate"])
-@pytest.mark.parametrize("lam", ["0", "-0.5", "nan", "inf"])
+@pytest.mark.parametrize("lam", ["0", "-0.5", "nan", "inf", ""])
 def test_unusable_lambda_exit_code(tmp_path, capsys, command, lam):
     cfg = write_config(tmp_path / "c.json", ACCEPTED_CONFIG[command])
     out = tmp_path / "o"
@@ -635,7 +683,7 @@ def test_phase_transition_pool_is_bounded(tmp_path, monkeypatch, threads, cores,
 
 @pytest.mark.parametrize("error", [ValueError, KeyError, TypeError])
 def test_error_inside_a_handler_propagates(tmp_path, monkeypatch, error):
-    # only the package's own errors and undecodable JSON mean a bad input
+    # only the package's own errors mean a bad input
     def broken(*args, **kwargs):
         raise error("a bug")
 
@@ -680,14 +728,19 @@ def _annotations(cls):
     return {parse.json_key(f): hints[f.name] for f in dataclasses.fields(cls)}
 
 
+def _sections(cls):
+    """The fields of ``cls`` read as dataclasses, by key."""
+    return {key: alt for key, tp in _annotations(cls).items()
+            for alt in typing.get_args(tp) or (tp,) if dataclasses.is_dataclass(alt)}
+
+
 def _fuzz_keys():
-    """(command, section, key, annotation) for every key of cli._READS and of a saved instance."""
+    """(command, section, key, annotation) for every key of each config and of a saved instance."""
     keys = []
     for command, cls in cli._CONFIGS.items():
-        for section, names in cli._READS[command].items():
-            annotations = _annotations(cls if section is None else parse.sections(cls)[section])
-            assert set(annotations) == names
-            keys += [(command, section, key, annotations[key]) for key in sorted(names)]
+        for section, sec in {None: cls, **_sections(cls)}.items():
+            annotations = _annotations(sec)
+            keys += [(command, section, key, annotations[key]) for key in sorted(annotations)]
     annotations = _annotations(model._SavedInstance)
     assert set(annotations) == set(FUZZ_INSTANCE)
     return keys + [("instance.json", None, key, tp) for key, tp in annotations.items()]
@@ -748,6 +801,25 @@ def _fuzz_config(command, section, key, value, workdir):
 
 
 FUZZ_KEYS = _fuzz_keys()
+OBJECTS = [(command, section) for command, cls in cli._CONFIGS.items()
+           for section in (None, *_sections(cls))]
+
+
+@pytest.mark.parametrize("command, section", OBJECTS,
+                         ids=[f"{c}-{s or 'top'}" for c, s in OBJECTS])
+def test_every_object_rejects_a_key_it_does_not_read(tmp_path, capsys, monkeypatch, command,
+                                                      section):
+    payloads = record_trials(monkeypatch)
+    config = json.loads(json.dumps(FUZZ_BASE[command]))
+    target = config if section is None else config.setdefault(section, {})
+    target["unread"] = 1
+    cfg = write_config(tmp_path / "c.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    path = "unread" if section is None else f"{section}.unread"
+    assert f"invalid configuration: {path} is not read\n" in capsys.readouterr().err
+    assert payloads == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ_BASE))

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from sinespikes.errors import InvalidConfigurationError
-from sinespikes.parse import read, sections
+from sinespikes.parse import read
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class Outer:
 
 def test_reads_each_annotation():
     out = read(Outer, {"size": 3, "rate": 2, "name": "b", "points": [1, 0.5],
-                       "inner": {"count": 4}, "lambda": "auto", "unread": []}, "outer")
+                       "inner": {"count": 4}, "lambda": "auto"}, "outer")
     assert out == Outer(3, 2.0, "b", (1.0, 0.5), Inner(4), "auto")
     assert type(out.rate) is float and type(out.points[0]) is float
     assert read(Outer, {"size": 3, "points": None, "lambda": 0.1}, None) == Outer(3, lam=0.1)
@@ -50,6 +50,12 @@ def test_defaults_fill_missing_keys():
     ({"size": 1, "inner": []}, "outer.inner must be an object, got []"),
     ({"size": 1, "inner": {"count": 0.5}}, "outer.inner.count must be an integer, got 0.5"),
     ({"size": 1, "lambda": []}, "outer.lambda must be a finite number or a string or null"),
+    ({"size": 1, "unread": []}, "outer.unread is not read"),
+    ({"size": 1, "lam": 0.1, "unread": []}, "outer.lam, outer.unread are not read"),
+    ({"size": 1, "inner": {"count": 1, "extra": 2}}, "outer.inner.extra is not read"),
+    # each object's keys are checked before its values, and objects in field order
+    ({"size": 1.5, "unread": []}, "outer.unread is not read"),
+    ({"size": 1.5, "inner": {"extra": 2}}, "outer.size must be an integer, got 1.5"),
 ])
 def test_rejects_by_key_and_value(payload, message):
     with pytest.raises(InvalidConfigurationError) as exc:
@@ -60,7 +66,5 @@ def test_rejects_by_key_and_value(payload, message):
 def test_rejects_what_is_not_an_object():
     with pytest.raises(InvalidConfigurationError, match="outer must be an object"):
         read(Outer, [1], "outer")
-
-
-def test_sections_are_the_dataclass_fields_by_key():
-    assert sections(Outer) == {"inner": Inner}
+    with pytest.raises(InvalidConfigurationError, match="^the config must be an object, got 3$"):
+        read(Outer, 3, None)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,25 @@ class TestSynthFrequencies:
     def test_infeasible_target_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             synth_frequencies(3, 0.5, np.random.default_rng(0))
+
+    def test_no_frequency_draws_nothing(self):
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        assert synth_frequencies(0, 0.5, rng).shape == (0,)
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_no_frequencies_with_or_without_separation(seed):
+    cfg = SynthesisConfig(n_sensors=12, n_snapshots=3, n_frequencies=0, total_outliers=4,
+                          seed=seed)
+    plain = synth_instance(cfg)
+    separated = synth_instance(replace(cfg, min_separation=0.1))
+    for inst in (plain, separated):
+        assert inst.frequencies.shape == (0,) and inst.amplitudes.shape == (0, 3)
+    np.testing.assert_array_equal(separated.outliers, plain.outliers)
+    np.testing.assert_array_equal(separated.measurement, plain.measurement)
+    np.testing.assert_array_equal(plain.measurement, plain.outliers)
 
 
 def test_distinct_mode_overflow_rejected():
