@@ -20,8 +20,6 @@ from .model import (
     MixtureInstance,
     default_lambda,
     min_separation,
-    signal_matrix,
-    toeplitz_adjoint,
     wrap_distance,
 )
 from .certificate import (
@@ -46,8 +44,6 @@ from .solver import (
 )
 from .synthesis import (
     SynthesisConfig,
-    spread_total_outliers,
-    synth_frequencies,
     synth_instance,
 )
 

@@ -169,7 +169,9 @@ def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
 
     D0, D1, D2 hold the restricted kernel and its derivatives, scaled by
     kappa and kappa^2, at the pairwise frequency differences. ``omega``
-    must hold distinct integer indices in 0..N-1. The row indices l_j and
+    must hold s distinct integer indices in 0..N-1, ``h`` K unit phases,
+    ``b`` K unit rows of length L, and ``r`` an (s, L) array of unit rows,
+    one per outlier row in ascending order. The row indices l_j and
     the derivative weights 2i*pi*kappa*l_j depend on (m, kappa) only,
     which ``build_kernel`` derives from m; they are computed once per pair
     and kept read-only.
@@ -178,15 +180,18 @@ def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
     om = sensor_rows(omega, kernel.n_sensors)
     h = np.atleast_1d(np.asarray(h, dtype=complex))
     b = np.atleast_2d(np.asarray(b, dtype=complex))
-    r = np.asarray(r, dtype=complex).reshape(om.size, -1) if om.size else np.zeros((0, b.shape[1]), complex)
+    r = np.asarray(r, dtype=complex)
     k = f.size
     if h.shape != (k,) or b.shape[0] != k:
         raise InvalidConfigurationError("h and b must provide one row per frequency")
+    if r.shape != (om.size, b.shape[1]):
+        raise InvalidConfigurationError(
+            f"r must have shape {(om.size, b.shape[1])}, one row per outlier row, got {r.shape}")
     if not _is_unit(np.abs(h)):
         raise InvalidConfigurationError("h entries must be unit modulus")
     if not _is_unit(np.linalg.norm(b, axis=1)):
         raise InvalidConfigurationError("b rows must be unit norm")
-    if om.size and not _is_unit(np.linalg.norm(r, axis=1)):
+    if not _is_unit(np.linalg.norm(r, axis=1)):
         raise InvalidConfigurationError("r rows must be unit norm")
 
     l = _row_indices(kernel.half_length)[0]
@@ -246,8 +251,7 @@ def solve_certificate(system: InterpolationSystem,
         )
 
     rhs = np.concatenate([system.phi, np.zeros((k, n_snap))])
-    if system.omega.size:
-        rhs = rhs - lam * (system.b_omega @ system.r)
+    rhs -= lam * (system.b_omega @ system.r)
     ab = np.linalg.solve(system.matrix, rhs)
     alpha, beta = ab[:k], ab[k:]
     gamma = system.kernel.coefficients[:, None] * (system.basis @ ab)
@@ -360,7 +364,7 @@ def validate_certificate(cert: CertificateSolution,
     row_norms = np.linalg.norm(gamma, axis=1)
     clean = np.ones(n, dtype=bool)
     clean[sys.omega] = False
-    outlier_row_margin = float(row_norms[clean].max() / cert.lam) if clean.any() else 0.0
+    outlier_row_margin = float(row_norms[clean].max(initial=0.0) / cert.lam)
 
     passed = (
         interpolation_residual <= 1e-8
@@ -420,7 +424,7 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float | None
     # synthesis' frequency, position and value streams; the amplitude stream is unread
     rng_f, rng_pos, rng_val = (_stream(seed, i) for i in (_FREQUENCIES, _POSITIONS, _VALUES))
     freqs = np.sort((rng_f.random() + separation * np.arange(n_frequencies)) % 1.0)
-    omega = np.sort(rng_pos.choice(n_sensors, n_outliers, replace=False)) if n_outliers else np.array([], int)
+    omega = np.sort(rng_pos.choice(n_sensors, n_outliers, replace=False))
     h = _unit_phases(rng_val, n_frequencies)
     b = rng_val.standard_normal((n_frequencies, n_snapshots)) + 1j * rng_val.standard_normal((n_frequencies, n_snapshots))
     b /= np.linalg.norm(b, axis=1, keepdims=True)

@@ -79,22 +79,14 @@ def recover_amplitudes(measurement: np.ndarray, freqs, outlier_rows):
             f"{k} frequencies plus {rows.size} outlier rows exceed {n} sensors"
         )
     clean = np.setdiff1d(np.arange(n), rows)
-    if k == 0:
-        amplitudes = np.zeros((0, l), dtype=complex)
-        fitted = np.zeros((n, l), dtype=complex)
-    else:
-        if clean.size < k:
-            raise IllPosedRecoveryError("not enough clean rows to fit the amplitudes")
-        vander = np.exp(2j * np.pi * np.outer(np.arange(n), f))
-        sol, _, rank, _ = np.linalg.lstsq(vander[clean], y[clean], rcond=None)
-        if rank < k:
-            raise IllPosedRecoveryError(
-                f"Vandermonde system is rank deficient ({rank} < {k})"
-            )
-        amplitudes = sol
-        fitted = vander @ amplitudes
+    vander = np.exp(2j * np.pi * np.outer(np.arange(n), f))
+    amplitudes, _, rank, _ = np.linalg.lstsq(vander[clean], y[clean], rcond=None)
+    if rank < k:
+        raise IllPosedRecoveryError(
+            f"Vandermonde system is rank deficient ({rank} < {k})"
+        )
     outliers = np.zeros((n, l), dtype=complex)
-    outliers[rows] = (y - fitted)[rows]
+    outliers[rows] = (y - vander @ amplitudes)[rows]
     return amplitudes, outliers
 
 
@@ -134,7 +126,7 @@ def duality_gap(amplitudes: np.ndarray, outliers: np.ndarray,
     the unit-norm atom cancels against the sqrt(N) relating amplitude rows
     to atomic coefficients, so amplitude row norms enter directly.
     """
-    primal = float(np.linalg.norm(np.atleast_2d(amplitudes), axis=1).sum()) if np.size(amplitudes) else 0.0
+    primal = float(np.linalg.norm(np.atleast_2d(amplitudes), axis=1).sum())
     primal += lam * float(np.linalg.norm(outliers, axis=1).sum())
     dual = solution.objective
     return abs(dual - primal) / max(1.0, abs(dual))

@@ -142,22 +142,18 @@ def _mirror_index(n: int) -> np.ndarray:
 
 
 def _affine_hermitian(h: np.ndarray) -> np.ndarray:
-    """Affine projection of an exactly Hermitian matrix (see _project_affine_lambda)."""
-    n = h.shape[0]
-    defect = toeplitz_adjoint(h)
-    defect[0] -= 1.0
-    defect /= np.arange(n, 0, -1)
-    return h - np.concatenate((defect, defect.conj()))[_mirror_index(n)]
-
-
-def _project_affine_lambda(mat: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian matrix whose k-th superdiagonal sums to [k == 0].
+    """Nearest Hermitian matrix to the exactly Hermitian ``h`` whose k-th
+    superdiagonal sums to [k == 0].
 
     Subtracting the mean defect from each superdiagonal (and mirroring) is
     the Frobenius-nearest correction because the constraints decouple per
     diagonal and each one is a hyperplane.
     """
-    return _affine_hermitian(_hermitize(mat))
+    n = h.shape[0]
+    defect = toeplitz_adjoint(h)
+    defect[0] -= 1.0
+    defect /= np.arange(n, 0, -1)
+    return h - np.concatenate((defect, defect.conj()))[_mirror_index(n)]
 
 
 def project_row_ball(gamma: np.ndarray, lam: float) -> np.ndarray:

@@ -125,8 +125,7 @@ def spread_total_outliers(total: int, n_snapshots: int, rng) -> np.ndarray:
         raise InvalidConfigurationError("total outlier count must be nonnegative")
     base, extra = divmod(total, n_snapshots)
     counts = np.full(n_snapshots, base, dtype=int)
-    if extra:
-        counts[rng.choice(n_snapshots, extra, replace=False)] += 1
+    counts[rng.choice(n_snapshots, extra, replace=False)] += 1
     return counts
 
 
@@ -134,18 +133,17 @@ def synth_frequencies(n_frequencies: int, delta_min: float,
                       rng: np.random.Generator) -> np.ndarray:
     """Draw frequencies uniformly from ``rng``, rejecting sets separated by < ``delta_min``.
 
-    Zero frequencies draw nothing from ``rng``.
+    Fewer than two frequencies have no pair to separate: they are one
+    draw of ``n_frequencies`` values, so zero frequencies draw nothing.
     """
     if n_frequencies < 0:
         raise InvalidConfigurationError(f"n_frequencies must be nonnegative, got {n_frequencies}")
-    if n_frequencies == 0:
-        return np.zeros(0)
     if n_frequencies * delta_min > 1.0:
         raise InvalidConfigurationError(
             f"{n_frequencies} frequencies at separation {delta_min} do not fit on the circle"
         )
-    if n_frequencies == 1:
-        return np.array([rng.random()])
+    if n_frequencies < 2:
+        return rng.random(n_frequencies)
     for _ in range(_MAX_REJECTIONS):
         f = rng.random(n_frequencies)
         if min_separation(f) >= delta_min:
@@ -171,10 +169,8 @@ def synth_instance(cfg: SynthesisConfig) -> MixtureInstance:
 
     if cfg.frequencies is not None:
         freqs = np.asarray(cfg.frequencies, dtype=float) % 1.0
-    elif cfg.min_separation is None:
-        freqs = np.sort(_stream(cfg.seed, _FREQUENCIES).random(cfg.n_frequencies))
     else:
-        freqs = synth_frequencies(cfg.n_frequencies, cfg.min_separation,
+        freqs = synth_frequencies(cfg.n_frequencies, cfg.min_separation or 0.0,
                                   _stream(cfg.seed, _FREQUENCIES))
 
     # standard complex normal: unit total variance per entry
@@ -187,7 +183,6 @@ def synth_instance(cfg: SynthesisConfig) -> MixtureInstance:
     rng_val = _stream(cfg.seed, _VALUES)
     outliers = np.zeros((n, l), dtype=complex)
     for col, rows in enumerate(_outlier_columns(cfg, counts, rng_pos)):
-        if rows.size:
-            outliers[rows, col] = _unit_phases(rng_val, rows.size)
+        outliers[rows, col] = _unit_phases(rng_val, rows.size)
 
     return MixtureInstance.from_components(freqs, amplitudes, outliers, seed=cfg.seed)

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from sinespikes import (
     CertificateSolution,
+    MixtureInstance,
     build_kernel,
     build_system,
+    demix,
     locate_frequencies,
     restrict_kernel,
     run_certificate,
     solve_certificate,
+    success,
     trigpoly,
     validate_certificate,
 )
@@ -167,6 +170,14 @@ class TestBuildSystem:
         r = np.ones((len(omega), 1), dtype=complex)
         with pytest.raises(InvalidConfigurationError):
             build_system([0.3], omega, [1.0], np.ones((1, 1)), r, kern)
+
+    @pytest.mark.parametrize("r", [np.full((1, 4), 2**-0.5), np.full((2, 3), 3**-0.5),
+                                   np.full(4, 2**-0.5)], ids=["1x4", "2x3", "flat"])
+    def test_r_must_be_one_row_per_outlier_row_and_snapshot(self, r):
+        # every r has unit rows, or unit rows once regrouped in pairs; two
+        # outlier rows over two snapshots need a (2, 2) r
+        with pytest.raises(InvalidConfigurationError, match="shape"):
+            build_system([0.3], [3, 17], [1.0], np.full((1, 2), 2**-0.5), r, build_kernel(20))
 
     def test_sensor_rows_are_sorted(self):
         kern = build_kernel(20)
@@ -371,6 +382,18 @@ class TestValidateCertificate:
         assert report.outlier_row_margin == 0.0
         assert report.passed
 
+    def test_every_row_an_outlier(self):
+        # no clean row is left to stay inside the ball
+        kern = build_kernel(20)
+        omega = np.arange(kern.n_sensors)
+        r = np.exp(2j * np.pi * np.random.default_rng(0).random((omega.size, 2))) / math.sqrt(2)
+        sys = build_system([], omega, np.ones(0), np.ones((0, 2)), r,
+                           restrict_kernel(kern, omega))
+        lam = 1 / math.sqrt(kern.n_sensors)
+        cert = CertificateSolution(alpha=np.zeros((0, 2)), beta=np.zeros((0, 2)), gamma=lam * r,
+                                   system=sys, lam=lam, condition_number=1.0)
+        assert validate_certificate(cert).outlier_row_margin == 0.0
+
     def test_default_separation_is_four_over_n_minus_one(self):
         _, report = run_certificate(201, 2, None, 5)
         _, expected = run_certificate(201, 2, 4 / 200, 5)
@@ -566,3 +589,35 @@ def test_near_indices_match_distance_to_every_node(size, data):
     dense = wrap_distance(grid[:, None], freqs).min(axis=1, initial=math.inf) <= radius
     np.testing.assert_array_equal(np.unique(_near_indices(grid, freqs, radius)),
                                   np.flatnonzero(dense))
+
+
+def certified_instance(cert, seed):
+    """The instance a solved certificate certifies.
+
+    Line k is c_k Q(f_k) and outlier row j is d_j r_j on Omega, with c and d
+    drawn from U[0.5, 1.5]. Q(f_k) is read from the dual variable itself:
+    the premodulated target phi_k differs from it by exp(2i*pi*m*f_k).
+    """
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.5, 1.5, cert.freqs.size)
+    d = rng.uniform(0.5, 1.5, cert.omega.size)
+    amplitudes = c[:, None] * trigpoly.evaluate(cert.gamma, cert.freqs)
+    outliers = np.zeros_like(cert.gamma)
+    outliers[cert.omega] = d[:, None] * cert.system.r
+    return MixtureInstance.from_components(cert.freqs, amplitudes, outliers, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_passing_certificate_predicts_exact_recovery(seed):
+    # the certified decomposition is the unique optimum, so demix recovers it
+    # to the solver's tolerance: amplitudes included, since a line phase
+    # off by exp(2i*pi*m*f_k) still recovers the frequencies
+    cert, report = run_certificate(41, 2, None, 3, n_snapshots=3, seed=seed)
+    assert report.passed
+    inst = certified_instance(cert, seed)
+    result, _ = demix(inst.measurement, cert.lam)
+    assert success(result.estimated_frequencies, inst.frequencies)
+    np.testing.assert_array_equal(result.estimated_outlier_rows, cert.omega)
+    nearest = wrap_distance(result.estimated_frequencies, inst.frequencies[:, None]).argmin(axis=1)
+    assert np.abs(result.estimated_amplitudes[nearest] - inst.amplitudes).max() <= 1e-3
+    assert np.abs(result.estimated_outliers - inst.outliers).max() <= 1e-3

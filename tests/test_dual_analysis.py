@@ -9,7 +9,6 @@ from sinespikes import (
     locate_frequencies,
     locate_outliers,
     recover_amplitudes,
-    signal_matrix,
     solve_dual_sdp,
     success,
     synth_instance,
@@ -21,6 +20,7 @@ from sinespikes.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
 )
+from sinespikes.model import signal_matrix
 from sinespikes.solver import SdpSolution
 
 
@@ -149,6 +149,12 @@ class TestRecoverAmplitudes:
         assert a.shape == (0, 2)
         np.testing.assert_allclose(z[[1, 3]], y[[1, 3]])
         assert np.abs(z[[0, 2, 4, 5]]).max() == 0.0
+
+    def test_no_frequencies_and_every_row_an_outlier(self):
+        y = np.arange(12, dtype=complex).reshape(6, 2)
+        a, z = recover_amplitudes(y, [], range(6))
+        assert a.shape == (0, 2)
+        np.testing.assert_array_equal(z, y)
 
     def test_all_rows_outliers_rejected(self):
         y = np.ones((5, 2), dtype=complex)

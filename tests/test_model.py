@@ -4,11 +4,9 @@ import pytest
 from sinespikes import (
     MixtureInstance,
     min_separation,
-    signal_matrix,
-    toeplitz_adjoint,
     wrap_distance,
 )
-from sinespikes.model import sensor_rows
+from sinespikes.model import sensor_rows, signal_matrix, toeplitz_adjoint
 from sinespikes.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,

@@ -8,11 +8,11 @@ from sinespikes import (
     project_psd,
     project_row_ball,
     solve_dual_sdp,
-    toeplitz_adjoint,
 )
 from sinespikes import solver
-from sinespikes.solver import _project_affine_lambda
 from sinespikes.errors import InvalidConfigurationError, InvalidDimensionError
+from sinespikes.model import toeplitz_adjoint
+from sinespikes.solver import _affine_hermitian, _hermitize
 
 
 def random_hermitian(rng, n):
@@ -97,17 +97,18 @@ class TestProjectPsd:
 class TestProjectAffineLambda:
     def test_identity(self):
         n = 7
-        np.testing.assert_allclose(_project_affine_lambda(np.eye(n)), np.eye(n) / n, atol=1e-14)
+        np.testing.assert_allclose(_affine_hermitian(_hermitize(np.eye(n))), np.eye(n) / n,
+                                   atol=1e-14)
 
     def test_feasible_fixed_point(self):
         rng = np.random.default_rng(4)
-        m = _project_affine_lambda(random_hermitian(rng, 6))
-        np.testing.assert_allclose(_project_affine_lambda(m), m, atol=1e-13)
+        m = _affine_hermitian(_hermitize(random_hermitian(rng, 6)))
+        np.testing.assert_allclose(_affine_hermitian(_hermitize(m)), m, atol=1e-13)
 
     def test_constraint_and_oracle(self):
         rng = np.random.default_rng(5)
         m = random_hermitian(rng, 6)
-        p = _project_affine_lambda(m)
+        p = _affine_hermitian(_hermitize(m))
         target = np.zeros(6)
         target[0] = 1.0
         np.testing.assert_allclose(toeplitz_adjoint(p), target, atol=1e-14)
@@ -116,17 +117,17 @@ class TestProjectAffineLambda:
     def test_distance_dominates_feasible_points(self):
         rng = np.random.default_rng(6)
         m = random_hermitian(rng, 5)
-        p = _project_affine_lambda(m)
+        p = _affine_hermitian(_hermitize(m))
         base = np.linalg.norm(m - p)
         for _ in range(25):
-            f = _project_affine_lambda(random_hermitian(rng, 5))
+            f = _affine_hermitian(_hermitize(random_hermitian(rng, 5)))
             assert np.linalg.norm(m - f) >= base - 1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         m = random_hermitian(rng, 8)
-        p = _project_affine_lambda(m)
-        np.testing.assert_allclose(_project_affine_lambda(p), p, atol=1e-12)
+        p = _affine_hermitian(_hermitize(m))
+        np.testing.assert_allclose(_affine_hermitian(_hermitize(p)), p, atol=1e-12)
 
 
 class TestProjectRowBall:
@@ -371,8 +372,8 @@ def test_project_affine_lambda_matches_full_affine_bit_for_bit():
     rng = np.random.default_rng(16)
     for n in (1, 2, 7, 30, 55):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert_same_bits(_project_affine_lambda(m), full_affine(m))
-        assert_same_bits(_project_affine_lambda(m[::-1, ::-1]), full_affine(m[::-1, ::-1]))
+        assert_same_bits(_affine_hermitian(_hermitize(m)), full_affine(m))
+        assert_same_bits(_affine_hermitian(_hermitize(m[::-1, ::-1])), full_affine(m[::-1, ::-1]))
 
 
 def test_project_psd_matches_full_clamp_bit_for_bit():

@@ -7,14 +7,12 @@ from sinespikes import (
     MixtureInstance,
     SynthesisConfig,
     min_separation,
-    signal_matrix,
-    spread_total_outliers,
-    synth_frequencies,
     synth_instance,
     synthesis,
 )
 from sinespikes.errors import InvalidConfigurationError
-from sinespikes.synthesis import OUTLIER_MODES
+from sinespikes.model import signal_matrix
+from sinespikes.synthesis import OUTLIER_MODES, spread_total_outliers, synth_frequencies
 
 
 def fig_config(seed=0, **overrides):
@@ -122,6 +120,13 @@ def test_total_outlier_spread():
     assert inst.outlier_rows.size == 10  # distinct sensors
 
 
+def test_even_spread_draws_nothing():
+    rng = synthesis._stream(3, synthesis._POSITIONS)
+    np.testing.assert_array_equal(spread_total_outliers(6, 3, rng), [2, 2, 2])
+    np.testing.assert_array_equal(rng.random(4),
+                                  synthesis._stream(3, synthesis._POSITIONS).random(4))
+
+
 class TestSynthFrequencies:
     def test_pair_within_torus_bounds(self):
         f = synth_frequencies(2, 0.4, np.random.default_rng(0))
@@ -147,6 +152,15 @@ class TestSynthFrequencies:
         state = rng.bit_generator.state
         assert synth_frequencies(0, 0.5, rng).shape == (0,)
         assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n_frequencies", [1, 3])
+def test_unset_separation_draws_as_zero_separation(n_frequencies):
+    cfg = SynthesisConfig(n_sensors=12, n_snapshots=3, n_frequencies=n_frequencies,
+                          total_outliers=4, seed=5)
+    unset, zero = synth_instance(cfg), synth_instance(replace(cfg, min_separation=0.0))
+    for name in ("frequencies", "amplitudes", "outliers", "measurement"):
+        assert getattr(unset, name).tobytes() == getattr(zero, name).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 9])
