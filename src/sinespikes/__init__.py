@@ -7,44 +7,23 @@ that constructs and numerically validates the randomized dual certificate
 underlying the recovery guarantee.
 """
 
-from .dual_analysis import (
-    DemixReport,
-    demix,
-    duality_gap,
-    locate_frequencies,
-    locate_outliers,
-    recover_amplitudes,
-    success,
-)
-from .model import (
-    MixtureInstance,
-    default_lambda,
-    min_separation,
-    wrap_distance,
-)
+from .dual_analysis import DemixReport, demix, success
+from .model import MixtureInstance, default_lambda
 from .certificate import (
     CertificateReport,
     CertificateSolution,
-    Kernel,
     ValidationOptions,
-    build_kernel,
-    build_system,
-    restrict_kernel,
     run_certificate,
-    solve_certificate,
-    validate_certificate,
 )
-from .solver import (
-    DualSdpProblem,
-    SdpSolution,
-    SolverOptions,
-    project_psd,
-    project_row_ball,
-    solve_dual_sdp,
-)
-from .synthesis import (
-    SynthesisConfig,
-    synth_instance,
-)
+from .solver import DualSdpProblem, SdpSolution, SolverOptions, solve_dual_sdp
+from .synthesis import SynthesisConfig, synth_instance
+
+__all__ = [
+    "DemixReport", "demix", "success",
+    "MixtureInstance", "default_lambda",
+    "CertificateReport", "CertificateSolution", "ValidationOptions", "run_certificate",
+    "DualSdpProblem", "SdpSolution", "SolverOptions", "solve_dual_sdp",
+    "SynthesisConfig", "synth_instance",
+]
 
 __version__ = "0.1.0"

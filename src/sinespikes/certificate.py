@@ -28,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import trigpoly
 from .errors import CertificateFailureError, InvalidConfigurationError
 from .model import default_lambda, sensor_rows, wrap_distance
-from .synthesis import _FREQUENCIES, _POSITIONS, _VALUES, _stream, _unit_phases
+from .synthesis import FREQUENCIES, POSITIONS, VALUES, stream, unit_phases
 
 __all__ = [
     "CertificateReport",
@@ -52,7 +53,7 @@ __all__ = [
     "validate_certificate",
 ]
 
-FACTOR_RATES = (0.247, 0.339, 0.414)
+_FACTOR_RATES = (0.247, 0.339, 0.414)
 
 # The near region around each frequency has radius _NEAR_RADIUS / m. The
 # curvature check samples it at _NEAR_GRID equispaced points, taken for all
@@ -97,15 +98,23 @@ def build_kernel(m: int) -> Kernel:
     """
     if m < 4:
         raise InvalidConfigurationError(f"kernel half-length must be >= 4, got {m}")
-    coeffs, kappa = _kernel_coefficients(m)
-    return Kernel(half_length=m, coefficients=coeffs.copy(), kappa=kappa)
+    table = _size_table(m)
+    return Kernel(half_length=m, coefficients=table.coefficients.copy(), kappa=table.kappa)
+
+
+class _SizeTable(NamedTuple):
+    coefficients: np.ndarray       # kernel coefficients over l = -m..m
+    kappa: float
+    rows: np.ndarray               # kernel indices l_j = m - j of the 2m+1 rows
+    row_weight: np.ndarray         # column 2i*pi*l_j, weighting the rows of P into those of P'
+    derivative_weight: np.ndarray  # 2i*pi*kappa*l_j, the derivative columns of F
 
 
 @lru_cache(maxsize=16)
-def _kernel_coefficients(m: int) -> tuple[np.ndarray, float]:
-    """The read-only coefficients over l = -m..m and kappa of ``build_kernel(m)``."""
+def _size_table(m: int) -> _SizeTable:
+    """What the certificate needs of m alone, computed once per m; the arrays are read-only."""
     coeffs = np.array([1.0])
-    for rate in FACTOR_RATES:
+    for rate in _FACTOR_RATES:
         mi = int(math.floor(rate * m))
         coeffs = np.convolve(coeffs, np.full(2 * mi + 1, 1.0 / (2 * mi + 1)))
     half_support = coeffs.size // 2
@@ -113,27 +122,12 @@ def _kernel_coefficients(m: int) -> tuple[np.ndarray, float]:
     full[m - half_support : m + half_support + 1] = coeffs
     # K''(0) = -sum_l (2*pi*l)^2 c_l
     kappa = 1.0 / math.sqrt(np.sum((2 * np.pi * np.arange(-m, m + 1)) ** 2 * full))
-    full.flags.writeable = False
-    return full, kappa
-
-
-@lru_cache(maxsize=16)
-def _row_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only kernel indices l_j = m - j of the 2m+1 rows, and the
-    column 2i*pi*l_j that weights the rows of P into the rows of P'.
-    """
     l = m - np.arange(2 * m + 1)
-    weight = 2j * np.pi * l[:, None]
-    l.flags.writeable = weight.flags.writeable = False
-    return l, weight
-
-
-@lru_cache(maxsize=16)
-def _scaled_derivative_weight(m: int, kappa: float) -> np.ndarray:
-    """The read-only weights 2i*pi*kappa*l_j of the derivative columns of F."""
-    weight = 2j * np.pi * kappa * _row_indices(m)[0]
-    weight.flags.writeable = False
-    return weight
+    row_weight = 2j * np.pi * l[:, None]
+    derivative_weight = 2j * np.pi * kappa * l
+    for array in (full, l, row_weight, derivative_weight):
+        array.flags.writeable = False
+    return _SizeTable(full, kappa, l, row_weight, derivative_weight)
 
 
 def restrict_kernel(kernel: Kernel, omega) -> Kernel:
@@ -153,9 +147,9 @@ class InterpolationSystem:
     matrix: np.ndarray          # F^H C F = [[D0, D1], [-D1, D2]]
     basis: np.ndarray           # F, (N, 2K)
     phi: np.ndarray             # (K, L), rows h_k b_k^H
-    r: np.ndarray               # (s, L), unit rows
+    r: np.ndarray               # (s, L), unit rows; row i belongs to omega[i]
     freqs: np.ndarray
-    omega: np.ndarray           # sensor indices of the outlier rows
+    omega: np.ndarray           # ascending sensor indices of the outlier rows
     kernel: Kernel
 
     @property
@@ -171,10 +165,10 @@ def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
     kappa and kappa^2, at the pairwise frequency differences. ``omega``
     must hold s distinct integer indices in 0..N-1, ``h`` K unit phases,
     ``b`` K unit rows of length L, and ``r`` an (s, L) array of unit rows,
-    one per outlier row in ascending order. The row indices l_j and
-    the derivative weights 2i*pi*kappa*l_j depend on (m, kappa) only,
-    which ``build_kernel`` derives from m; they are computed once per pair
-    and kept read-only.
+    row i for sensor row omega[i]. The system holds omega ascending and r's
+    rows in that order. The row indices l_j and the derivative weights
+    2i*pi*kappa*l_j depend on m only; they are computed once per m and kept
+    read-only.
     """
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
     om = sensor_rows(omega, kernel.n_sensors)
@@ -193,11 +187,11 @@ def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
         raise InvalidConfigurationError("b rows must be unit norm")
     if not _is_unit(np.linalg.norm(r, axis=1)):
         raise InvalidConfigurationError("r rows must be unit norm")
+    r = r[np.argsort(np.atleast_1d(omega), kind="stable")]  # r's rows in om's order
 
-    l = _row_indices(kernel.half_length)[0]
-    e = np.exp(-2j * np.pi * np.outer(l, f))
-    weight = _scaled_derivative_weight(kernel.half_length, kernel.kappa)
-    basis = np.concatenate([e, weight[:, None] * e], axis=1)
+    table = _size_table(kernel.half_length)
+    e = np.exp(-2j * np.pi * np.outer(table.rows, f))
+    basis = np.concatenate([e, table.derivative_weight[:, None] * e], axis=1)
     matrix = basis.conj().T @ (kernel.coefficients[:, None] * basis)
     phi = h[:, None] * b.conj()
     return InterpolationSystem(
@@ -339,7 +333,7 @@ def validate_certificate(cert: CertificateSolution,
     # row sums of gamma and of 2i*pi*l_j gamma[j]
     n_snap = gamma.shape[1]
     nodes = np.exp(2j * np.pi * m * freqs)[:, None] * trigpoly.evaluate(
-        np.concatenate([gamma, _row_indices(m)[1] * gamma], axis=1), freqs)
+        np.concatenate([gamma, _size_table(m).row_weight * gamma], axis=1), freqs)
     p_val, p_der = nodes[:, :n_snap], nodes[:, n_snap:]
     res_val = float(np.linalg.norm(p_val - sys.phi, axis=1).max(initial=0.0))
     res_der = float((sys.kernel.kappa * np.linalg.norm(p_der, axis=1)).max(initial=0.0))
@@ -422,13 +416,13 @@ def run_certificate(n_sensors: int, n_frequencies: int, separation: float | None
     if separation is None:
         separation = default_separation(n_sensors)
     # synthesis' frequency, position and value streams; the amplitude stream is unread
-    rng_f, rng_pos, rng_val = (_stream(seed, i) for i in (_FREQUENCIES, _POSITIONS, _VALUES))
+    rng_f, rng_pos, rng_val = (stream(seed, i) for i in (FREQUENCIES, POSITIONS, VALUES))
     freqs = np.sort((rng_f.random() + separation * np.arange(n_frequencies)) % 1.0)
     omega = np.sort(rng_pos.choice(n_sensors, n_outliers, replace=False))
-    h = _unit_phases(rng_val, n_frequencies)
+    h = unit_phases(rng_val, n_frequencies)
     b = rng_val.standard_normal((n_frequencies, n_snapshots)) + 1j * rng_val.standard_normal((n_frequencies, n_snapshots))
     b /= np.linalg.norm(b, axis=1, keepdims=True)
-    r = _unit_phases(rng_val, (n_outliers, n_snapshots)) / math.sqrt(n_snapshots)
+    r = unit_phases(rng_val, (n_outliers, n_snapshots)) / math.sqrt(n_snapshots)
 
     kernel = restrict_kernel(kernel, omega)
     # premodulate the node targets so that Q itself interpolates h_k b_k^H

@@ -21,7 +21,6 @@ from .solver import DualSdpProblem, SdpSolution, SolverOptions, solve_dual_sdp
 __all__ = [
     "DemixReport",
     "demix",
-    "duality_gap",
     "locate_frequencies",
     "locate_outliers",
     "recover_amplitudes",
@@ -117,8 +116,8 @@ class DemixReport:
         }
 
 
-def duality_gap(amplitudes: np.ndarray, outliers: np.ndarray,
-                solution: SdpSolution, lam: float) -> float:
+def _duality_gap(amplitudes: np.ndarray, outliers: np.ndarray,
+                 solution: SdpSolution, lam: float) -> float:
     """Normalized gap between the dual objective and the primal value.
 
     The primal value of the recovered decomposition is
@@ -168,7 +167,7 @@ def demix(measurement: np.ndarray, lam: float,
         # best effort: keep the outlier rows, drop the spectral estimate
         freqs = peaks = np.array([], dtype=float)
         amplitudes, outliers = recover_amplitudes(problem.measurement, freqs, rows)
-    gap = duality_gap(amplitudes, outliers, solution, lam)
+    gap = _duality_gap(amplitudes, outliers, solution, lam)
     report = DemixReport(
         estimated_frequencies=freqs,
         estimated_amplitudes=amplitudes,

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CertificateFailureError",
+    "IllPosedRecoveryError",
+    "InvalidConfigurationError",
+    "InvalidDimensionError",
+    "NumericalFailureError",
+    "SineSpikesError",
+    "SynthesisFailureError",
+    "UndefinedSeparationError",
+]
+
 
 class SineSpikesError(Exception):
     """Base class for all package errors."""

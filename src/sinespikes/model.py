@@ -32,7 +32,6 @@ __all__ = [
     "min_separation",
     "resolve_lambda",
     "sensor_rows",
-    "signal_matrix",
     "toeplitz_adjoint",
     "wrap_distance",
 ]
@@ -128,7 +127,7 @@ def toeplitz_adjoint(mat: np.ndarray) -> np.ndarray:
     return sums if np.iscomplexobj(m) else sums.real
 
 
-def signal_matrix(freqs, amplitudes, n_sensors: int) -> np.ndarray:
+def _signal_matrix(freqs, amplitudes, n_sensors: int) -> np.ndarray:
     """Assemble S[j, l] = sum_k A[k, l] exp(2i*pi*j*f_k)."""
     f = np.asarray(freqs, dtype=float)
     a = np.asarray(amplitudes, dtype=complex)
@@ -197,7 +196,7 @@ class MixtureInstance:
         a = np.asarray(amplitudes, dtype=complex)
         z = np.asarray(outliers, dtype=complex)
         return cls(frequencies=f, amplitudes=a, outliers=z,
-                   measurement=signal_matrix(f, a, z.shape[0]) + z, seed=seed)
+                   measurement=_signal_matrix(f, a, z.shape[0]) + z, seed=seed)
 
     def to_json(self) -> dict:
         """JSON-ready dict; complex arrays stored as re/im pairs, row-major."""

@@ -20,7 +20,7 @@ from dataclasses import MISSING, fields, is_dataclass
 
 from .errors import InvalidConfigurationError
 
-__all__ = ["json_key", "read"]
+__all__ = ["read"]
 
 
 def _finite(value) -> bool:
@@ -38,7 +38,7 @@ _SCALARS = {
 }
 
 
-def json_key(f) -> str:
+def _json_key(f) -> str:
     return f.metadata.get("key", f.name)
 
 
@@ -80,13 +80,13 @@ def read(cls, payload, section: str | None):
     def path(key):
         return key if section is None else f"{section}.{key}"
 
-    unread = sorted(payload.keys() - {json_key(f) for f in fields(cls)})
+    unread = sorted(payload.keys() - {_json_key(f) for f in fields(cls)})
     if unread:
         raise InvalidConfigurationError(
             f"{', '.join(map(path, unread))} {'is' if len(unread) == 1 else 'are'} not read")
     hints, kwargs = typing.get_type_hints(cls), {}
     for f in fields(cls):
-        key = json_key(f)
+        key = _json_key(f)
         if key in payload:
             kwargs[f.name] = _value(payload[key], hints[f.name], path(key))
         elif f.default is MISSING:

@@ -19,23 +19,25 @@ from .errors import InvalidConfigurationError, SynthesisFailureError
 from .model import MixtureInstance, min_separation
 
 __all__ = [
-    "OUTLIER_MODES",
+    "FREQUENCIES",
+    "POSITIONS",
     "SynthesisConfig",
-    "spread_total_outliers",
-    "synth_frequencies",
+    "VALUES",
+    "stream",
     "synth_instance",
+    "unit_phases",
 ]
 
-OUTLIER_MODES = ("per-snapshot", "distinct-sensors-overall")
+_OUTLIER_MODES = ("per-snapshot", "distinct-sensors-overall")
 
 _MAX_REJECTIONS = 10**6
 
 # The substreams of an instance seed, in the order SeedSequence(seed).spawn(4)
-# numbers its children.
-_FREQUENCIES, _AMPLITUDES, _POSITIONS, _VALUES = range(4)
+# numbers its children; ``run_certificate`` draws from all but the amplitudes.
+FREQUENCIES, _AMPLITUDES, POSITIONS, VALUES = range(4)
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
+def stream(seed: int, index: int) -> np.random.Generator:
     """Philox generator of substream ``index`` of ``seed``.
 
     Child i of ``SeedSequence(seed).spawn(4)`` is the sequence with spawn key
@@ -44,7 +46,7 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
-def _unit_phases(rng, shape):
+def unit_phases(rng, shape):
     return np.exp(2j * np.pi * rng.random(shape))
 
 
@@ -95,10 +97,10 @@ class SynthesisConfig:
         if self.min_separation is not None and not 0 <= self.min_separation < math.inf:
             raise InvalidConfigurationError(
                 f"min_separation must be nonnegative and finite, got {self.min_separation}")
-        if self.outlier_mode not in OUTLIER_MODES:
+        if self.outlier_mode not in _OUTLIER_MODES:
             raise InvalidConfigurationError(
                 f"unknown outlier mode {self.outlier_mode!r}: "
-                f"outlier_mode is one of {OUTLIER_MODES}"
+                f"outlier_mode is one of {_OUTLIER_MODES}"
             )
         if self.total_outliers < 0:
             raise InvalidConfigurationError(
@@ -116,7 +118,7 @@ class SynthesisConfig:
             )
 
 
-def spread_total_outliers(total: int, n_snapshots: int, rng) -> np.ndarray:
+def _spread_total_outliers(total: int, n_snapshots: int, rng) -> np.ndarray:
     """Spread ``total`` outliers over snapshots as evenly as possible.
 
     The snapshots receiving the remainder are chosen uniformly at random.
@@ -129,8 +131,8 @@ def spread_total_outliers(total: int, n_snapshots: int, rng) -> np.ndarray:
     return counts
 
 
-def synth_frequencies(n_frequencies: int, delta_min: float,
-                      rng: np.random.Generator) -> np.ndarray:
+def _synth_frequencies(n_frequencies: int, delta_min: float,
+                       rng: np.random.Generator) -> np.ndarray:
     """Draw frequencies uniformly from ``rng``, rejecting sets separated by < ``delta_min``.
 
     Fewer than two frequencies have no pair to separate: they are one
@@ -170,19 +172,19 @@ def synth_instance(cfg: SynthesisConfig) -> MixtureInstance:
     if cfg.frequencies is not None:
         freqs = np.asarray(cfg.frequencies, dtype=float) % 1.0
     else:
-        freqs = synth_frequencies(cfg.n_frequencies, cfg.min_separation or 0.0,
-                                  _stream(cfg.seed, _FREQUENCIES))
+        freqs = _synth_frequencies(cfg.n_frequencies, cfg.min_separation or 0.0,
+                                   stream(cfg.seed, FREQUENCIES))
 
     # standard complex normal: unit total variance per entry
-    rng_a = _stream(cfg.seed, _AMPLITUDES)
+    rng_a = stream(cfg.seed, _AMPLITUDES)
     shape = (freqs.size, l)
     amplitudes = (rng_a.standard_normal(shape) + 1j * rng_a.standard_normal(shape)) / np.sqrt(2)
 
-    rng_pos = _stream(cfg.seed, _POSITIONS)
-    counts = spread_total_outliers(cfg.total_outliers, l, rng_pos)
-    rng_val = _stream(cfg.seed, _VALUES)
+    rng_pos = stream(cfg.seed, POSITIONS)
+    counts = _spread_total_outliers(cfg.total_outliers, l, rng_pos)
+    rng_val = stream(cfg.seed, VALUES)
     outliers = np.zeros((n, l), dtype=complex)
     for col, rows in enumerate(_outlier_columns(cfg, counts, rng_pos)):
-        outliers[rows, col] = _unit_phases(rng_val, rows.size)
+        outliers[rows, col] = unit_phases(rng_val, rows.size)
 
     return MixtureInstance.from_components(freqs, amplitudes, outliers, seed=cfg.seed)

@@ -9,19 +9,23 @@ from hypothesis import strategies as st
 from sinespikes import (
     CertificateSolution,
     MixtureInstance,
-    build_kernel,
-    build_system,
     demix,
-    locate_frequencies,
-    restrict_kernel,
     run_certificate,
-    solve_certificate,
     success,
     trigpoly,
-    validate_certificate,
 )
 from sinespikes import certificate
-from sinespikes.certificate import ValidationOptions, _is_unit, _near_indices
+from sinespikes.certificate import (
+    ValidationOptions,
+    _is_unit,
+    _near_indices,
+    build_kernel,
+    build_system,
+    restrict_kernel,
+    solve_certificate,
+    validate_certificate,
+)
+from sinespikes.dual_analysis import locate_frequencies
 from sinespikes.errors import InvalidConfigurationError
 from sinespikes.model import wrap_distance
 
@@ -183,6 +187,14 @@ class TestBuildSystem:
         kern = build_kernel(20)
         sys = build_system([0.3], [17, 3], [1.0], np.ones((1, 1)), np.ones((2, 1)), kern)
         np.testing.assert_array_equal(sys.omega, [3, 17])
+
+    def test_row_i_of_r_stays_with_omega_i(self):
+        kern = restrict_kernel(build_kernel(20), [17, 3])
+        cert = solve_certificate(build_system([0.3], [17, 3], [1.0], [[1.0]], [[1.0], [1j]], kern))
+        np.testing.assert_array_equal(cert.gamma[[17, 3], 0], cert.lam * np.array([1.0, 1j]))
+        ascending = solve_certificate(
+            build_system([0.3], [3, 17], [1.0], [[1.0]], [[1j], [1.0]], kern))
+        np.testing.assert_array_equal(cert.gamma, ascending.gamma)
 
     def test_mutating_a_system_cannot_change_a_later_system(self):
         kern = restrict_kernel(build_kernel(20), [4])
@@ -435,7 +447,7 @@ class TestValidateCertificate:
         def unreachable(*a, **k):
             raise AssertionError("a stream was drawn from")
 
-        monkeypatch.setattr(certificate, "_stream", unreachable)
+        monkeypatch.setattr(certificate, "stream", unreachable)
         n, k, separation, s, l, seed = args
         with pytest.raises(InvalidConfigurationError, match=named):
             run_certificate(n, k, separation, s, n_snapshots=l, seed=seed)
@@ -506,8 +518,7 @@ def test_report_json_matches_pinned_bytes(case, expected):
 
 
 def test_cold_and_warm_caches_give_identical_reports():
-    caches = (certificate._kernel_coefficients, certificate._row_indices,
-              certificate._scaled_derivative_weight, trigpoly._grid,
+    caches = (certificate._size_table, trigpoly._grid,
               trigpoly._curvature_weights, trigpoly._bluestein)
     for cache in caches:
         cache.cache_clear()
@@ -519,10 +530,9 @@ def test_cold_and_warm_caches_give_identical_reports():
 
 
 @pytest.mark.parametrize("cached", [
-    lambda: certificate._row_indices(20),
-    lambda: (certificate._scaled_derivative_weight(20, build_kernel(20).kappa),),
+    lambda: [a for a in certificate._size_table(20) if isinstance(a, np.ndarray)],
     lambda: trigpoly._curvature_weights(41),
-], ids=["row-indices", "scaled-derivative-weight", "curvature-weights"])
+], ids=["size-table", "curvature-weights"])
 def test_size_only_arrays_are_shared_read_only(cached):
     first = cached()
     for array in first:

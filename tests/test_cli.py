@@ -725,7 +725,7 @@ FUZZ_NEGATIVE_OK = {("phase_transition", "f1"), ("synthesis", "frequencies"),
 
 def _annotations(cls):
     hints = typing.get_type_hints(cls)
-    return {parse.json_key(f): hints[f.name] for f in dataclasses.fields(cls)}
+    return {parse._json_key(f): hints[f.name] for f in dataclasses.fields(cls)}
 
 
 def _sections(cls):

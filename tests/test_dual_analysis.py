@@ -5,22 +5,24 @@ from sinespikes import (
     DualSdpProblem,
     default_lambda,
     demix,
-    duality_gap,
-    locate_frequencies,
-    locate_outliers,
-    recover_amplitudes,
     solve_dual_sdp,
     success,
     synth_instance,
     SynthesisConfig,
     trigpoly,
 )
+from sinespikes.dual_analysis import (
+    _duality_gap,
+    locate_frequencies,
+    locate_outliers,
+    recover_amplitudes,
+)
 from sinespikes.errors import (
     IllPosedRecoveryError,
     InvalidConfigurationError,
     InvalidDimensionError,
 )
-from sinespikes.model import signal_matrix
+from sinespikes.model import _signal_matrix
 from sinespikes.solver import SdpSolution
 
 
@@ -181,7 +183,7 @@ class TestRecoverAmplitudes:
 class TestDualityGap:
     def test_zero_everything(self):
         sol = make_solution(np.zeros((8, 2), dtype=complex))
-        gap = duality_gap(np.zeros((0, 2)), np.zeros((8, 2)), sol, 0.3)
+        gap = _duality_gap(np.zeros((0, 2)), np.zeros((8, 2)), sol, 0.3)
         assert gap == 0.0
 
     def test_wrong_frequencies_blow_up_the_gap(self):
@@ -191,7 +193,7 @@ class TestDualityGap:
         assert report.duality_gap <= 1e-3
         shifted = (inst.frequencies + 0.05) % 1.0
         a, z = recover_amplitudes(inst.measurement, shifted, report.estimated_outlier_rows)
-        bad_gap = duality_gap(a, z, sol, lam)
+        bad_gap = _duality_gap(a, z, sol, lam)
         assert bad_gap > 10 * report.duality_gap
         assert bad_gap > 1e-3
 
@@ -220,7 +222,7 @@ class TestDemixReport:
         inst = fig1_instance(seed=4)
         report, sol = demix(inst.measurement, default_lambda(50))
         # signal + outliers reproduce the measurement up to the LS residual
-        signal = signal_matrix(report.estimated_frequencies, report.estimated_amplitudes, 50)
+        signal = _signal_matrix(report.estimated_frequencies, report.estimated_amplitudes, 50)
         resid = np.abs(signal + report.estimated_outliers - inst.measurement).max()
         assert resid <= 1e-6
         outside = np.setdiff1d(np.arange(50), report.estimated_outlier_rows)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from sinespikes import (
-    MixtureInstance,
+from sinespikes import MixtureInstance
+from sinespikes.model import (
+    _signal_matrix,
     min_separation,
+    sensor_rows,
+    toeplitz_adjoint,
     wrap_distance,
 )
-from sinespikes.model import sensor_rows, signal_matrix, toeplitz_adjoint
 from sinespikes.errors import (
     InvalidConfigurationError,
     InvalidDimensionError,
@@ -36,8 +38,8 @@ def brute_toeplitz_adjoint(mat):
 
 def atom(f, phi, n_sensors):
     """Unit-norm atom exp(i*(phi + 2*pi*j*f)) / sqrt(N): the column of
-    signal_matrix for the single amplitude exp(i*phi), scaled by 1/sqrt(N)."""
-    return signal_matrix([f], [[np.exp(1j * phi)]], n_sensors)[:, 0] / np.sqrt(n_sensors)
+    _signal_matrix for the single amplitude exp(i*phi), scaled by 1/sqrt(N)."""
+    return _signal_matrix([f], [[np.exp(1j * phi)]], n_sensors)[:, 0] / np.sqrt(n_sensors)
 
 
 class TestAtom:
@@ -143,7 +145,7 @@ class TestMixtureInstance:
         inst = self._instance()
         np.testing.assert_allclose(
             inst.measurement,
-            signal_matrix(inst.frequencies, inst.amplitudes, inst.n_sensors) + inst.outliers,
+            _signal_matrix(inst.frequencies, inst.amplitudes, inst.n_sensors) + inst.outliers,
             atol=1e-12,
         )
 

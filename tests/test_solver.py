@@ -5,14 +5,12 @@ from sinespikes import (
     DualSdpProblem,
     SolverOptions,
     default_lambda,
-    project_psd,
-    project_row_ball,
     solve_dual_sdp,
 )
 from sinespikes import solver
 from sinespikes.errors import InvalidConfigurationError, InvalidDimensionError
 from sinespikes.model import toeplitz_adjoint
-from sinespikes.solver import _affine_hermitian, _hermitize
+from sinespikes.solver import _affine_hermitian, _hermitize, project_psd, project_row_ball
 
 
 def random_hermitian(rng, n):

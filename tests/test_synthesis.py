@@ -6,13 +6,12 @@ import pytest
 from sinespikes import (
     MixtureInstance,
     SynthesisConfig,
-    min_separation,
     synth_instance,
     synthesis,
 )
 from sinespikes.errors import InvalidConfigurationError
-from sinespikes.model import signal_matrix
-from sinespikes.synthesis import OUTLIER_MODES, spread_total_outliers, synth_frequencies
+from sinespikes.model import _signal_matrix, min_separation
+from sinespikes.synthesis import _OUTLIER_MODES, _spread_total_outliers, _synth_frequencies
 
 
 def fig_config(seed=0, **overrides):
@@ -54,7 +53,7 @@ def test_different_seeds_differ():
 
 def test_signal_reconstruction():
     inst = synth_instance(fig_config(seed=9))
-    rebuilt = signal_matrix(inst.frequencies, inst.amplitudes, inst.n_sensors)
+    rebuilt = _signal_matrix(inst.frequencies, inst.amplitudes, inst.n_sensors)
     np.testing.assert_allclose(rebuilt, inst.measurement - inst.outliers, atol=1e-12)
 
 
@@ -91,16 +90,16 @@ def test_outlier_magnitude_scale():
 def test_streams_are_the_spawned_children(seed):
     # the range of cli.trial_seed; each substream is built from its spawn key alone
     for index in range(4):
-        np.testing.assert_array_equal(synthesis._stream(seed, index).random(8),
+        np.testing.assert_array_equal(synthesis.stream(seed, index).random(8),
                                       spawned(seed, index).random(8))
 
 
-@pytest.mark.parametrize("mode", OUTLIER_MODES)
+@pytest.mark.parametrize("mode", _OUTLIER_MODES)
 def test_outlier_rows_are_the_drawn_rows(tmp_path, mode):
     # per-snapshot columns may share rows; the support is their union
     cfg = fig_config(seed=4, outlier_mode=mode, total_outliers=12)
     rng_pos = spawned(cfg.seed, 2)
-    counts = spread_total_outliers(cfg.total_outliers, cfg.n_snapshots, rng_pos)
+    counts = _spread_total_outliers(cfg.total_outliers, cfg.n_snapshots, rng_pos)
     drawn = np.unique(np.concatenate(synthesis._outlier_columns(cfg, counts, rng_pos)))
     inst = synth_instance(cfg)
     np.testing.assert_array_equal(inst.outlier_rows, drawn)
@@ -110,7 +109,7 @@ def test_outlier_rows_are_the_drawn_rows(tmp_path, mode):
 
 def test_total_outlier_spread():
     rng = np.random.default_rng(0)
-    counts = spread_total_outliers(10, 3, rng)
+    counts = _spread_total_outliers(10, 3, rng)
     assert counts.sum() == 10
     assert counts.max() - counts.min() <= 1
     inst = synth_instance(
@@ -121,36 +120,36 @@ def test_total_outlier_spread():
 
 
 def test_even_spread_draws_nothing():
-    rng = synthesis._stream(3, synthesis._POSITIONS)
-    np.testing.assert_array_equal(spread_total_outliers(6, 3, rng), [2, 2, 2])
+    rng = synthesis.stream(3, synthesis.POSITIONS)
+    np.testing.assert_array_equal(_spread_total_outliers(6, 3, rng), [2, 2, 2])
     np.testing.assert_array_equal(rng.random(4),
-                                  synthesis._stream(3, synthesis._POSITIONS).random(4))
+                                  synthesis.stream(3, synthesis.POSITIONS).random(4))
 
 
 class TestSynthFrequencies:
     def test_pair_within_torus_bounds(self):
-        f = synth_frequencies(2, 0.4, np.random.default_rng(0))
+        f = _synth_frequencies(2, 0.4, np.random.default_rng(0))
         d = min_separation(f)
         assert 0.4 <= d <= 0.5
 
     def test_single_frequency(self):
-        f = synth_frequencies(1, 0.9, np.random.default_rng(1))
+        f = _synth_frequencies(1, 0.9, np.random.default_rng(1))
         assert f.shape == (1,) and 0.0 <= f[0] < 1.0
 
     def test_separation_holds_across_seeds(self):
         delta = 2.52 / 49
         for seed in range(1000):
-            f = synth_frequencies(3, delta, np.random.default_rng(seed))
+            f = _synth_frequencies(3, delta, np.random.default_rng(seed))
             assert min_separation(f) >= delta
 
     def test_infeasible_target_rejected(self):
         with pytest.raises(InvalidConfigurationError):
-            synth_frequencies(3, 0.5, np.random.default_rng(0))
+            _synth_frequencies(3, 0.5, np.random.default_rng(0))
 
     def test_no_frequency_draws_nothing(self):
         rng = np.random.default_rng(2)
         state = rng.bit_generator.state
-        assert synth_frequencies(0, 0.5, rng).shape == (0,)
+        assert _synth_frequencies(0, 0.5, rng).shape == (0,)
         assert rng.bit_generator.state == state
 
 

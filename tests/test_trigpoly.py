@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinespikes import locate_frequencies, run_certificate, trigpoly, wrap_distance
+from sinespikes import run_certificate, trigpoly
+from sinespikes.dual_analysis import locate_frequencies
 from sinespikes.errors import InvalidConfigurationError, InvalidDimensionError
+from sinespikes.model import wrap_distance
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
