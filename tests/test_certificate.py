@@ -530,9 +530,11 @@ def test_cold_and_warm_caches_give_identical_reports():
 
 
 @pytest.mark.parametrize("cached", [
-    lambda: [a for a in certificate._size_table(20) if isinstance(a, np.ndarray)],
+    lambda: (certificate._size_table(20).coefficients,),
+    lambda: (certificate._size_table(20).rows, certificate._size_table(20).row_weight),
+    lambda: (certificate._size_table(20).derivative_weight,),
     lambda: trigpoly._curvature_weights(41),
-], ids=["size-table", "curvature-weights"])
+], ids=["kernel-coefficients", "row-indices", "scaled-derivative-weight", "curvature-weights"])
 def test_size_only_arrays_are_shared_read_only(cached):
     first = cached()
     for array in first:
