@@ -1,10 +1,11 @@
 """Demixing of spectral lines and row-sparse outliers from multiple snapshots.
 
 The package solves the dual semidefinite program of the group-sparse
-demixing problem with a first-order splitting method, localizes frequencies
-and corrupted sensors from the dual variables, and provides a laboratory
-that constructs and numerically validates the randomized dual certificate
-underlying the recovery guarantee.
+demixing problem with a first-order splitting method, reads the frequencies
+off the primal's Toeplitz block and checks them and the corrupted sensors
+against the dual variables, and provides a laboratory that constructs and
+numerically validates the randomized dual certificate underlying the
+recovery guarantee.
 """
 
 from .dual_analysis import DemixReport, demix, success

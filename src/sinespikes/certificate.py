@@ -77,29 +77,31 @@ class Kernel:
     """Triple-Dirichlet interpolation kernel laid out over sensor rows.
 
     ``coefficients[j]`` is the kernel coefficient at index l_j = m - j; a
-    restricted kernel has the outlier rows zeroed. ``kappa`` is
-    1 / sqrt(|K''(0)|) of the unrestricted kernel.
+    restricted kernel has the outlier rows zeroed.
     """
 
     half_length: int
     coefficients: np.ndarray  # (2m+1,), real
-    kappa: float
 
     @property
     def n_sensors(self) -> int:
         return 2 * self.half_length + 1
 
+    @property
+    def kappa(self) -> float:
+        """1 / sqrt(|K''(0)|) of the unrestricted kernel, a function of m alone."""
+        return _size_table(self.half_length).kappa
+
 
 def build_kernel(m: int) -> Kernel:
     """Convolve three Dirichlet coefficient boxes; peak value is one at f=0.
 
-    The coefficients and kappa depend on m only and are computed once per
-    m; each call returns its own copy of the coefficients.
+    The coefficients depend on m only and are computed once per m; each
+    call returns its own copy of them.
     """
     if m < 4:
         raise InvalidConfigurationError(f"kernel half-length must be >= 4, got {m}")
-    table = _size_table(m)
-    return Kernel(half_length=m, coefficients=table.coefficients.copy(), kappa=table.kappa)
+    return Kernel(half_length=m, coefficients=_size_table(m).coefficients.copy())
 
 
 class _SizeTable(NamedTuple):
@@ -131,13 +133,13 @@ def _size_table(m: int) -> _SizeTable:
 
 
 def restrict_kernel(kernel: Kernel, omega) -> Kernel:
-    """Zero the coefficients on the sensor rows ``omega``; kappa is kept.
+    """Zero the coefficients on the sensor rows ``omega``; kappa, a size, is kept.
 
     ``omega`` must hold distinct integer indices in 0..N-1.
     """
     coeffs = kernel.coefficients.copy()
     coeffs[sensor_rows(omega, kernel.n_sensors)] = 0.0
-    return Kernel(half_length=kernel.half_length, coefficients=coeffs, kappa=kernel.kappa)
+    return Kernel(half_length=kernel.half_length, coefficients=coeffs)
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,7 @@ def cmd_demix(args, cfg: _DemixConfig) -> int:
         instance = synth_instance(_override(cfg.synthesis, seed=args.seed))
     lam = resolve_lambda(cfg.lam, instance.n_sensors)
     trigpoly.grid_points(instance.n_sensors, args.grid)  # before the solve
-    report, solution = demix(instance.measurement, lam, cfg.solver, args.grid)
+    report, solution = demix(instance.measurement, lam, cfg.solver)
 
     out = _out_dir(args)
     payload = report.to_json()
@@ -274,12 +274,11 @@ def _trial_config(n_sensors, n_snapshots, f1, delta, total_outliers, seed) -> Sy
 
 def _phase_trial(payload) -> tuple:
     (n_sensors, n_snapshots, f1, delta, delta_idx, trial, seed,
-     total_outliers, solver_opts, grid) = payload
+     total_outliers, solver_opts) = payload
     try:
         instance = synth_instance(
             _trial_config(n_sensors, n_snapshots, f1, delta, total_outliers, seed))
-        report, _solution = demix(instance.measurement, default_lambda(n_sensors),
-                                  solver_opts, grid)
+        report, _solution = demix(instance.measurement, default_lambda(n_sensors), solver_opts)
         ok = success(report.estimated_frequencies, instance.frequencies)
     except SineSpikesError as exc:  # counted as failure, never aborts the sweep
         print(f"trial failed (L={n_snapshots}, delta={delta}, seed={seed}): {exc}",
@@ -294,7 +293,6 @@ def cmd_phase_transition(args, cfg: _PhaseTransitionConfig) -> int:
     n_sensors = cfg.synthesis.n_sensors
     # what every trial would reject is rejected once, before the first trial;
     # any base seed is valid (trial seeds are masked to 64 bits), so 0 stands in
-    trigpoly.grid_points(n_sensors, args.grid)
     for L in sweep.snapshot_counts:
         _trial_config(n_sensors, L, sweep.f1, 0.0, sweep.total_outliers, 0)
 
@@ -307,7 +305,7 @@ def cmd_phase_transition(args, cfg: _PhaseTransitionConfig) -> int:
     # iteration; the outputs are sorted below and do not depend on this order
     payloads = [
         (n_sensors, L, sweep.f1, deltas[di], di, t, trial_seed(cfg.seed, L, di, t),
-         sweep.total_outliers, cfg.solver, args.grid)
+         sweep.total_outliers, cfg.solver)
         for di in range(n_steps) for L in sorted(sweep.snapshot_counts, reverse=True)
         for t in range(sweep.trials)
     ]
@@ -410,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, fn, flags in (
         ("synth", cmd_synth, ()),
         ("demix", cmd_demix, ("--grid", "--lambda")),
-        ("phase-transition", cmd_phase_transition, ("--trials", "--threads", "--grid")),
+        ("phase-transition", cmd_phase_transition, ("--trials", "--threads")),
         ("certificate", cmd_certificate, ("--grid", "--lambda")),
     ):
         p = sub.add_parser(name)

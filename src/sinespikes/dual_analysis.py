@@ -1,10 +1,16 @@
 """Turning a solved dual program into frequency and outlier estimates.
 
-Frequencies are read from the vector-valued trigonometric polynomial
-Q(f) = sum_j Gamma[j] exp(-2i*pi*j*f) of the dual variable Gamma, evaluated
-by ``trigpoly``. The SDP's diagonal-sum constraint bounds ||Q|| by one, and
-||Q|| reaches one exactly on the recovered support. Outlier rows are the
-rows of Gamma on the boundary of the lambda-ball.
+Frequencies are read off the primal matrix of the solve: its top-left
+Toeplitz block T = sum_k c_k a(f_k) a(f_k)^H, with a(f)_j =
+exp(2i*pi*j*f), has a Vandermonde decomposition whose nodes are the
+spectral support (Tang, Bhaskar, Shah & Recht 2013; Li & Chi 2016 for
+several snapshots), and ESPRIT (Roy & Kailath 1989) reads them off its
+eigenvectors. The dual variable Gamma is the evidence: the SDP's
+diagonal-sum constraint bounds the vector-valued trigonometric polynomial
+Q(f) = sum_j Gamma[j] exp(-2i*pi*j*f) by one, ||Q|| reaches one exactly on
+the recovered support, and a frequency is kept only where ``trigpoly``
+evaluates ||Q|| near one. Outlier rows are the rows of Gamma on the
+boundary of the lambda-ball.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trigpoly
-from .errors import IllPosedRecoveryError
-from .model import sensor_rows, wrap_distance
+from .errors import IllPosedRecoveryError, InvalidDimensionError, NumericalFailureError
+from .model import hermitian_toeplitz, sensor_rows, toeplitz_adjoint, wrap_distance
 from .solver import DualSdpProblem, SdpSolution, SolverOptions, solve_dual_sdp
 
 __all__ = [
@@ -28,32 +34,41 @@ __all__ = [
 ]
 
 
-# Peak picking: grid maxima of ||Q|| above 1 - _PEAK_TOL are refined by
-# _NEWTON_STEPS Newton ascent steps, and refined peaks are kept when their
-# value reaches 1 - _ACCEPT_TOL. Rows of Gamma with norm at least
-# lam * (1 - _ROW_TOL) are outlier rows.
-_NEWTON_STEPS = 3
-_PEAK_TOL = 1e-3
+# The rank of the Toeplitz block counts its eigenvalues above _RANK_TOL of
+# the largest. A frequency read off it is kept when ||Q|| reaches
+# 1 - _ACCEPT_TOL there. Rows of Gamma with norm at least lam * (1 - _ROW_TOL)
+# are outlier rows.
+_RANK_TOL = 1e-3
 _ACCEPT_TOL = 1e-4
 _ROW_TOL = 1e-3
 
 
-def locate_frequencies(gamma: np.ndarray,
-                       grid_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies where ||Q|| attains a refined local maximum near one.
+def locate_frequencies(gamma: np.ndarray, primal: np.ndarray) -> np.ndarray:
+    """Frequencies of the primal's Toeplitz block where ||Q|| reaches one.
 
-    ``gamma`` is the dual variable and ``grid_size`` the size of the scan
-    grid (``trigpoly.grid_points``' default when None). Refined locations
-    closer than one grid step are merged, keeping the larger value. Returns
-    the frequencies and the refined values ||Q|| there.
+    ``gamma`` is the N x L dual variable and ``primal`` the primal matrix of
+    the solve (``SdpSolution.primal``), of which the top-left N x N block is
+    read. T is the Hermitian Toeplitz matrix whose lags are the means of
+    that block's superdiagonals. Its rank r counts the eigenvalues above
+    _RANK_TOL of the largest, at most N - 1. The top r eigenvectors E span
+    the a(f_k), and E[1:] = E[:-1] Psi for a Psi whose eigenvalues are
+    exp(2i*pi*f_k) (ESPRIT); Psi is their least-squares solution. Returns,
+    sorted in [0, 1), the f_k with ||Q(f_k)|| >= 1 - _ACCEPT_TOL.
     """
-    coef = trigpoly.coefficients(gamma)
-    f, vals = trigpoly.scan(coef, grid_size)
-    candidates = trigpoly.local_maxima(vals)
-    candidates = candidates[vals[candidates] >= 1.0 - _PEAK_TOL]
-    refined, values = trigpoly.refine(coef, f[candidates], _NEWTON_STEPS)
-    keep = values >= 1.0 - _ACCEPT_TOL
-    return trigpoly.merge_peaks(refined[keep], values[keep], 1.0 / f.size)
+    g = np.asarray(gamma, dtype=complex)
+    if g.ndim != 2 or g.size == 0:
+        raise InvalidDimensionError(f"expected a nonempty matrix, got shape {g.shape}")
+    n = g.shape[0]
+    lags = toeplitz_adjoint(np.asarray(primal)[:n, :n]) / np.arange(n, 0, -1)
+    try:
+        w, v = np.linalg.eigh(hermitian_toeplitz(lags))
+        rank = min(np.count_nonzero(w > max(_RANK_TOL * w[-1], 0.0)), n - 1)
+        e = v[:, n - rank:]
+        nodes = np.linalg.eigvals(np.linalg.lstsq(e[:-1], e[1:], rcond=None)[0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"Toeplitz readout failed: {exc}") from exc
+    f = np.angle(nodes) / (2.0 * np.pi) % 1.0
+    return np.sort(f[np.linalg.norm(trigpoly.evaluate(g, f), axis=1) >= 1.0 - _ACCEPT_TOL])
 
 
 def locate_outliers(gamma: np.ndarray, lam: float) -> np.ndarray:
@@ -98,7 +113,6 @@ class DemixReport:
     estimated_outlier_rows: np.ndarray
     estimated_outliers: np.ndarray
     duality_gap: float
-    peak_values: np.ndarray
     converged: bool = True
 
     def to_json(self) -> dict:
@@ -111,7 +125,6 @@ class DemixReport:
             "outliers_re": z.real.ravel().tolist(),
             "outliers_im": z.imag.ravel().tolist(),
             "duality_gap": self.duality_gap,
-            "peak_values": [float(v) for v in self.peak_values],
             "converged": self.converged,
         }
 
@@ -150,22 +163,20 @@ def success(f_est, f_true, tol: float = 1e-4) -> bool:
 
 
 def demix(measurement: np.ndarray, lam: float,
-          solver_opts: SolverOptions | None = None,
-          grid_size: int | None = None):
+          solver_opts: SolverOptions | None = None):
     """Full pipeline: solve the SDP, localize, recover, and audit the gap.
 
-    ``grid_size`` is the scan grid of ``locate_frequencies``. Returns
-    (DemixReport, SdpSolution).
+    Returns (DemixReport, SdpSolution).
     """
     problem = DualSdpProblem(np.asarray(measurement, dtype=complex), lam)
     solution = solve_dual_sdp(problem, solver_opts)
-    freqs, peaks = locate_frequencies(solution.gamma, grid_size)
+    freqs = locate_frequencies(solution.gamma, solution.primal)
     rows = locate_outliers(solution.gamma, lam)
     try:
         amplitudes, outliers = recover_amplitudes(problem.measurement, freqs, rows)
     except IllPosedRecoveryError:
         # best effort: keep the outlier rows, drop the spectral estimate
-        freqs = peaks = np.array([], dtype=float)
+        freqs = np.array([], dtype=float)
         amplitudes, outliers = recover_amplitudes(problem.measurement, freqs, rows)
     gap = _duality_gap(amplitudes, outliers, solution, lam)
     report = DemixReport(
@@ -174,7 +185,6 @@ def demix(measurement: np.ndarray, lam: float,
         estimated_outlier_rows=rows,
         estimated_outliers=outliers,
         duality_gap=gap,
-        peak_values=peaks,
         converged=solution.converged,
     )
     return report, solution

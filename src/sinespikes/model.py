@@ -29,6 +29,7 @@ from .parse import read
 __all__ = [
     "MixtureInstance",
     "default_lambda",
+    "hermitian_toeplitz",
     "min_separation",
     "resolve_lambda",
     "sensor_rows",
@@ -125,6 +126,22 @@ def toeplitz_adjoint(mat: np.ndarray) -> np.ndarray:
     upper = m.ravel()[flat]
     sums = np.bincount(lag, upper.real, n) + 1j * np.bincount(lag, upper.imag, n)
     return sums if np.iscomplexobj(m) else sums.real
+
+
+@lru_cache(maxsize=16)
+def _mirror_index(n: int) -> np.ndarray:
+    """Index of every n x n entry into [d, conj(d)] for a vector d of lags:
+    d[j - i] on and above the diagonal, conj(d[i - j]) below it."""
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
+    index = np.where(offset >= 0, offset, n - offset)
+    index.flags.writeable = False
+    return index
+
+
+def hermitian_toeplitz(lags: np.ndarray) -> np.ndarray:
+    """The Hermitian Toeplitz matrix with first row ``lags``: entry (i, j) is
+    lags[j - i] on and above the diagonal and conj(lags[i - j]) below it."""
+    return np.concatenate((lags, lags.conj()))[_mirror_index(lags.size)]
 
 
 def _signal_matrix(freqs, amplitudes, n_sensors: int) -> np.ndarray:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .errors import (
     InvalidDimensionError,
     NumericalFailureError,
 )
-from .model import toeplitz_adjoint
+from .model import hermitian_toeplitz, toeplitz_adjoint
 
 __all__ = [
     "DualSdpProblem",
@@ -95,7 +94,10 @@ class SdpSolution:
     ``diagnostics`` has one row per recorded iteration with columns
     (iteration, objective, primal_residual, dual_residual); the last row is
     the returned iterate, so it repeats the row before it when the solve
-    stops on a recorded iteration.
+    stops on a recorded iteration. ``primal`` is the (N+L) x (N+L) primal
+    matrix M = -rho * U of the ADMM at exit, U being the scaled multiplier
+    of the PSD constraint; it is positive semidefinite to rounding, and its
+    top-left N x N block carries the spectral support (``dual_analysis``).
     """
 
     gamma: np.ndarray
@@ -106,6 +108,7 @@ class SdpSolution:
     iterations: int
     converged: bool
     diagnostics: np.ndarray = field(repr=False, default=None)
+    primal: np.ndarray = field(repr=False, default=None)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -131,16 +134,6 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-@lru_cache(maxsize=16)
-def _mirror_index(n: int) -> np.ndarray:
-    """Index of every n x n entry into [d, conj(d)] for a vector d of lags:
-    d[j - i] on and above the diagonal, conj(d[i - j]) below it."""
-    offset = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
-    index = np.where(offset >= 0, offset, n - offset)
-    index.flags.writeable = False
-    return index
-
-
 def _affine_hermitian(h: np.ndarray) -> np.ndarray:
     """Nearest Hermitian matrix to the exactly Hermitian ``h`` whose k-th
     superdiagonal sums to [k == 0].
@@ -153,7 +146,7 @@ def _affine_hermitian(h: np.ndarray) -> np.ndarray:
     defect = toeplitz_adjoint(h)
     defect[0] -= 1.0
     defect /= np.arange(n, 0, -1)
-    return h - np.concatenate((defect, defect.conj()))[_mirror_index(n)]
+    return h - hermitian_toeplitz(defect)
 
 
 def project_row_ball(gamma: np.ndarray, lam: float) -> np.ndarray:
@@ -263,5 +256,6 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
         iterations=iterations,
         converged=converged,
         diagnostics=np.array(history, dtype=float),
+        primal=-rho * u,
     )
 

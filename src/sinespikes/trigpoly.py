@@ -3,25 +3,25 @@
 This module is the only code that evaluates trigonometric polynomials, and
 it has one point evaluator. ``evaluate(coef, freqs)`` returns
 sum_j coef[j] exp(-2i*pi*j*f) for each column of any coefficient matrix
-through one exponential basis. It takes no derivative order: the p-th
-derivative of Q is ``evaluate`` of the rows of ``gamma`` weighted by
-(-2i*pi*j)^p, a weight the caller applies. Everything that reads ||Q||
-(the grid scan, Newton refinement of its peaks, the curvature on arcs)
-takes the N real coefficients of ||Q||^2, a real trigonometric polynomial
-of degree N-1:
+through one exponential basis; ``demix`` reads ||Q|| at the frequencies it
+reads off the primal, and the certificate reads P and P' at its nodes. It
+takes no derivative order: the p-th derivative of Q is ``evaluate`` of the
+rows of ``gamma`` weighted by (-2i*pi*j)^p, a weight the caller applies.
+The readers of ||Q|| on grids (the scan and the curvature on arcs) take the
+N real coefficients of ||Q||^2, a real trigonometric polynomial of degree
+N-1:
 
     ||Q(f)||^2 = c_0 + 2 Re sum_{k=1}^{N-1} c_k exp(-2i*pi*k*f),
     c_k = sum_j <gamma[j+k], gamma[j]>.
 
 ``coefficients`` takes them from the rows with one zero-padded FFT per
-snapshot. The grid scan is one real transform of c, Newton refinement
-evaluates ||Q||^2 and its derivatives at points through ``evaluate``, and
-the curvature on equispaced arcs around given centres is one chirp-z
-transform (Bluestein's FFT convolution) of c per centre. These err in
-||Q||^2 by a small multiple of eps * ||gamma||_F^2 (the curvature by
-(2*pi*N)^2 times that), so they give ||Q|| to about eps * ||gamma||_F^2
-where ||Q|| is near one (peaks, the off-support bound) but only to about
-sqrt(eps) * ||gamma||_F at an exact zero of Q.
+snapshot. The grid scan is one real transform of c, and the curvature on
+equispaced arcs around given centres is one chirp-z transform (Bluestein's
+FFT convolution) of c per centre. These err in ||Q||^2 by a small multiple
+of eps * ||gamma||_F^2 (the curvature by (2*pi*N)^2 times that), so they
+give ||Q|| to about eps * ||gamma||_F^2 where ||Q|| is near one (the
+off-support bound) but only to about sqrt(eps) * ||gamma||_F at an exact
+zero of Q.
 
 Rows of ``gamma`` are the coefficients, in the scale the SDP bounds by one.
 """
@@ -33,16 +33,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidConfigurationError, InvalidDimensionError
-from .model import wrap_distance
 
 __all__ = [
     "arc_curvature",
     "coefficients",
     "evaluate",
     "grid_points",
-    "local_maxima",
-    "merge_peaks",
-    "refine",
     "scan",
 ]
 
@@ -124,14 +120,6 @@ def scan(coef: np.ndarray, grid_size: int | None = None) -> tuple[np.ndarray, np
     return f, np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
 
 
-def local_maxima(values: np.ndarray) -> np.ndarray:
-    """Indices of the cyclic local maxima of a periodic grid sampling.
-
-    A plateau counts once, at its last point; a constant sequence has none.
-    """
-    return np.flatnonzero((values >= np.roll(values, 1)) & (values > np.roll(values, -1)))
-
-
 def arc_curvature(coef: np.ndarray, centers, radius: float, count: int) -> np.ndarray:
     """Half the second derivative of ||Q||^2 at c_k - radius + i*h for i < count.
 
@@ -188,49 +176,3 @@ def _bluestein(n: int, count: int, h: float) -> tuple[np.ndarray, np.ndarray, np
     for part in parts:
         part.flags.writeable = False
     return parts
-
-
-def refine(coef: np.ndarray, f0, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Newton ascent on g = ||Q||^2 from the points ``f0``.
-
-    ``coef`` holds the N coefficients of g, and each step is -g'/g''.
-    Returns refined locations in [0, 1) and ||Q|| = sqrt(max(0, g)) there.
-    A step from a point outside the concave neighborhood (g'' >= 0) keeps
-    that point.
-    """
-    _check_coefficients(coef)
-    k = np.arange(coef.size)
-    # g^(p)(f) = Re sum_k a_k (-2i*pi*k)^p c_k exp(-2i*pi*k*f), a_0 = 1, a_k = 2
-    ac = np.where(k > 0, 2.0, 1.0) * coef
-    w = -2j * np.pi * k
-    derivatives = np.stack([ac * w, ac * w**2], axis=1)
-    f = np.atleast_1d(np.asarray(f0, dtype=float))
-    for _ in range(steps):
-        slope, curv = evaluate(derivatives, f).real.T
-        ok = curv < 0
-        f = np.where(ok, f - np.divide(slope, curv, out=np.zeros_like(slope), where=ok), f)
-    sq = evaluate(ac[:, None], f)[:, 0].real
-    return f % 1.0, np.sqrt(np.maximum(sq, 0.0))
-
-
-def merge_peaks(freqs, values, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sort peaks by location and merge those within ``radius`` of each other.
-
-    Each cluster keeps its largest value; the first and last cluster merge
-    across the wrap point.
-    """
-    order = np.argsort(freqs)
-    merged_f, merged_v = [], []
-    for fr, vr in zip(np.asarray(freqs)[order], np.asarray(values)[order]):
-        if merged_f and wrap_distance(fr, merged_f[-1]) <= radius:
-            if vr > merged_v[-1]:
-                merged_f[-1], merged_v[-1] = fr, vr
-        else:
-            merged_f.append(fr)
-            merged_v.append(vr)
-    if len(merged_f) > 1 and wrap_distance(merged_f[0], merged_f[-1]) <= radius:
-        if merged_v[-1] > merged_v[0]:
-            merged_f[0], merged_v[0] = merged_f[-1], merged_v[-1]
-        merged_f.pop()
-        merged_v.pop()
-    return np.asarray(merged_f, dtype=float), np.asarray(merged_v, dtype=float)

@@ -116,6 +116,16 @@ class TestKernel:
         assert again.coefficients is not first.coefficients
         assert again.kappa == first.kappa
 
+    def test_kappa_is_a_size_not_a_field(self):
+        # a kernel is its half-length and coefficients; kappa is read from the
+        # size, so build_system and validate_certificate cannot see two kappas
+        coefficients = build_kernel(20).coefficients
+        by_hand = certificate.Kernel(20, coefficients)
+        assert by_hand.kappa == certificate._size_table(20).kappa
+        assert restrict_kernel(by_hand, [3]).kappa == by_hand.kappa
+        with pytest.raises(TypeError):
+            certificate.Kernel(20, coefficients, 2 * by_hand.kappa)
+
 
 class TestRestrictKernel:
     def test_empty_restriction_is_identity(self):
@@ -368,11 +378,16 @@ class TestValidateCertificate:
         assert report.passed == expected
 
     def test_located_frequencies_match_construction(self):
+        # a Toeplitz primal with nodes at the construction's lines reads them
+        # back, and the certificate's ||Q|| accepts them; moved half a
+        # resolution cell off the lines, the same nodes are rejected
         cert, report = run_certificate(201, 2, 4 / 200, 5, seed=3)
         assert report.passed
-        located, _ = locate_frequencies(cert.gamma)
-        assert located.size == cert.freqs.size
-        assert np.abs(np.sort(located) - np.sort(cert.freqs)).max() <= 1e-6
+        for shift, expected in ((0.0, cert.freqs), (0.5 / 201, [])):
+            atoms = np.exp(2j * np.pi * np.outer(np.arange(201), cert.freqs + shift))
+            located = locate_frequencies(cert.gamma, atoms @ atoms.conj().T)
+            assert located.size == len(expected)
+            assert np.abs(located - np.sort(expected)).max(initial=0.0) <= 1e-6
 
     def test_no_frequencies(self):
         # with K = 0 the dual holds only the outlier rows; no node to interpolate,

@@ -21,8 +21,9 @@ from sinespikes.errors import (
     IllPosedRecoveryError,
     InvalidConfigurationError,
     InvalidDimensionError,
+    NumericalFailureError,
 )
-from sinespikes.model import _signal_matrix
+from sinespikes.model import _signal_matrix, hermitian_toeplitz, toeplitz_adjoint
 from sinespikes.solver import SdpSolution
 
 
@@ -77,26 +78,19 @@ class TestEvalDualPoly:
 
 class TestLocateFrequencies:
     def test_zero_polynomial_yields_nothing(self):
-        freqs, values = locate_frequencies(np.zeros((16, 2), dtype=complex))
-        assert freqs.size == 0 and values.size == 0
-
-    def test_grid_below_twice_the_length_rejected(self):
-        gamma = np.ones((16, 2), dtype=complex)
-        for grid in (0, -3, 31):
-            with pytest.raises(InvalidConfigurationError):
-                locate_frequencies(gamma, grid)
-        locate_frequencies(gamma, 32)
+        freqs = locate_frequencies(np.zeros((16, 2), dtype=complex), np.zeros((18, 18)))
+        assert freqs.size == 0
 
     def test_gamma_not_a_nonempty_matrix_rejected(self):
         for gamma in (np.ones(16, dtype=complex), np.zeros((0, 2), dtype=complex)):
             with pytest.raises(InvalidDimensionError):
-                locate_frequencies(gamma)
+                locate_frequencies(gamma, np.eye(18))
 
     def test_single_atom_solve(self):
         n, f0 = 32, 0.4173
         y = np.outer(np.exp(2j * np.pi * np.arange(n) * f0), [1.1, -0.4j])
         sol = solve_dual_sdp(DualSdpProblem(y, default_lambda(n)))
-        freqs, _ = locate_frequencies(sol.gamma)
+        freqs = locate_frequencies(sol.gamma, sol.primal)
         assert freqs.size == 1
         assert abs(freqs[0] - f0) <= 1e-4
         # independent check: fine-grid argmax of the polynomial
@@ -116,8 +110,31 @@ class TestLocateFrequencies:
         grid = np.arange(1 << 13) / (1 << 13)
         qn = np.linalg.norm(trigpoly.evaluate(sol.gamma, grid[:512]), axis=1)
         assert qn.max() <= 1.0 + 1e-5 * 10 * np.sqrt(50)
-        assert np.all((report.peak_values >= 1 - 1e-3)
-                      & (report.peak_values <= 1 + 1e-5 * 10 * np.sqrt(50)))
+        at_lines = np.linalg.norm(trigpoly.evaluate(sol.gamma, report.estimated_frequencies),
+                                  axis=1)
+        assert np.all((at_lines >= 1 - 1e-4) & (at_lines <= 1 + 1e-5 * 10 * np.sqrt(50)))
+
+    def test_noise_rank_is_rejected_by_the_norm_check(self):
+        # no lines, only outliers: the Toeplitz block has a rank from the
+        # solver's rounding, and ||Q|| stays below one at every node it gives
+        inst = synth_instance(SynthesisConfig(
+            n_sensors=16, n_snapshots=2, frequencies=(), total_outliers=3,
+            outlier_mode="distinct-sensors-overall", seed=4,
+        ))
+        sol = solve_dual_sdp(DualSdpProblem(inst.measurement, default_lambda(16)))
+        assert sol.converged
+        lags = toeplitz_adjoint(sol.primal[:16, :16]) / np.arange(16, 0, -1)
+        t = np.linalg.eigvalsh(hermitian_toeplitz(lags))
+        assert np.count_nonzero(t > 1e-3 * t[-1]) > 1
+        assert locate_frequencies(sol.gamma, sol.primal).size == 0
+
+    def test_eigensolver_failure_is_a_numerical_failure(self, monkeypatch):
+        def fail(mat):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailureError, match="did not converge"):
+            locate_frequencies(np.ones((8, 1), dtype=complex), np.eye(9))
 
 
 class TestLocateOutliers:
@@ -234,5 +251,5 @@ class TestDemixReport:
         report, _ = demix(inst.measurement, default_lambda(50))
         payload = report.to_json()
         for key in ("estimated_frequencies", "estimated_outlier_rows",
-                    "duality_gap", "peak_values", "converged"):
+                    "duality_gap", "converged"):
             assert key in payload

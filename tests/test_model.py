@@ -4,6 +4,7 @@ import pytest
 from sinespikes import MixtureInstance
 from sinespikes.model import (
     _signal_matrix,
+    hermitian_toeplitz,
     min_separation,
     sensor_rows,
     toeplitz_adjoint,
@@ -124,6 +125,18 @@ class TestToeplitzAdjoint:
     def test_non_square_rejected(self):
         with pytest.raises(InvalidDimensionError):
             toeplitz_adjoint(np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_hermitian_toeplitz_entries(n):
+    rng = np.random.default_rng(n)
+    lags = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    t = hermitian_toeplitz(lags)
+    for i in range(n):
+        for j in range(n):
+            assert t[i, j] == (lags[j - i] if j >= i else np.conj(lags[i - j]))
+    # averaging the superdiagonals of T gives back its lags
+    np.testing.assert_allclose(toeplitz_adjoint(t) / np.arange(n, 0, -1), lags, rtol=1e-15)
 
 
 class TestMixtureInstance:

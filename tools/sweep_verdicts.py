@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Compare the trial verdicts of a fixed sweep at a base revision and in the working tree.
+
+    python3 tools/sweep_verdicts.py --base HEAD
+
+The committed files of ``--base`` are exported with ``git archive`` (as
+``tools/bench_pairs.py`` does). Then one ``phase-transition`` call runs on
+each tree, as ``python -m sinespikes.cli`` with that tree's ``src`` on
+``PYTHONPATH`` and one BLAS thread: N=50, f1=0.2, delta*N from 0.1 to 1.5 in
+steps of 0.2, L in {1, 3, 5}, 4 trials per cell (96 trials), each capped at
+3000 iterations, ``--seed 0 --threads 2``. Trial seeds depend only on the
+base seed and the cell, so both sides draw the same instances.
+
+The script prints each trial whose verdict differs and each cell's success
+rate on both sides, and exits 1 if any cell's rate dropped, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CALL_TIMEOUT_S = 1800
+N_SENSORS = 50
+CONFIG = {
+    "synthesis": {"n_sensors": N_SENSORS},
+    "phase_transition": {"f1": 0.2, "delta_start": 0.1, "delta_step": 0.2, "delta_stop": 1.5,
+                         "snapshot_counts": [1, 3, 5], "trials": 4},
+    "solver": {"max_iterations": 3000},
+}
+ARGS = ["--seed", "0", "--threads", "2"]
+
+
+def run_sweep(tree: Path, work: Path) -> str:
+    """Run the sweep on the source tree ``tree`` in ``work``; returns its trials.csv."""
+    work.mkdir(parents=True)
+    (work / "config.json").write_text(json.dumps(CONFIG))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "sinespikes.cli", "phase-transition", *ARGS,
+           "--config", "config.json", "--out", "out"]
+    subprocess.run(cmd, cwd=work, env=env, capture_output=True, check=True,
+                   timeout=CALL_TIMEOUT_S)
+    return (work / "out" / "trials.csv").read_text()
+
+
+def read_trials(text: str) -> dict[tuple[int, float, int], bool]:
+    """trials.csv as (L, delta*N, seed) -> success; delta*N is rounded to 9 places."""
+    return {(int(row["L"]), round(float(row["delta"]) * N_SENSORS, 9), int(row["seed"])):
+            row["success"] == "1"
+            for row in csv.DictReader(io.StringIO(text))}
+
+
+def compare(base: dict, change: dict) -> tuple[list[str], list[str], bool]:
+    """(one line per trial whose verdict differs, one line per cell, whether a rate dropped).
+
+    Both sides must hold the same trials.
+    """
+    if base.keys() != change.keys():
+        raise ValueError("the two sweeps ran different trials")
+    changed = [f"L={L} delta*N={dn:g} seed={seed}: {base[L, dn, seed]:d} -> "
+               f"{change[L, dn, seed]:d}"
+               for L, dn, seed in sorted(base) if base[L, dn, seed] != change[L, dn, seed]]
+    cells: dict[tuple[int, float], list[tuple[bool, bool]]] = {}
+    for (L, dn, seed), ok in base.items():
+        cells.setdefault((L, dn), []).append((ok, change[L, dn, seed]))
+    lines, dropped = [], False
+    for (L, dn), pairs in sorted(cells.items()):
+        before = sum(b for b, _ in pairs) / len(pairs)
+        after = sum(c for _, c in pairs) / len(pairs)
+        dropped |= after < before
+        mark = "  dropped" if after < before else ""
+        lines.append(f"L={L} delta*N={dn:g}: base {before:.2f}, change {after:.2f}{mark}")
+    return changed, lines, dropped
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", required=True, help="revision to compare against, e.g. HEAD")
+    args = parser.parse_args(argv)
+
+    from bench_pairs import ROOT, export_revision  # tools/ is on sys.path when run as a script
+
+    with tempfile.TemporaryDirectory(prefix="sweep-verdicts-") as tmp:
+        tmp = Path(tmp)
+        sha = export_revision(args.base, tmp / "tree")
+        base = read_trials(run_sweep(tmp / "tree", tmp / "base"))
+        change = read_trials(run_sweep(ROOT, tmp / "change"))
+    changed, cells, dropped = compare(base, change)
+    for line in changed + cells:
+        print(line)
+    print(f"{len(changed)} of {len(base)} verdicts differ between {sha[:12]} and the working "
+          f"tree; {'a cell rate dropped' if dropped else 'no cell rate dropped'}")
+    return 1 if dropped else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
