@@ -203,7 +203,11 @@ def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
 
 @dataclass(frozen=True)
 class CertificateSolution:
-    """Solved coefficients and the assembled dual variable."""
+    """Solved coefficients and the assembled dual variable.
+
+    The frequencies and outlier rows it certifies are ``system.freqs`` and
+    ``system.omega``.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -211,14 +215,6 @@ class CertificateSolution:
     system: InterpolationSystem
     lam: float
     condition_number: float
-
-    @property
-    def freqs(self) -> np.ndarray:
-        return self.system.freqs
-
-    @property
-    def omega(self) -> np.ndarray:
-        return self.system.omega
 
 
 def solve_certificate(system: InterpolationSystem,

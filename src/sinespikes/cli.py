@@ -8,9 +8,10 @@ command reads. ``read`` is the one key check: a key the command does not
 read, or a value of the wrong type or out of range, exits 4 before any work
 or output. Numeric CSV cells use shortest round-trip decimal representation.
 
-Exit codes: 0 ok, 2 solver did not converge, 3 I/O failure, 4 invalid config
-or command line (a ``SineSpikesError``, or a file that is not JSON). Any
-other exception is a bug and propagates with its traceback.
+Exit codes: 0 ok; 2 the solver did not converge, or failed numerically (a
+``NumericalFailureError``); 3 I/O failure; 4 invalid config or command line
+(any other ``SineSpikesError``, or a file that is not JSON). Any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import certificate as cert_mod
 from . import trigpoly
 from .dual_analysis import demix, success
-from .errors import InvalidConfigurationError, SineSpikesError
+from .errors import InvalidConfigurationError, NumericalFailureError, SineSpikesError
 from .model import MixtureInstance, default_lambda, resolve_lambda
 from .parse import read
 from .solver import SolverOptions
@@ -243,12 +244,9 @@ def cmd_demix(args, cfg: _DemixConfig) -> int:
     norms = np.linalg.norm(solution.gamma, axis=1)
     _write_csv(out / "row_norms.csv", ["row", "gamma_row_norm", "lambda"],
                ((int(i), norms[i], lam) for i in range(norms.size)))
-    diagnostics = solution.diagnostics
-    if len(diagnostics) > 1 and diagnostics[-1, 0] == diagnostics[-2, 0]:
-        diagnostics = diagnostics[:-1]  # the final row repeats a recorded iteration
     _write_csv(out / "solver_diagnostics.csv",
                ["iteration", "objective", "primal_residual", "dual_residual"],
-               ((int(it), *values) for it, *values in diagnostics))
+               ((int(it), *values) for it, *values in solution.diagnostics))
 
     print(f"frequencies: {[round(float(x), 6) for x in report.estimated_frequencies]}")
     print(f"outlier rows: {[int(i) for i in report.estimated_outlier_rows]}")
@@ -433,6 +431,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.handler(args, read(_CONFIGS[args.command], config, None))
+    except NumericalFailureError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except SineSpikesError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

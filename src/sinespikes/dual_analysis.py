@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trigpoly
-from .errors import IllPosedRecoveryError, InvalidDimensionError, NumericalFailureError
+from .errors import IllPosedRecoveryError, InvalidConfigurationError, NumericalFailureError
 from .model import hermitian_toeplitz, sensor_rows, toeplitz_adjoint, wrap_distance
 from .solver import DualSdpProblem, SdpSolution, SolverOptions, solve_dual_sdp
 
@@ -57,7 +57,7 @@ def locate_frequencies(gamma: np.ndarray, primal: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(gamma, dtype=complex)
     if g.ndim != 2 or g.size == 0:
-        raise InvalidDimensionError(f"expected a nonempty matrix, got shape {g.shape}")
+        raise InvalidConfigurationError(f"expected a nonempty matrix, got shape {g.shape}")
     n = g.shape[0]
     lags = toeplitz_adjoint(np.asarray(primal)[:n, :n]) / np.arange(n, 0, -1)
     try:
@@ -113,7 +113,7 @@ class DemixReport:
     estimated_outlier_rows: np.ndarray
     estimated_outliers: np.ndarray
     duality_gap: float
-    converged: bool = True
+    converged: bool
 
     def to_json(self) -> dict:
         a, z = self.estimated_amplitudes, self.estimated_outliers

@@ -1,14 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per action a caller takes.
+
+``InvalidConfigurationError`` means a bad input: an out-of-range value, an
+unusable shape, or a synthesis request no draw can meet; the CLI exits 4.
+``NumericalFailureError`` means the solve itself broke down (a non-finite
+iterate or a failed factorization); the CLI exits 2, as for a solve that
+does not converge. ``IllPosedRecoveryError`` and ``CertificateFailureError``
+are outcomes their callers record: ``demix`` drops the spectral estimate,
+``run_certificate`` reports the failure. A sweep counts any of them as one
+failed trial.
+"""
 
 __all__ = [
     "CertificateFailureError",
     "IllPosedRecoveryError",
     "InvalidConfigurationError",
-    "InvalidDimensionError",
     "NumericalFailureError",
     "SineSpikesError",
-    "SynthesisFailureError",
-    "UndefinedSeparationError",
 ]
 
 
@@ -16,20 +23,8 @@ class SineSpikesError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidDimensionError(SineSpikesError, ValueError):
-    """An array argument has an unusable shape (empty, non-square, ...)."""
-
-
 class InvalidConfigurationError(SineSpikesError, ValueError):
-    """A configuration value is out of its documented range."""
-
-
-class UndefinedSeparationError(SineSpikesError, ValueError):
-    """Minimum separation was requested for fewer than two frequencies."""
-
-
-class SynthesisFailureError(SineSpikesError, RuntimeError):
-    """Rejection sampling could not satisfy the separation target."""
+    """An input is out of its documented range or has an unusable shape."""
 
 
 class NumericalFailureError(SineSpikesError, RuntimeError):

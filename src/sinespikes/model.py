@@ -19,11 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigurationError,
-    InvalidDimensionError,
-    UndefinedSeparationError,
-)
+from .errors import InvalidConfigurationError
 from .parse import read
 
 __all__ = [
@@ -91,13 +87,14 @@ def min_separation(freqs) -> float:
     """Smallest pairwise wrap-around distance among the given frequencies.
 
     Distances wrap because the frequency axis is a circle; two points near
-    0 and 1 are close, not far.
+    0 and 1 are close, not far. Fewer than two frequencies have no pair, and
+    the minimum over no pairs is +inf.
     """
     f = np.asarray(freqs, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise UndefinedSeparationError(
-            "minimum separation needs at least two frequencies"
-        )
+    if f.ndim != 1:
+        raise InvalidConfigurationError(f"expected a vector of frequencies, got shape {f.shape}")
+    if f.size < 2:
+        return math.inf
     s = np.sort(f % 1.0)
     gaps = np.diff(s, append=s[0] + 1.0)
     return float(np.minimum(gaps, 1.0 - gaps).min())
@@ -120,7 +117,7 @@ def toeplitz_adjoint(mat: np.ndarray) -> np.ndarray:
     """Vector of superdiagonal sums: entry k sums the k-th superdiagonal."""
     m = np.asarray(mat)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
+        raise InvalidConfigurationError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
     flat, lag = _upper_triangle(n)
     upper = m.ravel()[flat]
@@ -149,7 +146,7 @@ def _signal_matrix(freqs, amplitudes, n_sensors: int) -> np.ndarray:
     f = np.asarray(freqs, dtype=float)
     a = np.asarray(amplitudes, dtype=complex)
     if a.ndim != 2 or a.shape[0] != f.size:
-        raise InvalidDimensionError(
+        raise InvalidConfigurationError(
             f"amplitudes shape {a.shape} does not match {f.size} frequencies"
         )
     j = np.arange(n_sensors)
@@ -186,11 +183,11 @@ class MixtureInstance:
     def __post_init__(self):
         z, y = self.outliers, self.measurement
         if z.ndim != 2 or z.size == 0 or y.shape != z.shape:
-            raise InvalidDimensionError(
+            raise InvalidConfigurationError(
                 f"outliers and measurement must be nonempty N x L, got {z.shape} and {y.shape}")
         if self.amplitudes.shape != (self.frequencies.size, self.n_snapshots):
-            raise InvalidDimensionError("amplitudes must be K x L")
-        if self.frequencies.size >= 2 and min_separation(self.frequencies) == 0.0:
+            raise InvalidConfigurationError("amplitudes must be K x L")
+        if min_separation(self.frequencies) == 0.0:
             raise InvalidConfigurationError("frequencies must be pairwise distinct")
 
     @property
@@ -269,9 +266,9 @@ class _SavedInstance:
     def __post_init__(self):
         n, l, k = self.n_sensors, self.n_snapshots, len(self.frequencies)
         if n < 1 or l < 1:
-            raise InvalidDimensionError(f"n_sensors {n} and n_snapshots {l} must be at least 1")
+            raise InvalidConfigurationError(f"n_sensors {n} and n_snapshots {l} must be at least 1")
         for key, rows in (("amplitudes_re", k), ("amplitudes_im", k),
                           ("outliers_re", n), ("outliers_im", n)):
             if len(getattr(self, key)) != rows * l:
-                raise InvalidDimensionError(
+                raise InvalidConfigurationError(
                     f"{key} must hold {rows} x {l} values, got {len(getattr(self, key))}")

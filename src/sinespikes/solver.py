@@ -31,11 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigurationError,
-    InvalidDimensionError,
-    NumericalFailureError,
-)
+from .errors import InvalidConfigurationError, NumericalFailureError
 from .model import hermitian_toeplitz, toeplitz_adjoint
 
 __all__ = [
@@ -67,15 +63,11 @@ class DualSdpProblem:
     def __post_init__(self):
         y = np.asarray(self.measurement)
         if y.ndim != 2 or y.size == 0:
-            raise InvalidDimensionError(f"measurement must be N x L, got {y.shape}")
+            raise InvalidConfigurationError(f"measurement must be N x L, got {y.shape}")
         if not np.all(np.isfinite(y)):
             raise InvalidConfigurationError("measurement contains non-finite entries")
         if not 0 < self.lam < math.inf:
             raise InvalidConfigurationError(f"lambda must be positive and finite, got {self.lam}")
-
-    @property
-    def n_sensors(self) -> int:
-        return self.measurement.shape[0]
 
 
 @dataclass(frozen=True)
@@ -89,32 +81,30 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Dual variables and convergence diagnostics of one solve.
+    """Dual variables, primal matrix and convergence diagnostics of one solve.
 
     ``diagnostics`` has one row per recorded iteration with columns
-    (iteration, objective, primal_residual, dual_residual); the last row is
-    the returned iterate, so it repeats the row before it when the solve
-    stops on a recorded iteration. ``primal`` is the (N+L) x (N+L) primal
-    matrix M = -rho * U of the ADMM at exit, U being the scaled multiplier
-    of the PSD constraint; it is positive semidefinite to rounding, and its
+    (iteration, objective, primal_residual, dual_residual): iteration 1,
+    every 25th, and the returned iterate, each once. So its last row holds
+    the residuals at exit. ``primal`` is the (N+L) x (N+L) primal matrix
+    M = -rho * U of the ADMM at exit, U being the scaled multiplier of the
+    PSD constraint; it is positive semidefinite to rounding, and its
     top-left N x N block carries the spectral support (``dual_analysis``).
     """
 
     gamma: np.ndarray
     lambda_mat: np.ndarray
     objective: float
-    primal_residual: float
-    dual_residual: float
     iterations: int
     converged: bool
-    diagnostics: np.ndarray = field(repr=False, default=None)
-    primal: np.ndarray = field(repr=False, default=None)
+    diagnostics: np.ndarray = field(repr=False)
+    primal: np.ndarray = field(repr=False)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidDimensionError(f"expected a square matrix, got {m.shape}")
+        raise InvalidConfigurationError(f"expected a square matrix, got {m.shape}")
     return (m + m.conj().T) / 2.0
 
 
@@ -246,13 +236,12 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     gamma = x[:n, n:].copy()
     lambda_mat = x[:n, :n].copy()
     objective = float(np.real(np.vdot(y, gamma)))
-    history.append((iterations, objective, r_norm, s_norm))
+    if history[-1][0] != iterations:
+        history.append((iterations, objective, r_norm, s_norm))
     return SdpSolution(
         gamma=gamma,
         lambda_mat=lambda_mat,
         objective=objective,
-        primal_residual=r_norm,
-        dual_residual=s_norm,
         iterations=iterations,
         converged=converged,
         diagnostics=np.array(history, dtype=float),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigurationError, SynthesisFailureError
+from .errors import InvalidConfigurationError
 from .model import MixtureInstance, min_separation
 
 __all__ = [
@@ -123,8 +123,6 @@ def _spread_total_outliers(total: int, n_snapshots: int, rng) -> np.ndarray:
 
     The snapshots receiving the remainder are chosen uniformly at random.
     """
-    if total < 0:
-        raise InvalidConfigurationError("total outlier count must be nonnegative")
     base, extra = divmod(total, n_snapshots)
     counts = np.full(n_snapshots, base, dtype=int)
     counts[rng.choice(n_snapshots, extra, replace=False)] += 1
@@ -135,22 +133,18 @@ def _synth_frequencies(n_frequencies: int, delta_min: float,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw frequencies uniformly from ``rng``, rejecting sets separated by < ``delta_min``.
 
-    Fewer than two frequencies have no pair to separate: they are one
-    draw of ``n_frequencies`` values, so zero frequencies draw nothing.
+    Fewer than two frequencies have no pair to separate (their separation is
+    +inf), so the first draw of ``n_frequencies`` values is kept.
     """
-    if n_frequencies < 0:
-        raise InvalidConfigurationError(f"n_frequencies must be nonnegative, got {n_frequencies}")
     if n_frequencies * delta_min > 1.0:
         raise InvalidConfigurationError(
             f"{n_frequencies} frequencies at separation {delta_min} do not fit on the circle"
         )
-    if n_frequencies < 2:
-        return rng.random(n_frequencies)
     for _ in range(_MAX_REJECTIONS):
         f = rng.random(n_frequencies)
         if min_separation(f) >= delta_min:
             return np.sort(f)
-    raise SynthesisFailureError(
+    raise InvalidConfigurationError(
         f"no admissible frequency set after {_MAX_REJECTIONS} draws"
     )
 

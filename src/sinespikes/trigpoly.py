@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidConfigurationError, InvalidDimensionError
+from .errors import InvalidConfigurationError
 
 __all__ = [
     "arc_curvature",
@@ -79,7 +79,7 @@ def coefficients(gamma: np.ndarray) -> np.ndarray:
     ``gamma`` must be a nonempty N x L matrix.
     """
     if np.ndim(gamma) != 2 or np.size(gamma) == 0:
-        raise InvalidDimensionError(f"expected a nonempty matrix, got shape {np.shape(gamma)}")
+        raise InvalidConfigurationError(f"expected a nonempty matrix, got shape {np.shape(gamma)}")
     g = np.asarray(gamma, dtype=complex)
     n = g.shape[0]
     size = 1 << (2 * n - 2).bit_length()
@@ -90,7 +90,7 @@ def coefficients(gamma: np.ndarray) -> np.ndarray:
 def _check_coefficients(coef) -> None:
     """The readers of ||Q|| take the N coefficients of ||Q||^2, a nonempty vector."""
     if np.ndim(coef) != 1 or np.size(coef) == 0:
-        raise InvalidDimensionError(
+        raise InvalidConfigurationError(
             f"expected the nonempty coefficient vector of ||Q||^2, got shape {np.shape(coef)}"
         )
 

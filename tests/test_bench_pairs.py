@@ -12,10 +12,10 @@ _SPEC.loader.exec_module(bench_pairs)
 BETTER = {"p50_adj_s": "lower", "throughput_adj_per_s": "higher", "success_rate": "higher"}
 
 
-def result_line(p50, throughput, success=1.0):
+def result_line(p50, throughput, success=1.0, attempted=10, failed=0):
     """The last line run.py prints, with made-up values."""
     return json.dumps({
-        "correct": True, "attempted": 10, "failed": 0,
+        "correct": failed == 0, "attempted": attempted, "failed": failed,
         "metrics": {
             "p50_adj_s": {"value": p50, "unit": "s"},
             "throughput_adj_per_s": {"value": throughput, "unit": "1/s"},
@@ -65,3 +65,13 @@ def test_summarize_counts_strict_wins_in_each_direction():
 def test_seed_list():
     assert bench_pairs.seed_list("231-234") == [231, 232, 233, 234]
     assert bench_pairs.seed_list("3,5,8") == [3, 5, 8]
+
+
+def test_failure_summary_pools_the_ops_of_every_run():
+    results = [bench_pairs.parse_result(line) for line in (
+        result_line(0.004, 250.0), result_line(0.004, 250.0, attempted=30, failed=1),
+        result_line(0.004, 250.0, attempted=40, failed=2))]
+    assert bench_pairs.failure_summary(results) == {
+        "failed": 3, "attempted": 80, "share": 3 / 80, "incorrect_runs": 2, "runs": 3}
+    assert bench_pairs.failure_summary([]) == {
+        "failed": 0, "attempted": 0, "share": 0.0, "incorrect_runs": 0, "runs": 0}

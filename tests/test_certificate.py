@@ -293,7 +293,7 @@ class TestSolveCertificate:
         assert report.passed
         assert report.interpolation_residual <= 1e-10
         # derivative of ||Q||^2 vanishes at the node
-        f0 = cert.freqs[0]
+        f0 = cert.system.freqs[0]
         weight = (-2j * np.pi * np.arange(cert.gamma.shape[0]))[:, None]
         q0, q1 = trigpoly.evaluate(cert.gamma, f0), trigpoly.evaluate(weight * cert.gamma, f0)
         assert abs(2 * np.real(q1 @ q0.conj().T)) <= 1e-9
@@ -301,7 +301,7 @@ class TestSolveCertificate:
     def test_nodes_hit_unit_norm_single_snapshot(self):
         cert, report = run_certificate(101, 3, 0.06, 0, n_snapshots=1, seed=1)
         assert report.interpolation_residual <= 1e-10
-        vals = np.linalg.norm(trigpoly.evaluate(cert.gamma, cert.freqs), axis=1)
+        vals = np.linalg.norm(trigpoly.evaluate(cert.gamma, cert.system.freqs), axis=1)
         np.testing.assert_allclose(vals, 1.0, atol=1e-10)
 
     def test_two_assembly_paths_agree(self):
@@ -329,7 +329,7 @@ class TestSolveCertificate:
     def test_outlier_rows_fixed_on_ball(self):
         cert, _ = run_certificate(201, 2, 4 / 200, 5, seed=2)
         np.testing.assert_allclose(
-            cert.gamma[cert.omega], cert.lam * cert.system.r, atol=1e-14
+            cert.gamma[cert.system.omega], cert.lam * cert.system.r, atol=1e-14
         )
 
     def test_interpolation_holds_for_any_kernel(self):
@@ -383,8 +383,8 @@ class TestValidateCertificate:
         # resolution cell off the lines, the same nodes are rejected
         cert, report = run_certificate(201, 2, 4 / 200, 5, seed=3)
         assert report.passed
-        for shift, expected in ((0.0, cert.freqs), (0.5 / 201, [])):
-            atoms = np.exp(2j * np.pi * np.outer(np.arange(201), cert.freqs + shift))
+        for shift, expected in ((0.0, cert.system.freqs), (0.5 / 201, [])):
+            atoms = np.exp(2j * np.pi * np.outer(np.arange(201), cert.system.freqs + shift))
             located = locate_frequencies(cert.gamma, atoms @ atoms.conj().T)
             assert located.size == len(expected)
             assert np.abs(located - np.sort(expected)).max(initial=0.0) <= 1e-6
@@ -434,8 +434,9 @@ class TestValidateCertificate:
         rng_f, _, rng_pos, rng_val = (np.random.Generator(np.random.Philox(child))
                                       for child in np.random.SeedSequence(seed).spawn(4))
         freqs = np.sort((rng_f.random() + 4 / 60 * np.arange(3)) % 1.0)
-        np.testing.assert_array_equal(cert.freqs, freqs)
-        np.testing.assert_array_equal(cert.omega, np.sort(rng_pos.choice(61, 7, replace=False)))
+        np.testing.assert_array_equal(cert.system.freqs, freqs)
+        np.testing.assert_array_equal(cert.system.omega,
+                                      np.sort(rng_pos.choice(61, 7, replace=False)))
         rng_val.random(3)  # h
         rng_val.standard_normal((3, 2))  # b, real and imaginary parts
         rng_val.standard_normal((3, 2))
@@ -563,7 +564,7 @@ def dense_offgrid_max(cert, grid_size):
     _, qnorm = trigpoly.scan(trigpoly.coefficients(cert.gamma), grid_size)
     grid = np.arange(qnorm.size) / qnorm.size
     radius = certificate._NEAR_RADIUS / cert.system.kernel.half_length
-    far = wrap_distance(grid[:, None], cert.freqs).min(axis=1, initial=math.inf) > radius
+    far = wrap_distance(grid[:, None], cert.system.freqs).min(axis=1, initial=math.inf) > radius
     return float(qnorm[far].max()) if far.any() else math.inf
 
 
@@ -626,12 +627,12 @@ def certified_instance(cert, seed):
     the premodulated target phi_k differs from it by exp(2i*pi*m*f_k).
     """
     rng = np.random.default_rng(seed)
-    c = rng.uniform(0.5, 1.5, cert.freqs.size)
-    d = rng.uniform(0.5, 1.5, cert.omega.size)
-    amplitudes = c[:, None] * trigpoly.evaluate(cert.gamma, cert.freqs)
+    c = rng.uniform(0.5, 1.5, cert.system.freqs.size)
+    d = rng.uniform(0.5, 1.5, cert.system.omega.size)
+    amplitudes = c[:, None] * trigpoly.evaluate(cert.gamma, cert.system.freqs)
     outliers = np.zeros_like(cert.gamma)
-    outliers[cert.omega] = d[:, None] * cert.system.r
-    return MixtureInstance.from_components(cert.freqs, amplitudes, outliers, seed=seed)
+    outliers[cert.system.omega] = d[:, None] * cert.system.r
+    return MixtureInstance.from_components(cert.system.freqs, amplitudes, outliers, seed=seed)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -644,7 +645,7 @@ def test_passing_certificate_predicts_exact_recovery(seed):
     inst = certified_instance(cert, seed)
     result, _ = demix(inst.measurement, cert.lam)
     assert success(result.estimated_frequencies, inst.frequencies)
-    np.testing.assert_array_equal(result.estimated_outlier_rows, cert.omega)
+    np.testing.assert_array_equal(result.estimated_outlier_rows, cert.system.omega)
     nearest = wrap_distance(result.estimated_frequencies, inst.frequencies[:, None]).argmin(axis=1)
     assert np.abs(result.estimated_amplitudes[nearest] - inst.amplitudes).max() <= 1e-3
     assert np.abs(result.estimated_outliers - inst.outliers).max() <= 1e-3

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sinespikes import MixtureInstance
 from sinespikes import cli, model, parse
 from sinespikes.cli import main, trial_seed
+from sinespikes.errors import NumericalFailureError
 
 
 def write_config(path, payload):
@@ -678,6 +679,33 @@ def test_error_inside_a_handler_propagates(tmp_path, monkeypatch, error):
     cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH})
     with pytest.raises(error, match="a bug"):
         main(["demix", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+def test_numerical_failure_exits_as_no_convergence(tmp_path, monkeypatch, capsys):
+    # a solve that breaks down is not a bad config
+    def broken(*args, **kwargs):
+        raise NumericalFailureError("non-finite residuals at iteration 7 (rho=1.0)")
+
+    monkeypatch.setattr(cli, "demix", broken)
+    cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH})
+    assert main(["demix", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: non-finite residuals at iteration 7 (rho=1.0)\n"
+
+
+def test_numerical_failure_is_one_failed_sweep_trial(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise NumericalFailureError("eigendecomposition failed")
+
+    monkeypatch.setattr(cli, "demix", broken)
+    cfg = write_config(tmp_path / "c.json", {"synthesis": {"n_sensors": 16}, "phase_transition": {
+        "delta_start": 1.0, "delta_step": 1.0, "delta_stop": 1.5, "snapshot_counts": [2],
+        "trials": 2}})
+    out = tmp_path / "o"
+    assert main(["phase-transition", "--config", cfg, "--out", str(out)]) == 0
+    assert [line.split(",")[-1] for line in (out / "trials.csv").read_text().splitlines()] == [
+        "success", "0", "0"]
+    assert capsys.readouterr().err.count("eigendecomposition failed") == 2
 
 
 # --- every key, drawn wrong -------------------------------------------------

@@ -20,7 +20,6 @@ from sinespikes.dual_analysis import (
 from sinespikes.errors import (
     IllPosedRecoveryError,
     InvalidConfigurationError,
-    InvalidDimensionError,
     NumericalFailureError,
 )
 from sinespikes.model import _signal_matrix, hermitian_toeplitz, toeplitz_adjoint
@@ -30,8 +29,8 @@ from sinespikes.solver import SdpSolution
 def make_solution(gamma):
     return SdpSolution(
         gamma=gamma, lambda_mat=np.eye(gamma.shape[0]) / gamma.shape[0],
-        objective=0.0, primal_residual=0.0, dual_residual=0.0,
-        iterations=1, converged=True, diagnostics=np.zeros((1, 4)),
+        objective=0.0, iterations=1, converged=True, diagnostics=np.zeros((1, 4)),
+        primal=np.zeros((gamma.shape[0] + gamma.shape[1],) * 2),
     )
 
 
@@ -83,7 +82,7 @@ class TestLocateFrequencies:
 
     def test_gamma_not_a_nonempty_matrix_rejected(self):
         for gamma in (np.ones(16, dtype=complex), np.zeros((0, 2), dtype=complex)):
-            with pytest.raises(InvalidDimensionError):
+            with pytest.raises(InvalidConfigurationError):
                 locate_frequencies(gamma, np.eye(18))
 
     def test_single_atom_solve(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinespikes import (
     DualSdpProblem,
@@ -8,7 +10,7 @@ from sinespikes import (
     solve_dual_sdp,
 )
 from sinespikes import solver
-from sinespikes.errors import InvalidConfigurationError, InvalidDimensionError
+from sinespikes.errors import InvalidConfigurationError
 from sinespikes.model import toeplitz_adjoint
 from sinespikes.solver import _affine_hermitian, _hermitize, project_psd, project_row_ball
 
@@ -88,7 +90,7 @@ class TestProjectPsd:
         np.testing.assert_allclose(project_psd(p), p, atol=1e-12)
 
     def test_non_square_rejected(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidConfigurationError):
             project_psd(np.ones((2, 3)))
 
 
@@ -321,7 +323,8 @@ def reference_admm(y, lam, max_iterations):
             rho /= 2.0
             u *= 2.0
     gamma = x[:n, n:].copy()
-    history.append((iterations, float(np.real(np.vdot(y, gamma))), r_norm, s_norm))
+    if history[-1][0] != iterations:
+        history.append((iterations, float(np.real(np.vdot(y, gamma))), r_norm, s_norm))
     return gamma, x[:n, :n].copy(), iterations, converged, np.array(history, dtype=float)
 
 
@@ -380,3 +383,32 @@ def test_project_psd_matches_full_clamp_bit_for_bit():
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert_same_bits(project_psd(m), clamp_psd(m))
     assert_same_bits(project_psd(-np.eye(3)), clamp_psd(-np.eye(3)))
+
+
+# Each example runs four solves at N <= 24, capped at 600 iterations (~0.1 s):
+# most of these instances converge within 600, a few need tens of thousands
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 24), l=st.integers(1, 3),
+       mixing_seed=st.integers(0, 2**32 - 1), f0=st.floats(0.0, 1.0, exclude_max=True))
+def test_solve_is_equivariant_under_the_problem_symmetries(seed, n, l, mixing_seed, f0):
+    # Y -> Y U (U unitary), Y -> D Y (D = diag(exp(2i*pi*j*f0))) and Y -> conj(Y)
+    # with its rows reversed map the feasible set onto itself and keep the
+    # objective; the ADMM iterates map the same way to rounding
+    y = spectral_measurement(n, l, seed)
+    lam = default_lambda(n)
+    rng = np.random.default_rng(mixing_seed)
+    u, _ = np.linalg.qr(rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))
+    d = np.exp(2j * np.pi * np.arange(n) * f0)[:, None]
+    opts = SolverOptions(max_iterations=600)
+    sol = solve_dual_sdp(DualSdpProblem(y, lam), opts)
+    moves = {
+        "unitary mixing": (y @ u, sol.gamma @ u),
+        "row modulation": (d * y, d * sol.gamma),
+        "conjugate row reversal": (y[::-1].conj(), sol.gamma[::-1].conj()),
+    }
+    for name, (moved_y, mapped_gamma) in moves.items():
+        moved = solve_dual_sdp(DualSdpProblem(moved_y, lam), opts)
+        assert (moved.iterations, moved.converged) == (sol.iterations, sol.converged), name
+        assert abs(moved.objective - sol.objective) <= 1e-12 * max(1.0, abs(sol.objective)), name
+        error = np.linalg.norm(moved.gamma - mapped_gamma)
+        assert error <= 1e-10 * max(1.0, np.linalg.norm(y)), (name, error)

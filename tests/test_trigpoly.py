@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sinespikes import run_certificate, trigpoly
 from sinespikes.dual_analysis import locate_frequencies
-from sinespikes.errors import InvalidConfigurationError, InvalidDimensionError
+from sinespikes.errors import InvalidConfigurationError
 from sinespikes.model import wrap_distance
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -85,7 +85,7 @@ def test_zero_gamma_scans_to_zero_without_maxima():
 ], ids=["scan", "arc_curvature"])
 def test_readers_of_the_norm_reject_anything_but_a_coefficient_vector(reader, coef):
     # the N x L dual variable passed for the coefficients of ||Q||^2 by mistake
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidConfigurationError):
         reader(coef)
 
 

@@ -14,7 +14,9 @@ it holds exactly what the revision committed, as a fresh checkout would.
 otherwise) records every run, and for each end-to-end metric of
 BENCHMARK.json the median and interquartile range of each side and the
 number of pairs in which the working tree did better, with nproc and the
-numpy version. The script only reads the benchmark's output; it does not
+numpy version. For each side it also records, and prints, the failed share:
+failed ops over attempted ops, and the number of runs that reported
+``correct=False``. The script only reads the benchmark's output; it does not
 import or change anything under ``perfbench/``.
 """
 
@@ -89,6 +91,22 @@ def summarize(pairs, better: dict[str, str]) -> dict:
     return summary
 
 
+def failure_summary(results) -> dict:
+    """Failed ops over attempted ops, and the runs that reported ``correct=False``.
+
+    The share is 0 when no op was attempted.
+    """
+    failed = sum(r["failed"] for r in results)
+    attempted = sum(r["attempted"] for r in results)
+    return {
+        "failed": failed,
+        "attempted": attempted,
+        "share": failed / attempted if attempted else 0.0,
+        "incorrect_runs": sum(not r["correct"] for r in results),
+        "runs": len(results),
+    }
+
+
 def export_revision(rev: str, dest: Path) -> str:
     """Extract the committed files of ``rev`` into ``dest``; returns its full hash."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
@@ -138,6 +156,8 @@ def main(argv=None) -> int:
             pairs.append((pair["base"], pair["change"]))
 
     summary = summarize(pairs, better)
+    failures = {"base": failure_summary([b for b, _ in pairs]),
+                "change": failure_summary([c for _, c in pairs])}
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                           text=True).stdout.strip()
     record = {
@@ -150,6 +170,7 @@ def main(argv=None) -> int:
         "numpy": metadata.version("numpy"),
         "python": platform.python_version(),
         "metrics": summary,
+        "failures": failures,
         "runs": runs,
     }
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.workload}.json"
@@ -158,6 +179,9 @@ def main(argv=None) -> int:
         print(f"{name:22} base {s['base']['median']:.6g} (IQR {s['base']['iqr']:.3g})  "
               f"change {s['change']['median']:.6g} (IQR {s['change']['iqr']:.3g})  "
               f"wins {s['wins']}/{s['pairs']}")
+    for side, f in failures.items():
+        print(f"failed ops {side:6} {f['failed']}/{f['attempted']} ({f['share']:.3g}), "
+              f"{f['incorrect_runs']} of {f['runs']} runs incorrect")
     print(f"wrote {out}")
     return 0
 

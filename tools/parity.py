@@ -56,19 +56,28 @@ CALLS = [
 ]
 
 
-def run_calls(tree: Path, work: Path) -> dict[str, tuple[int, str, str]]:
-    """Run every call on the source tree ``tree`` under ``work``: name -> (exit, stdout, stderr)."""
+def run_cli(tree: Path, cwd: Path, config: dict, args: list[str],
+            timeout: float) -> subprocess.CompletedProcess:
+    """Run ``python -m sinespikes.cli <args> --config config.json --out out`` in ``cwd``.
+
+    ``cwd`` is created and ``config`` written to its ``config.json``; the
+    call imports the source tree ``tree`` and uses one BLAS thread.
+    """
+    cwd.mkdir(parents=True)
+    (cwd / "config.json").write_text(json.dumps(config))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "sinespikes.cli", *args, "--config", "config.json",
+           "--out", "out"]
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def run_calls(tree: Path, work: Path) -> dict[str, tuple[int, str, str]]:
+    """Run every call on the source tree ``tree`` under ``work``: name -> (exit, stdout, stderr)."""
     results = {}
     for name, config, args in CALLS:
-        cwd = work / name
-        cwd.mkdir(parents=True)
-        (cwd / "config.json").write_text(json.dumps(config))
-        cmd = [sys.executable, "-m", "sinespikes.cli", *args, "--config", "config.json",
-               "--out", "out"]
-        proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True,
-                              timeout=CALL_TIMEOUT_S)
+        proc = run_cli(tree, work / name, config, args, CALL_TIMEOUT_S)
         results[name] = (proc.returncode, proc.stdout, proc.stderr)
     return results
 

@@ -5,8 +5,9 @@
 
 The committed files of ``--base`` are exported with ``git archive`` (as
 ``tools/bench_pairs.py`` does). Then one ``phase-transition`` call runs on
-each tree, as ``python -m sinespikes.cli`` with that tree's ``src`` on
-``PYTHONPATH`` and one BLAS thread: N=50, f1=0.2, delta*N from 0.1 to 1.5 in
+each tree through ``tools/parity.py``'s ``run_cli`` (``python -m
+sinespikes.cli`` with that tree's ``src`` on ``PYTHONPATH`` and one BLAS
+thread): N=50, f1=0.2, delta*N from 0.1 to 1.5 in
 steps of 0.2, L in {1, 3, 5}, 4 trials per cell (96 trials), each capped at
 3000 iterations, ``--seed 0 --threads 2``. Trial seeds depend only on the
 base seed and the cell, so both sides draw the same instances.
@@ -20,9 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -40,14 +38,9 @@ ARGS = ["--seed", "0", "--threads", "2"]
 
 def run_sweep(tree: Path, work: Path) -> str:
     """Run the sweep on the source tree ``tree`` in ``work``; returns its trials.csv."""
-    work.mkdir(parents=True)
-    (work / "config.json").write_text(json.dumps(CONFIG))
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    cmd = [sys.executable, "-m", "sinespikes.cli", "phase-transition", *ARGS,
-           "--config", "config.json", "--out", "out"]
-    subprocess.run(cmd, cwd=work, env=env, capture_output=True, check=True,
-                   timeout=CALL_TIMEOUT_S)
+    from parity import run_cli  # tools/ is on sys.path when run as a script
+
+    run_cli(tree, work, CONFIG, ["phase-transition", *ARGS], CALL_TIMEOUT_S).check_returncode()
     return (work / "out" / "trials.csv").read_text()
 
 
