@@ -4,10 +4,12 @@ The certificate is a dual variable Gamma (N x L) in the layout the solver
 and ``trigpoly`` use: row j is the coefficient of exp(-2i*pi*j*f) in
 Q(f) = sum_j Gamma[j] exp(-2i*pi*j*f), the polynomial the SDP bounds by one.
 With N = 2m + 1, row j carries the kernel index l_j = m - j. The
-interpolation kernel is a product of three Dirichlet kernels; its
-coefficients are symmetric in l, so row j holds the kernel coefficient of
-both m - j and j - m, and restricting the kernel to the clean sensors zeroes
-the outlier rows Omega.
+interpolation kernel is a product of three Dirichlet kernels, held as its
+vector of N real coefficients; its coefficients are symmetric in l, so row j
+holds the kernel coefficient of both m - j and j - m, and restricting the
+kernel to the clean sensors zeroes the outlier rows Omega. The kernel, m
+and the scale kappa = 1 / sqrt(|K''(0)|) are fixed by N, so m is read from
+the vector's length and kappa from the size table of m.
 
 With E[j, k] = exp(-2i*pi*l_j*f_k), F = [E, kappa diag(2i*pi*l) E] and
 C = diag(restricted kernel coefficients), the certificate is
@@ -41,7 +43,6 @@ __all__ = [
     "CertificateReport",
     "CertificateSolution",
     "InterpolationSystem",
-    "Kernel",
     "ValidationOptions",
     "build_kernel",
     "build_system",
@@ -72,36 +73,14 @@ def _is_unit(values: np.ndarray) -> bool:
     return bool(np.all(np.abs(values - 1.0) <= _UNIT_TOL))
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Triple-Dirichlet interpolation kernel laid out over sensor rows.
+def build_kernel(m: int) -> np.ndarray:
+    """The kernel's 2m+1 coefficients; entry j is at index l_j = m - j.
 
-    ``coefficients[j]`` is the kernel coefficient at index l_j = m - j; a
-    restricted kernel has the outlier rows zeroed.
+    Three Dirichlet coefficient boxes convolved; the peak value is one at
+    f=0. The coefficients depend on m only and are computed once per m;
+    each call returns its own copy of them.
     """
-
-    half_length: int
-    coefficients: np.ndarray  # (2m+1,), real
-
-    @property
-    def n_sensors(self) -> int:
-        return 2 * self.half_length + 1
-
-    @property
-    def kappa(self) -> float:
-        """1 / sqrt(|K''(0)|) of the unrestricted kernel, a function of m alone."""
-        return _size_table(self.half_length).kappa
-
-
-def build_kernel(m: int) -> Kernel:
-    """Convolve three Dirichlet coefficient boxes; peak value is one at f=0.
-
-    The coefficients depend on m only and are computed once per m; each
-    call returns its own copy of them.
-    """
-    if m < 4:
-        raise InvalidConfigurationError(f"kernel half-length must be >= 4, got {m}")
-    return Kernel(half_length=m, coefficients=_size_table(m).coefficients.copy())
+    return _size_table(m).coefficients.copy()
 
 
 class _SizeTable(NamedTuple):
@@ -115,6 +94,8 @@ class _SizeTable(NamedTuple):
 @lru_cache(maxsize=16)
 def _size_table(m: int) -> _SizeTable:
     """What the certificate needs of m alone, computed once per m; the arrays are read-only."""
+    if m < 4:
+        raise InvalidConfigurationError(f"kernel half-length must be >= 4, got {m}")
     coeffs = np.array([1.0])
     for rate in _FACTOR_RATES:
         mi = int(math.floor(rate * m))
@@ -132,19 +113,22 @@ def _size_table(m: int) -> _SizeTable:
     return _SizeTable(full, kappa, l, row_weight, derivative_weight)
 
 
-def restrict_kernel(kernel: Kernel, omega) -> Kernel:
-    """Zero the coefficients on the sensor rows ``omega``; kappa, a size, is kept.
+def restrict_kernel(kernel, omega) -> np.ndarray:
+    """A copy of the kernel's coefficients with the sensor rows ``omega`` zeroed.
 
     ``omega`` must hold distinct integer indices in 0..N-1.
     """
-    coeffs = kernel.coefficients.copy()
-    coeffs[sensor_rows(omega, kernel.n_sensors)] = 0.0
-    return Kernel(half_length=kernel.half_length, coefficients=coeffs)
+    weights = np.array(kernel, dtype=float)
+    weights[sensor_rows(omega, weights.size)] = 0.0
+    return weights
 
 
 @dataclass(frozen=True)
 class InterpolationSystem:
-    """The 2K x 2K interpolation system and its right-hand-side pieces."""
+    """The 2K x 2K interpolation system and its right-hand-side pieces.
+
+    N = ``weights.size``, and m and kappa are read from it.
+    """
 
     matrix: np.ndarray          # F^H C F = [[D0, D1], [-D1, D2]]
     basis: np.ndarray           # F, (N, 2K)
@@ -152,19 +136,16 @@ class InterpolationSystem:
     r: np.ndarray               # (s, L), unit rows; row i belongs to omega[i]
     freqs: np.ndarray
     omega: np.ndarray           # ascending sensor indices of the outlier rows
-    kernel: Kernel
-
-    @property
-    def b_omega(self) -> np.ndarray:
-        """F[Omega]^H, (2K, s): node values and scaled derivatives of the outlier rows."""
-        return self.basis[self.omega].conj().T
+    weights: np.ndarray         # (N,), the restricted kernel coefficients: the diagonal of C
 
 
-def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
+def build_system(freqs, omega, h, b, r, kernel) -> InterpolationSystem:
     """Fill the interpolation blocks for the given sign pattern.
 
-    D0, D1, D2 hold the restricted kernel and its derivatives, scaled by
-    kappa and kappa^2, at the pairwise frequency differences. ``omega``
+    ``kernel`` is the vector of N = 2m + 1 restricted kernel coefficients
+    (``restrict_kernel``), with m >= 4; m is read from its length. D0, D1,
+    D2 hold the restricted kernel and its derivatives, scaled by kappa and
+    kappa^2, at the pairwise frequency differences. ``omega``
     must hold s distinct integer indices in 0..N-1, ``h`` K unit phases,
     ``b`` K unit rows of length L, and ``r`` an (s, L) array of unit rows,
     row i for sensor row omega[i]. The system holds omega ascending and r's
@@ -172,8 +153,13 @@ def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
     2i*pi*kappa*l_j depend on m only; they are computed once per m and kept
     read-only.
     """
+    weights = np.asarray(kernel, dtype=float)
+    if weights.ndim != 1 or weights.size % 2 != 1:
+        raise InvalidConfigurationError(
+            f"kernel must be a vector of odd length 2m+1, got shape {weights.shape}")
+    table = _size_table(weights.size // 2)
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    om = sensor_rows(omega, kernel.n_sensors)
+    om = sensor_rows(omega, weights.size)
     h = np.atleast_1d(np.asarray(h, dtype=complex))
     b = np.atleast_2d(np.asarray(b, dtype=complex))
     r = np.asarray(r, dtype=complex)
@@ -191,13 +177,12 @@ def build_system(freqs, omega, h, b, r, kernel: Kernel) -> InterpolationSystem:
         raise InvalidConfigurationError("r rows must be unit norm")
     r = r[np.argsort(np.atleast_1d(omega), kind="stable")]  # r's rows in om's order
 
-    table = _size_table(kernel.half_length)
     e = np.exp(-2j * np.pi * np.outer(table.rows, f))
     basis = np.concatenate([e, table.derivative_weight[:, None] * e], axis=1)
-    matrix = basis.conj().T @ (kernel.coefficients[:, None] * basis)
+    matrix = basis.conj().T @ (weights[:, None] * basis)
     phi = h[:, None] * b.conj()
     return InterpolationSystem(
-        matrix=matrix, basis=basis, phi=phi, r=r, freqs=f, omega=om, kernel=kernel,
+        matrix=matrix, basis=basis, phi=phi, r=r, freqs=f, omega=om, weights=weights,
     )
 
 
@@ -228,7 +213,7 @@ def solve_certificate(system: InterpolationSystem,
     restricted kernel is zero. A condition number above _CONDITION_LIMIT
     raises ``CertificateFailureError``.
     """
-    n = system.kernel.n_sensors
+    n = system.weights.size
     k = system.freqs.size
     n_snap = system.phi.shape[1]
     if lam is None:
@@ -243,10 +228,10 @@ def solve_certificate(system: InterpolationSystem,
         )
 
     rhs = np.concatenate([system.phi, np.zeros((k, n_snap))])
-    rhs -= lam * (system.b_omega @ system.r)
+    rhs -= lam * (system.basis[system.omega].conj().T @ system.r)
     ab = np.linalg.solve(system.matrix, rhs)
     alpha, beta = ab[:k], ab[k:]
-    gamma = system.kernel.coefficients[:, None] * (system.basis @ ab)
+    gamma = system.weights[:, None] * (system.basis @ ab)
     gamma[system.omega] += lam * system.r
     return CertificateSolution(
         alpha=alpha, beta=beta, gamma=gamma, system=system, lam=lam,
@@ -313,7 +298,8 @@ def validate_certificate(cert: CertificateSolution,
     strictly inside the ball. The on-support rows equal lam times the drawn
     unit rows by construction.
 
-    The node-derivative weights 2i*pi*l_j depend on m only; they are
+    N is the length of ``cert.system.weights``; m = N // 2, and kappa and
+    the node-derivative weights 2i*pi*l_j depend on m only: they are
     computed once per m and kept read-only. The off-support bound is the
     maximum of the scan after its near-region points are set to -inf, so no
     grid-sized mask is built; it is inf when no grid point is left and NaN
@@ -321,8 +307,9 @@ def validate_certificate(cert: CertificateSolution,
     """
     opts = opts or ValidationOptions()
     sys = cert.system
-    m = sys.kernel.half_length
-    n = sys.kernel.n_sensors
+    n = sys.weights.size
+    m = n // 2
+    table = _size_table(m)
     freqs = sys.freqs
     gamma = cert.gamma
 
@@ -331,10 +318,10 @@ def validate_certificate(cert: CertificateSolution,
     # row sums of gamma and of 2i*pi*l_j gamma[j]
     n_snap = gamma.shape[1]
     nodes = np.exp(2j * np.pi * m * freqs)[:, None] * trigpoly.evaluate(
-        np.concatenate([gamma, _size_table(m).row_weight * gamma], axis=1), freqs)
+        np.concatenate([gamma, table.row_weight * gamma], axis=1), freqs)
     p_val, p_der = nodes[:, :n_snap], nodes[:, n_snap:]
     res_val = float(np.linalg.norm(p_val - sys.phi, axis=1).max(initial=0.0))
-    res_der = float((sys.kernel.kappa * np.linalg.norm(p_der, axis=1)).max(initial=0.0))
+    res_der = float((table.kappa * np.linalg.norm(p_der, axis=1)).max(initial=0.0))
     interpolation_residual = max(res_val, res_der)
 
     coef = trigpoly.coefficients(gamma)

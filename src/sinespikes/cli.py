@@ -117,7 +117,7 @@ class CertificateSection:
     n_outliers: int = 5
     n_snapshots: int = 3
     seeds: int = 1
-    grid_size: int | None = None
+    grid_size: int = cert_mod.ValidationOptions.grid_size
 
     def __post_init__(self):
         k, separation = self.n_frequencies, self.separation
@@ -341,8 +341,7 @@ def cmd_phase_transition(args, cfg: _PhaseTransitionConfig) -> int:
 def cmd_certificate(args, cfg: _CertificateConfig) -> int:
     cfg = _override(cfg, seed=args.seed, lam=args.lam)
     section = _override(cfg.certificate, grid_size=args.grid)
-    opts = (cert_mod.ValidationOptions() if section.grid_size is None
-            else cert_mod.ValidationOptions(section.grid_size))
+    opts = cert_mod.ValidationOptions(section.grid_size)
     lam = resolve_lambda(cfg.lam, section.n_sensors)
 
     reports = []

@@ -54,7 +54,7 @@ class TestKernel:
     def test_peak_normalization(self):
         for m in (5, 25, 50, 100):
             k = build_kernel(m)
-            assert k.coefficients.sum() == pytest.approx(1.0, abs=1e-12)
+            assert k.sum() == pytest.approx(1.0, abs=1e-12)
             assert interpolation_matrix(k, [0.3])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dirichlet_product(self):
@@ -67,7 +67,7 @@ class TestKernel:
 
     def test_coefficients_symmetric(self):
         k = build_kernel(37)
-        np.testing.assert_allclose(k.coefficients, k.coefficients[::-1], atol=1e-15)
+        np.testing.assert_allclose(k, k[::-1], atol=1e-15)
 
     def test_evaluation_is_real(self):
         # real and even: K(f) = K(-f) is real, so D0 is real and symmetric
@@ -86,12 +86,13 @@ class TestKernel:
         m = 40
         k = build_kernel(m)
         l = m - np.arange(2 * m + 1)
-        second = np.sum((2j * np.pi * l) ** 2 * k.coefficients)  # K''(0) over sensor rows
+        second = np.sum((2j * np.pi * l) ** 2 * k)  # K''(0) over sensor rows
         assert second.real < 0 and abs(second.imag) <= 1e-9
-        assert k.kappa == pytest.approx(1.0 / np.sqrt(-second.real), rel=1e-12)
+        assert certificate._size_table(m).kappa == pytest.approx(1.0 / np.sqrt(-second.real), rel=1e-12)
 
     def test_derivatives_match_finite_differences(self):
         k = build_kernel(25)
+        kappa = certificate._size_table(25).kappa
         rng = np.random.default_rng(1)
         h = 1e-6
         for f in rng.random(100):
@@ -99,9 +100,9 @@ class TestKernel:
             d = interpolation_matrix(k, [f + h, f - h, f, 0.0])
             fd1 = (d[0, 3] - d[1, 3]) / (2 * h)
             fd2 = (d[0, 7] - d[1, 7]) / (2 * h)
-            assert abs(k.kappa * fd1 - d[2, 7]) <= 1e-5 * abs(d[2, 7])
+            assert abs(kappa * fd1 - d[2, 7]) <= 1e-5 * abs(d[2, 7])
             # |kappa^2 K''(f)| <= kappa^2 |K''(0)| = 1, so this is the relative bound at f = 0
-            assert abs(k.kappa * fd2 + d[6, 7]) <= 1e-5
+            assert abs(kappa * fd2 + d[6, 7]) <= 1e-5
 
     def test_small_half_length_rejected(self):
         with pytest.raises(InvalidConfigurationError):
@@ -109,36 +110,26 @@ class TestKernel:
 
     def test_mutating_returned_coefficients_cannot_change_a_later_kernel(self):
         first = build_kernel(17)
-        expected = first.coefficients.copy()
-        first.coefficients[:] = 7.0
+        expected = first.copy()
+        first[:] = 7.0
         again = build_kernel(17)
-        np.testing.assert_array_equal(again.coefficients, expected)
-        assert again.coefficients is not first.coefficients
-        assert again.kappa == first.kappa
-
-    def test_kappa_is_a_size_not_a_field(self):
-        # a kernel is its half-length and coefficients; kappa is read from the
-        # size, so build_system and validate_certificate cannot see two kappas
-        coefficients = build_kernel(20).coefficients
-        by_hand = certificate.Kernel(20, coefficients)
-        assert by_hand.kappa == certificate._size_table(20).kappa
-        assert restrict_kernel(by_hand, [3]).kappa == by_hand.kappa
-        with pytest.raises(TypeError):
-            certificate.Kernel(20, coefficients, 2 * by_hand.kappa)
+        np.testing.assert_array_equal(again, expected)
+        assert again is not first
 
 
 class TestRestrictKernel:
     def test_empty_restriction_is_identity(self):
         k = build_kernel(20)
         r = restrict_kernel(k, [])
-        np.testing.assert_allclose(r.coefficients, k.coefficients)
+        np.testing.assert_allclose(r, k)
         r = restrict_kernel(k, np.array([], dtype=int))
-        np.testing.assert_allclose(r.coefficients, k.coefficients)
+        np.testing.assert_allclose(r, k)
 
     def test_full_restriction_is_zero(self):
         k = build_kernel(20)
         r = restrict_kernel(k, range(41))
-        assert np.abs(r.coefficients).max() == 0.0
+        assert np.abs(r).max() == 0.0
+        np.testing.assert_array_equal(k, build_kernel(20))  # the input is not changed
 
     def test_out_of_range_rejected(self):
         k = build_kernel(10)
@@ -166,9 +157,9 @@ class TestRestrictKernel:
         keep = np.ones((draws, n))
         for i in range(draws):
             keep[i, rng.choice(n, s, replace=False)] = 0.0
-        means = (keep * k.coefficients).mean(axis=0)
+        means = (keep * k).mean(axis=0)
         mc = basis @ means
-        expected = (n - s) / n * (basis @ k.coefficients)
+        expected = (n - s) / n * (basis @ k)
         assert np.abs(mc - expected).max() <= 2e-2
 
 
@@ -192,6 +183,13 @@ class TestBuildSystem:
         # outlier rows over two snapshots need a (2, 2) r
         with pytest.raises(InvalidConfigurationError, match="shape"):
             build_system([0.3], [3, 17], [1.0], np.full((1, 2), 2**-0.5), r, build_kernel(20))
+
+    @pytest.mark.parametrize("kernel", [np.full((1, 41), 1 / 41), np.full(40, 1 / 40),
+                                        np.full(7, 1 / 7)],
+                             ids=["2-D", "even-length", "half-length-3"])
+    def test_kernel_must_be_a_vector_of_odd_length_at_least_9(self, kernel):
+        with pytest.raises(InvalidConfigurationError):
+            build_system([0.3], [], [1.0], np.ones((1, 1)), np.zeros((0, 1)), kernel)
 
     def test_sensor_rows_are_sorted(self):
         kern = build_kernel(20)
@@ -228,7 +226,7 @@ class TestBuildSystem:
         sys = build_system([0.3], [], [1.0], np.array([[1.0]]), np.zeros((0, 1)), k)
         d = sys.matrix
         assert d.shape == (2, 2)
-        assert d[0, 0] == pytest.approx(k.coefficients.sum(), abs=1e-12)  # K(0)
+        assert d[0, 0] == pytest.approx(k.sum(), abs=1e-12)  # K(0)
         assert abs(d[0, 1]) <= 1e-12  # kappa K'(0)
         assert d[1, 1] == pytest.approx(1.0, abs=1e-12)  # -kappa^2 K''(0)
 
@@ -247,16 +245,15 @@ class TestBuildSystem:
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         r = np.exp(2j * np.pi * rng.random((s, l))) / math.sqrt(l)
         sys = build_system(freqs, omega, h, b, r, kern)
-        assert np.all(kern.coefficients[zeroed] == 0.0)
-        kappa = 1.0 / math.sqrt(sum((2 * np.pi * (m - j)) ** 2 * base.coefficients[j]
-                                    for j in range(n)))
-        assert kern.kappa == pytest.approx(kappa, rel=1e-12)
+        assert np.all(kern[zeroed] == 0.0)
+        kappa = 1.0 / math.sqrt(sum((2 * np.pi * (m - j)) ** 2 * base[j] for j in range(n)))
+        assert certificate._size_table(m).kappa == pytest.approx(kappa, rel=1e-12)
         for i in range(kk):
             for k in range(kk):
                 d0 = d1 = d2 = 0j
                 for j in range(n):
                     lj = m - j
-                    term = kern.coefficients[j] * np.exp(2j * np.pi * lj * (freqs[i] - freqs[k]))
+                    term = kern[j] * np.exp(2j * np.pi * lj * (freqs[i] - freqs[k]))
                     d0 += term
                     d1 += kappa * 2j * np.pi * lj * term
                     d2 += kappa**2 * (2 * np.pi * lj) ** 2 * term
@@ -264,11 +261,12 @@ class TestBuildSystem:
                 assert abs(sys.matrix[i, kk + k] - d1) <= 1e-12
                 assert abs(sys.matrix[kk + i, k] + d1) <= 1e-12
                 assert abs(sys.matrix[kk + i, kk + k] - d2) <= 1e-12
+        b_omega = sys.basis[omega].conj().T  # node values and scaled derivatives of rows omega
         for c, d in enumerate(omega):
             g = d - m
             for i in range(kk):
-                assert abs(sys.b_omega[i, c] - np.exp(-2j * np.pi * g * freqs[i])) <= 1e-12
-                assert abs(sys.b_omega[kk + i, c]
+                assert abs(b_omega[i, c] - np.exp(-2j * np.pi * g * freqs[i])) <= 1e-12
+                assert abs(b_omega[kk + i, c]
                            - 2j * np.pi * g * kappa * np.exp(-2j * np.pi * g * freqs[i])) <= 1e-12
         np.testing.assert_allclose(sys.phi, h[:, None] * b.conj(), atol=1e-14)
 
@@ -311,17 +309,17 @@ class TestSolveCertificate:
         # equal Q of the assembled dual variable; this pins row j to l_j = m - j
         cert, _ = run_certificate(201, 2, 4 / 200, 5, seed=0)
         sys = cert.system
-        m = sys.kernel.half_length
-        l = m - np.arange(sys.kernel.n_sensors)
+        m = sys.weights.size // 2
+        l = m - np.arange(sys.weights.size)
 
         def kern(x, order):
-            return (np.exp(2j * np.pi * np.outer(x, l)) * (2j * np.pi * l) ** order) @ sys.kernel.coefficients
+            return (np.exp(2j * np.pi * np.outer(x, l)) * (2j * np.pi * l) ** order) @ sys.weights
 
         f = np.random.default_rng(4).random(512)
         p = np.zeros((f.size, cert.alpha.shape[1]), dtype=complex)
         for fk, a, b in zip(sys.freqs, cert.alpha, cert.beta):
             p += np.outer(kern(f - fk, 0), a)
-            p += sys.kernel.kappa * np.outer(kern(f - fk, 1), b)
+            p += certificate._size_table(m).kappa * np.outer(kern(f - fk, 1), b)
         p += cert.lam * np.exp(2j * np.pi * np.outer(f, l[sys.omega])) @ sys.r
         kernel_form = np.exp(-2j * np.pi * m * f)[:, None] * p
         assert np.abs(trigpoly.evaluate(cert.gamma, f) - kernel_form).max() <= 1e-8
@@ -350,7 +348,7 @@ class TestSolveCertificate:
             expected = np.vstack([sys.phi, np.zeros((2, l))])
             np.testing.assert_allclose(sys.basis.conj().T @ cert.gamma, expected, atol=1e-10)
             ab = np.vstack([cert.alpha, cert.beta])
-            kernel_part = kern.coefficients[omega, None] * (sys.basis[omega] @ ab)
+            kernel_part = kern[omega, None] * (sys.basis[omega] @ ab)
             np.testing.assert_allclose(cert.gamma[omega] - kernel_part, cert.lam * r, atol=1e-12)
 
     def test_ill_conditioned_reports_failure(self):
@@ -397,8 +395,8 @@ class TestValidateCertificate:
         r = np.exp(2j * np.pi * np.array([[0.1, 0.7], [0.4, 0.2]])) / math.sqrt(2)
         sys = build_system([], omega, np.ones(0), np.ones((0, 2)), r,
                            restrict_kernel(kern, omega))
-        lam = 1 / math.sqrt(kern.n_sensors)
-        gamma = np.zeros((kern.n_sensors, 2), dtype=complex)
+        lam = 1 / math.sqrt(kern.size)
+        gamma = np.zeros((kern.size, 2), dtype=complex)
         gamma[omega] = lam * r
         cert = CertificateSolution(alpha=np.zeros((0, 2)), beta=np.zeros((0, 2)), gamma=gamma,
                                    system=sys, lam=lam, condition_number=1.0)
@@ -412,11 +410,11 @@ class TestValidateCertificate:
     def test_every_row_an_outlier(self):
         # no clean row is left to stay inside the ball
         kern = build_kernel(20)
-        omega = np.arange(kern.n_sensors)
+        omega = np.arange(kern.size)
         r = np.exp(2j * np.pi * np.random.default_rng(0).random((omega.size, 2))) / math.sqrt(2)
         sys = build_system([], omega, np.ones(0), np.ones((0, 2)), r,
                            restrict_kernel(kern, omega))
-        lam = 1 / math.sqrt(kern.n_sensors)
+        lam = 1 / math.sqrt(kern.size)
         cert = CertificateSolution(alpha=np.zeros((0, 2)), beta=np.zeros((0, 2)), gamma=lam * r,
                                    system=sys, lam=lam, condition_number=1.0)
         assert validate_certificate(cert).outlier_row_margin == 0.0
@@ -563,7 +561,7 @@ def dense_offgrid_max(cert, grid_size):
     """max ||Q|| over every scan point farther than the near radius from every node."""
     _, qnorm = trigpoly.scan(trigpoly.coefficients(cert.gamma), grid_size)
     grid = np.arange(qnorm.size) / qnorm.size
-    radius = certificate._NEAR_RADIUS / cert.system.kernel.half_length
+    radius = certificate._NEAR_RADIUS / (cert.system.weights.size // 2)
     far = wrap_distance(grid[:, None], cert.system.freqs).min(axis=1, initial=math.inf) > radius
     return float(qnorm[far].max()) if far.any() else math.inf
 
@@ -586,7 +584,7 @@ def test_offgrid_max_is_inf_when_no_grid_point_is_far():
     cert, _ = run_certificate(11, 1, None, 0, n_snapshots=2, seed=0)
     freqs = np.arange(22) / 22  # a node on every point of a 22-point scan
     covering = build_system(freqs, [], np.ones(22), np.full((22, 2), 1 / math.sqrt(2)),
-                            np.zeros((0, 2)), cert.system.kernel)
+                            np.zeros((0, 2)), cert.system.weights)
     cert = CertificateSolution(alpha=cert.alpha, beta=cert.beta, gamma=cert.gamma,
                                system=covering, lam=cert.lam, condition_number=1.0)
     assert dense_offgrid_max(cert, 22) == math.inf

@@ -620,6 +620,8 @@ CERT_SECTION = {"n_sensors": 61, "n_frequencies": 1, "n_outliers": 0, "n_snapsho
     ("phase-transition", {"threads": 0}, [], "threads"),
     ("demix", {"synthesis": SMALL_SYNTH, "lambda": "abc"}, [], "lambda"),
     ("demix", {"synthesis": SMALL_SYNTH, "lambda": True}, [], "lambda"),
+    ("certificate", {"certificate": dict(CERT_SECTION, grid_size=None)}, [],
+     "certificate.grid_size"),
 ])
 def test_values_rejected_by_key_before_any_work(tmp_path, capsys, monkeypatch, command, config,
                                                 flags, named):

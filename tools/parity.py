@@ -9,9 +9,11 @@ tree, in order, each as ``python -m sinespikes.cli`` with that tree's
 ``src`` on ``PYTHONPATH`` and one BLAS thread. The calls cover every
 command: ``synth`` with explicit and drawn frequencies, ``demix`` from a
 config and from the saved instance of an earlier call, a two-cell
-``phase-transition`` on two processes, and ``certificate`` with three seeds
-and with no outliers. Each call runs in its own directory, so the paths it
-prints are the same on both sides.
+``phase-transition`` on two processes, and ``certificate`` with three seeds,
+with no outliers, and with two lines 1e-6 apart, whose ill-conditioned
+system (cond ~ 4e16) takes ``run_certificate``'s failure path and writes a
+NaN report. Each call runs in its own directory, so the paths it prints are
+the same on both sides.
 
 Every output file, stdout, stderr and exit code is compared; the script
 prints each difference and exits 1 if there is any, 0 otherwise.
@@ -53,6 +55,9 @@ CALLS = [
     ("certificate-seeds", {"certificate": {"n_sensors": 201, "seeds": 3}}, ["certificate"]),
     ("certificate-clean", {"certificate": {"n_sensors": 201, "n_outliers": 0}},
      ["certificate"]),
+    ("certificate-failure", {"certificate": {
+        "n_sensors": 21, "n_frequencies": 2, "separation": 1e-6, "n_outliers": 2,
+        "n_snapshots": 2}}, ["certificate"]),
 ]
 
 
