@@ -22,6 +22,15 @@ X = [[Lambda, Gamma], [Gamma^H, W]]:
 Both projections are exact, so every reported iterate satisfies the affine
 and ball constraints to machine precision while PSD feasibility is driven
 to zero by the residuals.
+
+The solve has two exits. The residual rule stops once both ADMM residuals
+are small. The gap rule stops once the iterate is certified optimal: a
+lower bound on the optimum comes from scaling Gamma by the smallest s >= 1
+that the eigenvalues of X prove feasible, and an upper bound from the
+primal matrix M = -rho * U (Boyd et al. 2011) with its top-left block
+averaged onto Toeplitz matrices, which is a point of the MMV atomic-norm
+SDP (Yang & Xie 2016) once shifted PSD. Weak duality puts the optimum
+between the two.
 """
 
 from __future__ import annotations
@@ -46,11 +55,19 @@ __all__ = [
 _DIAG_EVERY = 25
 
 # Fixed ADMM settings: initial penalty rho, over-relaxation factor, and the
-# absolute and relative tolerances of the stopping rule in solve_dual_sdp.
+# absolute and relative tolerances of the residual rule in solve_dual_sdp.
 _PENALTY = 1.0
 _OVER_RELAXATION = 1.6
 _EPS_ABS = 1e-7
 _EPS_REL = 1e-6
+
+# The gap rule: every _GAP_EVERY iterations, stop once the scaled dual point
+# is within _GAP_TOL of the unscaled one and the certified gap is below
+# _GAP_TOL. _ROUNDING * |matrix|_F pads each smallest eigenvalue against the
+# rounding of eigvalsh.
+_GAP_EVERY = 50
+_GAP_TOL = 1e-4
+_ROUNDING = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -90,6 +107,10 @@ class SdpSolution:
     M = -rho * U of the ADMM at exit, U being the scaled multiplier of the
     PSD constraint; it is positive semidefinite to rounding, and its
     top-left N x N block carries the spectral support (``dual_analysis``).
+    ``gap`` is the certified relative gap (upper - lower) / max(1, |lower|)
+    of the returned iterate and ``primal``, whichever rule ended the solve:
+    the optimum lies between the two bounds (``_bounds``). ``converged``
+    says that the residual rule or the gap rule stopped the solve.
     """
 
     gamma: np.ndarray
@@ -99,6 +120,7 @@ class SdpSolution:
     converged: bool
     diagnostics: np.ndarray = field(repr=False)
     primal: np.ndarray = field(repr=False)
+    gap: float
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -149,14 +171,65 @@ def project_row_ball(gamma: np.ndarray, lam: float) -> np.ndarray:
     return g * scale[:, None]
 
 
-def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
-    """Run the ADMM splitting until both residuals pass the stopping rule.
+def _min_eig(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of the exactly Hermitian ``mat``, less the rounding pad."""
+    try:
+        w = np.linalg.eigvalsh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    return float(w[0]) - _ROUNDING * float(np.linalg.norm(mat))
 
-    The stopping threshold is ``_EPS_ABS * (N + L) + _EPS_REL * max(|X|_F
-    over the last two iterates)`` applied to both the primal residual
-    |X - Z|_F and the dual residual rho * |Z - Z_prev|_F. On non-convergence
-    the final iterate is returned with ``converged=False``; it need not be
-    the best one, since the residuals of a stalled solve can grow.
+
+def _bounds(y: np.ndarray, lam: float, x: np.ndarray, m: np.ndarray) -> tuple[float, float, float]:
+    """(lower, upper, s): certified bounds on the optimum from one ADMM iterate.
+
+    ``x`` = [[Lambda, Gamma], [Gamma^H, I]] meets the diagonal sums and the
+    row ball exactly, and x + tI >= 0 with t = max(0, -lambda_min(x)). Then
+    ||Q(f)||^2 <= (1 + t) a(f)^H (Lambda + tI) a(f) = (1 + t)(1 + N t) = s^2
+    for every f, so Gamma / s is dual feasible and lower = Re<Y, Gamma> / s.
+
+    ``m`` is the primal matrix -rho * U. Replace its top-left block by the
+    Toeplitz T whose lags t_k are that block's superdiagonal means, and shift
+    the result by eps I, eps = max(0, -lambda_min), to make it PSD. The
+    Lagrangian of the dual program with that multiplier is bounded over the
+    feasible set by upper = t_0 + tr m[N:, N:] + (L + 1) eps +
+    lam * sum_j ||(Y + 2 m[:N, N:])_j||, which is the MMV atomic-norm SDP's
+    value at the atom part S = -2 m[:N, N:] and outliers Y - S (Yang & Xie
+    2016). Both smallest eigenvalues carry the rounding pad of ``_min_eig``.
+    """
+    n, l = y.shape
+    t = max(0.0, -_min_eig(x))
+    s = math.sqrt((1.0 + t) * (1.0 + n * t))
+    lower = float(np.real(np.vdot(y, x[:n, n:]))) / s
+    lags = toeplitz_adjoint(m[:n, :n]) / np.arange(n, 0, -1)
+    mt = m.copy()
+    mt[:n, :n] = hermitian_toeplitz(lags)
+    eps = max(0.0, -_min_eig(mt))
+    upper = (lags[0].real + float(np.trace(m[n:, n:]).real) + (l + 1) * eps
+             + lam * float(np.linalg.norm(y + 2.0 * m[:n, n:], axis=1).sum()))
+    return lower, upper, s
+
+
+def _relative_gap(lower: float, upper: float) -> float:
+    return (upper - lower) / max(1.0, abs(lower))
+
+
+def _certified(lower: float, upper: float, s: float) -> bool:
+    """The gap rule: Gamma needs scaling by at most 1 + _GAP_TOL, and the gap is below _GAP_TOL."""
+    return s - 1.0 <= _GAP_TOL and _relative_gap(lower, upper) <= _GAP_TOL
+
+
+def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
+    """Run the ADMM splitting until the residual rule or the gap rule stops it.
+
+    The residual rule: the threshold ``_EPS_ABS * (N + L) + _EPS_REL *
+    max(|X|_F over the last two iterates)`` bounds both the primal residual
+    |X - Z|_F and the dual residual rho * |Z - Z_prev|_F. The gap rule, every
+    ``_GAP_EVERY`` iterations: the scale s of ``_bounds`` is at most
+    1 + ``_GAP_TOL`` and the certified gap at most ``_GAP_TOL`` *
+    max(1, |lower|). Either stop sets ``converged=True``. At the cap the
+    final iterate is returned with ``converged=False``; it need not be the
+    best one, since the residuals and the gap of a stalled solve can grow.
     """
     opts = opts or SolverOptions()
     y = np.asarray(problem.measurement, dtype=complex)
@@ -221,7 +294,8 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
             history.append(
                 (it, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm)
             )
-        if r_norm < tol and s_norm < tol:
+        if (r_norm < tol and s_norm < tol) or (
+                it % _GAP_EVERY == 0 and _certified(*_bounds(y, lam, x, -rho * u))):
             iterations = it
             converged = True
             break
@@ -238,6 +312,8 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     objective = float(np.real(np.vdot(y, gamma)))
     if history[-1][0] != iterations:
         history.append((iterations, objective, r_norm, s_norm))
+    primal = -rho * u
+    lower, upper, _ = _bounds(y, lam, x, primal)
     return SdpSolution(
         gamma=gamma,
         lambda_mat=lambda_mat,
@@ -245,6 +321,7 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
         iterations=iterations,
         converged=converged,
         diagnostics=np.array(history, dtype=float),
-        primal=-rho * u,
+        primal=primal,
+        gap=_relative_gap(lower, upper),
     )
 

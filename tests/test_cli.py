@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinespikes import MixtureInstance
+from sinespikes import (
+    MixtureInstance,
+    SolverOptions,
+    default_lambda,
+    demix,
+    success,
+    synth_instance,
+)
 from sinespikes import cli, model, parse
 from sinespikes.cli import main, trial_seed
 from sinespikes.errors import NumericalFailureError
@@ -201,6 +208,20 @@ def test_phase_transition_threads_do_not_change_outputs(tmp_path):
                      "--seed", "3", "--threads", threads]) == 0
     for name in ("trials.csv", "phase_transition.csv"):
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+
+def test_unresolved_sweep_trial_ends_on_the_gap_before_the_cap():
+    # a trial of the sweep's unresolved side as the phase-transition command
+    # builds it (N=50, L=1, delta*N=0.1, 10 outliers, capped at 3000): the
+    # residual rule alone runs it to the cap and scores it a failure; the gap
+    # rule certifies its iterate at 1800 iterations, with the same verdict
+    seed = trial_seed(0, 1, 0, 1)
+    instance = synth_instance(cli._trial_config(50, 1, 0.2, 0.1 / 50, 10, seed))
+    report, solution = demix(instance.measurement, default_lambda(50),
+                             SolverOptions(max_iterations=3000))
+    assert solution.converged and solution.iterations < 3000
+    assert solution.gap <= 1e-4
+    assert not success(report.estimated_frequencies, instance.frequencies)
 
 
 def record_trials(monkeypatch):

@@ -155,13 +155,20 @@ class TestProjectRowBall:
         np.testing.assert_allclose(project_row_ball(p, 0.5), p, atol=1e-12)
 
 
-def feasibility_errors(solution, lam):
+def iterate(solution):
+    """The returned iterate X = [[Lambda, Gamma], [Gamma^H, I]]."""
     n, l = solution.gamma.shape
     block = np.zeros((n + l, n + l), dtype=complex)
     block[:n, :n] = solution.lambda_mat
     block[:n, n:] = solution.gamma
     block[n:, :n] = solution.gamma.conj().T
     block[n:, n:] = np.eye(l)
+    return block
+
+
+def feasibility_errors(solution, lam):
+    n = solution.gamma.shape[0]
+    block = iterate(solution)
     eig_min = np.linalg.eigvalsh((block + block.conj().T) / 2).min()
     target = np.zeros(n)
     target[0] = 1.0
@@ -212,13 +219,24 @@ class TestSolveDualSdp:
         b = solve_dual_sdp(DualSdpProblem(3.0 * y, lam))
         assert np.abs(a.gamma - b.gamma).max() <= 5e-4
 
-    def test_objective_history_settles(self):
+    def test_gap_stop_brackets_the_residual_rule_optimum(self):
+        # this solve ends on the gap rule at iteration 350, while its objective
+        # still moves by ~3e-4 per 100 iterations. The residual rule alone stops
+        # at 430 on an iterate with sup ||Q|| = 1.0000133, whose objective lies
+        # 2.6e-5 above the upper bound here, so it cannot stand for the optimum;
+        # its own certified bounds hold the optimum, so they overlap these.
         rng = np.random.default_rng(13)
         y = rng.standard_normal((14, 2)) + 1j * rng.standard_normal((14, 2))
-        sol = solve_dual_sdp(DualSdpProblem(y, default_lambda(14)))
+        lam = default_lambda(14)
+        sol = solve_dual_sdp(DualSdpProblem(y, lam))
         assert sol.converged
-        tail = sol.diagnostics[-5:, 1]
-        assert np.abs(tail - tail[-1]).max() <= 1e-4 * max(1.0, abs(tail[-1]))
+        lower, upper, _ = solver._bounds(y, lam, iterate(sol), sol.primal)
+        assert upper - lower <= 1e-4 * max(1.0, abs(lower))
+        assert sol.gap == solver._relative_gap(lower, upper)
+        x, m, *_, ending = reference_admm(y, lam, 100_000, gap_stop=False)
+        assert ending == "residual"
+        lower_ref, upper_ref, _ = dense_bounds(y, lam, x, m)
+        assert lower <= upper_ref and lower_ref <= upper
 
     def test_non_convergence_flag(self):
         rng = np.random.default_rng(14)
@@ -266,12 +284,38 @@ def full_affine(mat):
     return h - np.where(offset >= 0, shift, shift.conj())
 
 
-def reference_admm(y, lam, max_iterations):
+def dense_bounds(y, lam, x, m):
+    """(lower, upper, s) of the gap rule, averaging T's diagonals one by one."""
+    n, l = y.shape
+
+    def min_eig(a):
+        return np.linalg.eigvalsh(a)[0] - solver._ROUNDING * np.linalg.norm(a)
+
+    t = max(0.0, -min_eig(x))
+    s = np.sqrt((1.0 + t) * (1.0 + n * t))
+    lower = np.real(np.vdot(y, x[:n, n:])) / s
+    mt = m.copy()
+    for k in range(n):
+        mean = sum(m[i, i + k] for i in range(n - k)) / (n - k)
+        for i in range(n - k):
+            mt[i, i + k] = mean
+            mt[i + k, i] = np.conj(mean)
+    eps = max(0.0, -min_eig(mt))
+    rows = sum(np.linalg.norm(y[j] + 2.0 * m[j, n:]) for j in range(n))
+    upper = mt[0, 0].real + np.trace(m[n:, n:]).real + (l + 1) * eps + lam * rows
+    return lower, upper, s
+
+
+def reference_admm(y, lam, max_iterations, gap_stop=True):
     """The ADMM loop before its per-iteration trims.
 
     It hermitizes inside every projection, rebuilds the Toeplitz indices on
-    every call and clamps the full eigendecomposition; solve_dual_sdp must
-    reproduce it bit for bit.
+    every call, clamps the full eigendecomposition and checks the gap rule
+    with dense_bounds; solve_dual_sdp must reproduce it bit for bit. With
+    ``gap_stop=False`` only the residual rule stops it. The last value
+    returned names the ending: "residual", "gap" or "cap"; before it come
+    the last iterate X, the primal matrix -rho * U, the iteration count and
+    the diagnostics.
     """
     n, l = y.shape
     dim = n + l
@@ -298,7 +342,7 @@ def reference_admm(y, lam, max_iterations):
     norm_prev = float(np.linalg.norm(x))
     history = []
     iterations = max_iterations
-    converged = False
+    ending = "cap"
     for it in range(1, max_iterations + 1):
         x = affine_prox(z - u, rho)
         x_rel = alpha * x + (1.0 - alpha) * z
@@ -313,19 +357,23 @@ def reference_admm(y, lam, max_iterations):
         if it % solver._DIAG_EVERY == 0 or it == 1:
             history.append((it, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
         if r_norm < tol and s_norm < tol:
-            iterations = it
-            converged = True
+            iterations, ending = it, "residual"
             break
+        if gap_stop and it % solver._GAP_EVERY == 0:
+            lower, upper, s = dense_bounds(y, lam, x, -rho * u)
+            if (s - 1.0 <= solver._GAP_TOL
+                    and upper - lower <= solver._GAP_TOL * max(1.0, abs(lower))):
+                iterations, ending = it, "gap"
+                break
         if r_norm > 10.0 * s_norm and rho < 1e4:
             rho *= 2.0
             u /= 2.0
         elif s_norm > 10.0 * r_norm and rho > 1e-4:
             rho /= 2.0
             u *= 2.0
-    gamma = x[:n, n:].copy()
     if history[-1][0] != iterations:
-        history.append((iterations, float(np.real(np.vdot(y, gamma))), r_norm, s_norm))
-    return gamma, x[:n, :n].copy(), iterations, converged, np.array(history, dtype=float)
+        history.append((iterations, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
+    return x, -rho * u, iterations, np.array(history, dtype=float), ending
 
 
 def assert_same_bits(a, b):
@@ -350,23 +398,27 @@ def spectral_measurement(n, l, seed):
 def test_solve_matches_reference_loop_bit_for_bit(n, l):
     y = spectral_measurement(n, l, seed=100 * n + l)
     lam = default_lambda(n)
-    gamma, lambda_mat, iterations, converged, history = reference_admm(y, lam, 300)
+    x, primal, iterations, history, ending = reference_admm(y, lam, 300)
     sol = solve_dual_sdp(DualSdpProblem(y, lam), SolverOptions(max_iterations=300))
-    assert_same_bits(sol.gamma, gamma)
-    assert_same_bits(sol.lambda_mat, lambda_mat)
+    assert_same_bits(sol.gamma, x[:n, n:])
+    assert_same_bits(sol.lambda_mat, x[:n, :n])
     assert_same_bits(sol.diagnostics, history)
-    assert (sol.iterations, sol.converged) == (iterations, converged)
+    assert_same_bits(sol.primal, primal)
+    assert (sol.iterations, sol.converged) == (iterations, ending != "cap")
+    # the dense bounds sum in another order, so the gap agrees to rounding
+    lower, upper, _ = dense_bounds(y, lam, x, primal)
+    assert sol.gap == pytest.approx((upper - lower) / max(1.0, abs(lower)), rel=0, abs=1e-12)
 
 
 def test_reference_parity_covers_both_endings():
-    # among the parity cases above, N=4 converges and N=16, L=3 hits the cap
+    # converged, on either rule, and capped: among the parity cases above,
+    # N=4, L=1 meets the residual rule, N=16, L=3 hits the cap and N=16, L=1
+    # meets the gap rule
     endings = [
-        solve_dual_sdp(DualSdpProblem(spectral_measurement(n, l, 100 * n + l),
-                                      default_lambda(n)),
-                       SolverOptions(max_iterations=300)).converged
-        for n, l in [(4, 1), (16, 3)]
+        reference_admm(spectral_measurement(n, l, 100 * n + l), default_lambda(n), 300)[-1]
+        for n, l in [(4, 1), (16, 3), (16, 1)]
     ]
-    assert endings == [True, False]
+    assert endings == ["residual", "cap", "gap"]
 
 
 def test_project_affine_lambda_matches_full_affine_bit_for_bit():
@@ -414,3 +466,40 @@ def test_solve_is_equivariant_under_the_problem_symmetries(seed, n, l, mixing_se
         assert abs(moved.objective - sol.objective) <= 1e-12 * max(1.0, abs(sol.objective)), name
         error = np.linalg.norm(moved.gamma - mapped_gamma)
         assert error <= 1e-10 * max(1.0, np.linalg.norm(y)), (name, error)
+        assert abs(moved.gap - sol.gap) <= 1e-10, name
+
+
+def bounds_measurement(kind, n, l, seed):
+    """A measurement of one of the kinds the bounds are drawn over."""
+    if kind == "zero":
+        return np.zeros((n, l), dtype=complex)
+    rng = np.random.default_rng(seed)
+    y = spectral_measurement(n, l, seed) if n >= 2 else np.ones((n, l), dtype=complex)
+    if kind == "every row an outlier":
+        y = y + 3.0 * (rng.standard_normal((n, l)) + 1j * rng.standard_normal((n, l)))
+    return y
+
+
+# Each example runs two solves at N <= 16 (~10 ms); shrinking is left out, as
+# in the equivariance test above.
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+@given(kind=st.sampled_from(["lines and two outlier rows", "zero", "every row an outlier"]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16), l=st.integers(1, 3),
+       early=st.integers(1, 200))
+def test_every_lower_bound_is_below_every_upper_bound(kind, seed, n, l, early):
+    # lower <= optimum <= upper holds at every iterate, so the bounds of an
+    # early iterate and of a late one interleave; Y = 0 has optimum 0
+    y = bounds_measurement(kind, n, l, seed)
+    lam = default_lambda(n)
+    bounds = []
+    for cap in (early, 3000):
+        sol = solve_dual_sdp(DualSdpProblem(y, lam), SolverOptions(max_iterations=cap))
+        lower, upper, s = solver._bounds(y, lam, iterate(sol), sol.primal)
+        assert s >= 1.0 and sol.gap == solver._relative_gap(lower, upper)
+        bounds.append((lower, upper))
+    (early_lower, early_upper), (late_lower, late_upper) = bounds
+    assert early_lower <= late_upper and late_lower <= early_upper
+    assert early_lower <= early_upper and late_lower <= late_upper
+    if kind == "zero":
+        assert early_lower <= 0.0 <= early_upper and late_lower <= 0.0 <= late_upper
