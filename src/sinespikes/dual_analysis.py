@@ -108,15 +108,18 @@ def recover_amplitudes(measurement: np.ndarray, freqs, outlier_rows):
 class DemixReport:
     """Everything estimated from one demixing run.
 
-    ``duality_gap`` is the solve's certified relative gap
-    (``SdpSolution.gap``), which bounds how far its dual objective can be
-    from the optimum whatever the lines read off it.
+    ``lower`` and ``upper`` are the solve's certified bounds on the optimum
+    (``SdpSolution.lower`` and ``upper``), and ``duality_gap`` their
+    relative gap (``SdpSolution.gap``), which bounds how far its dual
+    objective can be from the optimum whatever the lines read off it.
     """
 
     estimated_frequencies: np.ndarray
     estimated_amplitudes: np.ndarray
     estimated_outlier_rows: np.ndarray
     estimated_outliers: np.ndarray
+    lower: float
+    upper: float
     duality_gap: float
     converged: bool
 
@@ -129,6 +132,8 @@ class DemixReport:
             "amplitudes_im": a.imag.ravel().tolist(),
             "outliers_re": z.real.ravel().tolist(),
             "outliers_im": z.imag.ravel().tolist(),
+            "lower": self.lower,
+            "upper": self.upper,
             "duality_gap": self.duality_gap,
             "converged": self.converged,
         }
@@ -173,6 +178,8 @@ def demix(measurement: np.ndarray, lam: float,
         estimated_amplitudes=amplitudes,
         estimated_outlier_rows=rows,
         estimated_outliers=outliers,
+        lower=solution.lower,
+        upper=solution.upper,
         duality_gap=solution.gap,
         converged=solution.converged,
     )

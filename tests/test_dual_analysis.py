@@ -191,6 +191,7 @@ class TestCertifiedGap:
     def test_zero_measurement_has_no_gap(self):
         report, sol = demix(np.zeros((8, 2), dtype=complex), 0.3)
         assert report.duality_gap == sol.gap
+        assert (report.lower, report.upper) == (sol.lower, sol.upper)
         assert 0.0 <= sol.gap <= 1e-12
 
     def test_early_iterate_has_a_large_gap_even_where_its_lines_match(self):
@@ -237,10 +238,19 @@ class TestDemixReport:
         assert np.abs(report.estimated_outliers[outside]).max() == 0.0
         assert report.duality_gap <= 1e-3
 
+    def test_fig1_solve_converges_in_under_1000_iterations(self):
+        # balancing rho on relative residuals ends this solve at 538
+        # iterations, where balancing it on absolute ones took 1810
+        inst = fig1_instance(seed=4)
+        report, sol = demix(inst.measurement, default_lambda(50))
+        assert sol.converged and sol.iterations < 1000
+        signal = _signal_matrix(report.estimated_frequencies, report.estimated_amplitudes, 50)
+        assert np.abs(signal + report.estimated_outliers - inst.measurement).max() <= 1e-6
+
     def test_json_schema(self):
         inst = fig1_instance(seed=5)
         report, _ = demix(inst.measurement, default_lambda(50))
         payload = report.to_json()
         for key in ("estimated_frequencies", "estimated_outlier_rows",
-                    "duality_gap", "converged"):
+                    "duality_gap", "converged", "lower", "upper"):
             assert key in payload

@@ -222,8 +222,8 @@ class TestSolveDualSdp:
     def test_gap_stop_brackets_the_residual_rule_optimum(self):
         # this solve ends on the gap rule at iteration 350, while its objective
         # still moves by ~3e-4 per 100 iterations. The residual rule alone stops
-        # at 430 on an iterate with sup ||Q|| = 1.0000133, whose objective lies
-        # 2.6e-5 above the upper bound here, so it cannot stand for the optimum;
+        # at 423 on an iterate with sup ||Q|| = 1.0000134, whose objective lies
+        # 2.7e-5 above the upper bound here, so it cannot stand for the optimum;
         # its own certified bounds hold the optimum, so they overlap these.
         rng = np.random.default_rng(13)
         y = rng.standard_normal((14, 2)) + 1j * rng.standard_normal((14, 2))
@@ -232,6 +232,7 @@ class TestSolveDualSdp:
         assert sol.converged
         lower, upper, _ = solver._bounds(y, lam, iterate(sol), sol.primal)
         assert upper - lower <= 1e-4 * max(1.0, abs(lower))
+        assert (sol.lower, sol.upper) == (lower, upper)
         assert sol.gap == solver._relative_gap(lower, upper)
         x, m, *_, ending = reference_admm(y, lam, 100_000, gap_stop=False)
         assert ending == "residual"
@@ -365,10 +366,13 @@ def reference_admm(y, lam, max_iterations, gap_stop=True):
                     and upper - lower <= solver._GAP_TOL * max(1.0, abs(lower))):
                 iterations, ending = it, "gap"
                 break
-        if r_norm > 10.0 * s_norm and rho < 1e4:
+        # relative residuals (Wohlberg 2017), multiplied out
+        r_scaled = r_norm * rho * float(np.linalg.norm(u))
+        s_scaled = s_norm * max(norm_x, float(np.linalg.norm(z)))
+        if r_scaled > solver._IMBALANCE * s_scaled and rho < 1e4:
             rho *= 2.0
             u /= 2.0
-        elif s_norm > 10.0 * r_norm and rho > 1e-4:
+        elif s_scaled > solver._IMBALANCE * r_scaled and rho > 1e-4:
             rho /= 2.0
             u *= 2.0
     if history[-1][0] != iterations:
