@@ -9,8 +9,8 @@ eigenvectors. The dual variable Gamma is the evidence: the SDP's
 diagonal-sum constraint bounds the vector-valued trigonometric polynomial
 Q(f) = sum_j Gamma[j] exp(-2i*pi*j*f) by one, ||Q|| reaches one exactly on
 the recovered support, and a frequency is kept only where ``trigpoly``
-evaluates ||Q|| near one. Outlier rows are the rows of Gamma on the
-boundary of the lambda-ball.
+evaluates ||Q|| near its peak, or near one if the peak lies above. Outlier
+rows are the rows of Gamma on the boundary of the lambda-ball.
 """
 
 from __future__ import annotations
@@ -36,15 +36,15 @@ __all__ = [
 
 # The rank of the Toeplitz block counts its eigenvalues above _RANK_TOL of
 # the largest. A frequency read off it is kept when ||Q|| reaches
-# 1 - _ACCEPT_TOL there. Rows of Gamma with norm at least lam * (1 - _ROW_TOL)
-# are outlier rows.
+# 1 - _ACCEPT_TOL of min(1, sup ||Q||) there. Rows of Gamma with norm at least
+# lam * (1 - _ROW_TOL) are outlier rows.
 _RANK_TOL = 1e-3
 _ACCEPT_TOL = 1e-4
 _ROW_TOL = 1e-3
 
 
 def locate_frequencies(gamma: np.ndarray, primal: np.ndarray) -> np.ndarray:
-    """Frequencies of the primal's Toeplitz block where ||Q|| reaches one.
+    """Frequencies of the primal's Toeplitz block where ||Q|| reaches its peak.
 
     ``gamma`` is the N x L dual variable and ``primal`` the primal matrix of
     the solve (``SdpSolution.primal``), of which the top-left N x N block is
@@ -53,7 +53,12 @@ def locate_frequencies(gamma: np.ndarray, primal: np.ndarray) -> np.ndarray:
     _RANK_TOL of the largest, at most N - 1. The top r eigenvectors E span
     the a(f_k), and E[1:] = E[:-1] Psi for a Psi whose eigenvalues are
     exp(2i*pi*f_k) (ESPRIT); Psi is their least-squares solution. Returns,
-    sorted in [0, 1), the f_k with ||Q(f_k)|| >= 1 - _ACCEPT_TOL.
+    sorted in [0, 1), the f_k with ||Q(f_k)|| >= (1 - _ACCEPT_TOL) *
+    min(1, p), p being the largest ||Q|| of ``trigpoly.scan``. Where p >= 1
+    this is ||Q(f_k)|| >= 1 - _ACCEPT_TOL. The peak-relative level keeps the
+    lines of a dual point strictly inside the feasible set, such as an
+    iterate of the accelerated solve: a certified gap of 1e-4 still allows
+    ||Q|| = 1 - 1.1e-4 at a true line.
     """
     g = np.asarray(gamma, dtype=complex)
     if g.ndim != 2 or g.size == 0:
@@ -68,7 +73,9 @@ def locate_frequencies(gamma: np.ndarray, primal: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"Toeplitz readout failed: {exc}") from exc
     f = np.angle(nodes) / (2.0 * np.pi) % 1.0
-    return np.sort(f[np.linalg.norm(trigpoly.evaluate(g, f), axis=1) >= 1.0 - _ACCEPT_TOL])
+    peak = trigpoly.scan(trigpoly.coefficients(g))[1].max()
+    level = (1.0 - _ACCEPT_TOL) * min(1.0, peak)
+    return np.sort(f[np.linalg.norm(trigpoly.evaluate(g, f), axis=1) >= level])
 
 
 def locate_outliers(gamma: np.ndarray, lam: float) -> np.ndarray:

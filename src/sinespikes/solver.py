@@ -35,6 +35,14 @@ between the two.
 The penalty rho is balanced on residuals relative to their own iterates
 (Wohlberg 2017, "ADMM penalty parameter selection by residual balancing"),
 so the rule does not depend on the scale of the problem.
+
+Between changes of rho the ADMM is a Douglas-Rachford iteration q -> g(q) on
+the one matrix q that the PSD step projects: with Z = P(q), U = q - Z and X
+the affine-and-ball step of Z - U, g(q) = alpha X + (1 - alpha) Z + U. Its
+fixed point is reached sooner by type-II Anderson acceleration (Walker & Ni
+2011), which extrapolates from the last _MEMORY steps, with the safeguard of
+Zhang, O'Donoghue & Boyd 2020 (SCS 3.0): an extrapolated q is kept only if
+its residual |g(q) - q|_F does not exceed the last accepted point's.
 """
 
 from __future__ import annotations
@@ -66,6 +74,12 @@ _OVER_RELAXATION = 1.6
 _EPS_ABS = 1e-7
 _EPS_REL = 1e-6
 _IMBALANCE = 30.0
+
+# Anderson acceleration of the ADMM keeps _MEMORY past steps (0 runs the plain
+# ADMM) and damps its least-squares weights by _DAMPING * |f|_F^2, f being the
+# fixed-point residual of the last accepted point.
+_MEMORY = 20
+_DAMPING = 0.1
 
 # The gap rule: every _GAP_EVERY iterations, stop once the scaled dual point
 # is within _GAP_TOL of the unscaled one and the certified gap is below
@@ -118,7 +132,10 @@ class SdpSolution:
     the solve; ``objective`` is the returned iterate's Re<Y, Gamma>, which
     can lie above ``upper`` when that iterate is not dual feasible. ``gap``
     is their relative gap (upper - lower) / max(1, |lower|). ``converged``
-    says that the residual rule or the gap rule stopped the solve.
+    says that the residual rule or the gap rule stopped the solve. A solve
+    that reaches the cap returns the gap check's iterate and primal matrix
+    with the smallest gap, which need not be the last; ``diagnostics`` still
+    ends on the last iteration.
     """
 
     gamma: np.ndarray
@@ -229,8 +246,88 @@ def _certified(lower: float, upper: float, s: float) -> bool:
     return s - 1.0 <= _GAP_TOL and _relative_gap(lower, upper) <= _GAP_TOL
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of the map q -> g(q), with a safeguard.
+
+    The maps act on exactly Hermitian d x d matrices, so each enters as the
+    real view of its upper triangle, half the size of the matrix; in the
+    residuals f = g - q the entries off the diagonal are scaled by sqrt(2),
+    so that a dot product of two is the Frobenius inner product. The last
+    ``memory`` differences of accepted images g and of their residuals sit
+    in ring buffers, one per row, beside the Gram matrix of the residual
+    differences and their inner products with the last accepted residual.
+    A new difference costs one matrix-vector product with the ring for its
+    Gram column; the inner products with the residual follow from the old
+    ones, since f = f_last + df.
+    """
+
+    def __init__(self, memory: int, dim: int):
+        rows, cols = np.triu_indices(dim)
+        self.upper = rows * dim + cols
+        self.lower = cols * dim + rows
+        self.scale = np.where(rows == cols, 1.0, math.sqrt(2.0))
+        self.dg = np.empty((memory, 2 * rows.size))
+        self.df = np.empty((memory, 2 * rows.size))
+        self.gram = np.empty((memory, memory))
+        self.rhs = np.empty(memory)
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every difference, and the last accepted point with them."""
+        self.count = self.slot = 0
+        self.last = None  # (g, real views of its triangle and f's scaled one, |f|_F)
+        self.extrapolated = False
+
+    def step(self, q: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The next point to evaluate, given the point ``q`` and its image ``g``.
+
+        An extrapolated ``q`` is kept only if its residual is no larger than
+        the last accepted point's; otherwise the memory is emptied and that
+        point's image is returned. An accepted point adds a difference and
+        returns g minus the combination of the ring's image differences
+        whose residual differences best cancel f, by least squares damped by
+        ``_DAMPING`` * |f|_F^2; it is exactly Hermitian.
+        """
+        g_up = g.reshape(-1)[self.upper]
+        f_up = (g_up - q.reshape(-1)[self.upper]) * self.scale
+        f_real = f_up.view(float)
+        f_norm = math.sqrt(f_real @ f_real)
+        if self.extrapolated and f_norm > self.last[3]:
+            self.count = self.slot = 0
+            self.extrapolated = False
+            return self.last[0]
+        if self.last is not None:
+            j = self.slot
+            np.subtract(g_up.view(float), self.last[1], out=self.dg[j])
+            np.subtract(f_real, self.last[2], out=self.df[j])
+            self.count = k = min(self.count + 1, len(self.df))
+            self.slot = (j + 1) % len(self.df)
+            col = self.df[:k] @ self.df[j]
+            self.gram[j, :k] = col
+            self.gram[:k, j] = col
+            self.rhs[:k] += col
+            self.rhs[j] = self.df[j] @ f_real
+        self.last = (g, g_up.view(float), f_real, f_norm)
+        self.extrapolated = self.count > 0 and f_norm > 0.0
+        if not self.extrapolated:
+            return g
+        k = self.count
+        damped = self.gram[:k, :k].copy()
+        damped.flat[::k + 1] += _DAMPING * f_norm**2
+        try:
+            weights = np.linalg.solve(damped, self.rhs[:k])
+        except np.linalg.LinAlgError:  # the damping rounded away on a singular Gram matrix
+            self.extrapolated = False
+            return g
+        shift = (weights @ self.dg[:k]).view(complex)
+        nxt = np.empty_like(g)
+        nxt.reshape(-1)[self.upper] = shift
+        nxt.reshape(-1)[self.lower] = shift.conj()
+        return np.subtract(g, nxt, out=nxt)
+
+
 def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
-    """Run the ADMM splitting until the residual rule or the gap rule stops it.
+    """Run the accelerated ADMM until the residual rule or the gap rule stops it.
 
     The residual rule: the threshold ``_EPS_ABS * (N + L) + _EPS_REL *
     max(|X|_F over the last two iterates)`` bounds both the primal residual
@@ -238,8 +335,9 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     ``_GAP_EVERY`` iterations: the scale s of ``_bounds`` is at most
     1 + ``_GAP_TOL`` and the certified gap at most ``_GAP_TOL`` *
     max(1, |lower|). Either stop sets ``converged=True``. At the cap the
-    final iterate is returned with ``converged=False``; it need not be the
-    best one, since the residuals and the gap of a stalled solve can grow.
+    gap check with the smallest gap is returned with ``converged=False``
+    (the last iterate if it is better or no check ran), since the gap of a
+    stalled solve can grow.
 
     rho starts at 1. After each iteration that no rule stops, it doubles
     (while below 1e4) when the relative primal residual
@@ -252,6 +350,36 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     3000-iteration cap, and an N=50, L=5 instance with 15 outliers stops on
     an iterate whose decomposition misses the measurement by 5e-6; at 3
     every count was worse.
+
+    Anderson acceleration (``_Anderson``) acts on the state q = X_rel + U
+    that the PSD step projects, X_rel being the over-relaxed X: each
+    iteration hands it q and its plain image g(q) and projects the point it
+    returns, so an iteration is still one ``project_psd`` call, a rejected
+    extrapolation included. Its weights solve the Gram system of the
+    residual differences damped by ``_DAMPING`` * |f|_F^2. Undamped, the
+    extrapolation amplifies rounding on slowly converging solves: a random
+    problem with N <= 24 and its image under a symmetry (unitary mixing,
+    row modulation, conjugate row reversal) parted by up to 1e-5 in Gamma
+    within 600 iterations in 1 of 5 draws, where the plain ADMM keeps them
+    1e-14 apart. At half this damping 4 of 80 draws still parted by more
+    than 1e-10; at this one none of 400 by more than 5e-12. A change of rho changes the map, so it resets q
+    to Z + U and empties the memory. While extrapolating, X and the new Z
+    come from different points, so r and s are not ADMM residuals and the
+    residual rule is not read. The gap rule met at two checks in a row ends
+    the extrapolation (the plain finish), and plain steps run on until
+    either rule is met. The lines read off an accelerated solve lag its gap:
+    on ten N=50, L=5 instances with three lines and 15 outliers, ending the
+    extrapolation at the first certified check left them a median 2.4e-9
+    from the truth, the second check 6.8e-11 and the plain ADMM 1.7e-10.
+    With ``_MEMORY`` = 0 the loop is the plain ADMM bit for bit.
+
+    Measured on 2 vCPUs (numpy 2.4.6, one BLAS thread), against the plain
+    ADMM: the 36 trials of six N=50 sweep recipes (L in {1, 3, 5},
+    delta*N in {0.1, 1.5}, cap 3000) took 3668 instead of 9100 iterations
+    on the resolved side and 27851 instead of 45800 on the unresolved one,
+    with the same verdicts and 98-99.8% of the extrapolations kept; those
+    ten instances took 201-423 instead of 432-594. The acceleration adds
+    ~0.09 ms to an iteration of 0.35-0.41 ms there.
     """
     opts = opts or SolverOptions()
     y = np.asarray(problem.measurement, dtype=complex)
@@ -271,7 +399,10 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     # either sign (over-relaxation scales +0 by 1 - alpha < 0 and sums it with
     # +0); and +0 minus a zero of either sign is +0. The PSD step is the public
     # project_psd (the layer perfbench times): it hermitizes an input that is
-    # already exactly Hermitian, which changes no bit.
+    # already exactly Hermitian, which changes no bit. An extrapolated q is
+    # exactly Hermitian as well, up to the sign of the zero imaginary parts on
+    # its diagonal, since _Anderson writes its lower triangle as the conjugate
+    # of its upper one.
     def affine_prox(h: np.ndarray, rho_: float) -> np.ndarray:
         gam = project_row_ball(h[:n, n:] + y / (2.0 * rho_), lam)
         x = np.empty_like(h)
@@ -288,17 +419,24 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     z = x.copy()
     u = np.zeros_like(x)
     norm_prev = float(np.linalg.norm(x))
+    # q is the matrix the PSD step projects: z = P(q) and u = q - z
+    q = z + u
+    anderson = _Anderson(_MEMORY, dim) if _MEMORY else None
 
     history = []
     iterations = opts.max_iterations
     converged = False
     r_norm = s_norm = math.inf
+    certified = certified_before = False  # the gap rule at the last two checks
+    best = None  # (gap, x, m, lower, upper) of the gap check with the smallest gap
 
     for it in range(1, opts.max_iterations + 1):
         x = affine_prox(z - u, rho)
         x_rel = alpha * x + (1.0 - alpha) * z
-        z_new = project_psd(x_rel + u)
-        u = u + x_rel - z_new
+        g = x_rel + u
+        q = anderson.step(q, g) if anderson else g
+        z_new = project_psd(q)
+        u = q - z_new
 
         r_norm = float(np.linalg.norm(x - z_new))
         s_norm = rho * float(np.linalg.norm(z_new - z))
@@ -316,8 +454,23 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
             history.append(
                 (it, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm)
             )
-        if (r_norm < tol and s_norm < tol) or (
-                it % _GAP_EVERY == 0 and _certified(*_bounds(y, lam, x, -rho * u))):
+        stop = r_norm < tol and s_norm < tol
+        if it % _GAP_EVERY == 0:
+            m = -rho * u
+            lower, upper, s = _bounds(y, lam, x, m)
+            gap = _relative_gap(lower, upper)
+            if best is None or gap < best[0]:
+                best = (gap, x, m, lower, upper)
+            certified, certified_before = _certified(lower, upper, s), certified
+            stop = stop or certified
+        if anderson:
+            # x and z_new come from different points while extrapolating, so
+            # r and s are not ADMM residuals there; the gap rule met at two
+            # checks in a row ends the extrapolation (the plain finish), and
+            # plain steps run on until a rule is met
+            if certified and certified_before:
+                anderson = None
+        elif stop:
             iterations = it
             converged = True
             break
@@ -333,14 +486,21 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
         elif s_scaled > _IMBALANCE * r_scaled and rho > 1e-4:
             rho /= 2.0
             u *= 2.0
+        else:
+            continue
+        if anderson:
+            q = z + u
+            anderson.clear()
 
+    if history[-1][0] != iterations:
+        history.append((iterations, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
+    primal = -rho * u
+    lower, upper, _ = _bounds(y, lam, x, primal)
+    if not converged and best is not None and best[0] < _relative_gap(lower, upper):
+        _, x, primal, lower, upper = best
     gamma = x[:n, n:].copy()
     lambda_mat = x[:n, :n].copy()
     objective = float(np.real(np.vdot(y, gamma)))
-    if history[-1][0] != iterations:
-        history.append((iterations, objective, r_norm, s_norm))
-    primal = -rho * u
-    lower, upper, _ = _bounds(y, lam, x, primal)
     return SdpSolution(
         gamma=gamma,
         lambda_mat=lambda_mat,

@@ -85,7 +85,7 @@ def test_demix_outputs_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-# 25 stops on a sampled iteration, the default runs to convergence at 350
+# 25 stops on a sampled iteration, the default runs to convergence at 151
 @pytest.mark.parametrize("solver", [{"max_iterations": 25}, {}])
 def test_demix_diagnostics_csv_is_numeric(tmp_path, solver):
     cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH, "solver": solver})
@@ -98,24 +98,24 @@ def test_demix_diagnostics_csv_is_numeric(tmp_path, solver):
     iterations = [row[0] for row in rows]
     assert iterations[0] == 1
     assert all(a < b for a, b in zip(iterations, iterations[1:]))
-    assert iterations[-1] == solver.get("max_iterations", 350)
+    assert iterations[-1] == solver.get("max_iterations", 151)
 
 
 def test_demix_matches_pinned_report(tmp_path):
     # the outlier rows are pinned from the code that still had settable ADMM
     # tolerances, with the outliers given as s_per_snapshot=2; the
-    # frequencies and iterations from the first code that balanced rho on
-    # relative residuals. Its gap rule stops at 350 iterations, where the
-    # absolute rule took 588; the lines read there sit 1.5e-7 from the truth
-    # (5e-9 at 588), which the last check bounds
+    # frequencies and iterations from the first code that Anderson-accelerated
+    # the ADMM. It stops at 151 iterations, where the plain ADMM took 350; the
+    # lines read there sit 3e-16 from the truth (1.5e-7 at 350), which the
+    # last check bounds
     cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH})
     out = tmp_path / "o"
     assert main(["demix", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     np.testing.assert_allclose(report["estimated_frequencies"],
-                               [0.15000014561518857, 0.6200001333282954], rtol=0, atol=1e-12)
+                               [0.15000000000000022, 0.6199999999999997], rtol=0, atol=1e-12)
     assert report["estimated_outlier_rows"] == [21, 24, 25, 30]
-    assert report["iterations"] == 350
+    assert report["iterations"] == 151
     np.testing.assert_allclose(report["estimated_frequencies"], SMALL_SYNTH["frequencies"],
                                rtol=0, atol=1e-6)
 
@@ -218,7 +218,7 @@ def test_unresolved_sweep_trial_ends_on_the_gap_before_the_cap():
     # a trial of the sweep's unresolved side as the phase-transition command
     # builds it (N=50, L=1, delta*N=0.1, 10 outliers, capped at 3000): the
     # residual rule alone runs it to the cap and scores it a failure; the gap
-    # rule certifies its iterate at 1800 iterations, with the same verdict
+    # rule certifies its iterate at 1450 iterations, with the same verdict
     seed = trial_seed(0, 1, 0, 1)
     instance = synth_instance(cli._trial_config(50, 1, 0.2, 0.1 / 50, 10, seed))
     report, solution = demix(instance.measurement, default_lambda(50),

@@ -12,6 +12,7 @@ from sinespikes import (
     SynthesisConfig,
     trigpoly,
 )
+from sinespikes import solver
 from sinespikes.dual_analysis import (
     locate_frequencies,
     locate_outliers,
@@ -118,6 +119,16 @@ class TestLocateFrequencies:
         assert np.count_nonzero(t > 1e-3 * t[-1]) > 1
         assert locate_frequencies(sol.gamma, sol.primal).size == 0
 
+    def test_lines_are_read_relative_to_the_peak_of_q(self):
+        # a dual point strictly inside the feasible set peaks below one: Gamma
+        # scaled by 1 - 2e-4 peaks below 1 - _ACCEPT_TOL yet keeps its lines
+        inst = fig1_instance(seed=1)
+        sol = solve_dual_sdp(DualSdpProblem(inst.measurement, default_lambda(50)))
+        freqs = locate_frequencies(sol.gamma, sol.primal)
+        assert freqs.size == 3
+        np.testing.assert_array_equal(locate_frequencies((1 - 2e-4) * sol.gamma, sol.primal),
+                                      freqs)
+
     def test_eigensolver_failure_is_a_numerical_failure(self, monkeypatch):
         def fail(mat):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -205,6 +216,24 @@ class TestCertifiedGap:
         assert success(early.estimated_frequencies, inst.frequencies)
         assert early.duality_gap > 10 * report.duality_gap
         assert early.duality_gap > 1e-3
+
+
+class TestAcceleration:
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_accelerated_and_plain_solves_agree(self, seed, monkeypatch):
+        # the two solves stop on different iterates; each brackets the optimum
+        inst = fig1_instance(seed=seed)
+        lam = default_lambda(50)
+        accelerated, fast = demix(inst.measurement, lam)
+        monkeypatch.setattr(solver, "_MEMORY", 0)
+        plain, slow = demix(inst.measurement, lam)
+        assert fast.converged and slow.converged and fast.iterations < slow.iterations
+        assert accelerated.lower <= plain.upper and plain.lower <= accelerated.upper
+        assert accelerated.estimated_frequencies.size == plain.estimated_frequencies.size == 3
+        np.testing.assert_allclose(accelerated.estimated_frequencies,
+                                   plain.estimated_frequencies, rtol=0, atol=1e-8)
+        np.testing.assert_array_equal(accelerated.estimated_outlier_rows,
+                                      plain.estimated_outlier_rows)
 
 
 class TestSuccess:

@@ -308,15 +308,18 @@ def dense_bounds(y, lam, x, m):
 
 
 def reference_admm(y, lam, max_iterations, gap_stop=True):
-    """The ADMM loop before its per-iteration trims.
+    """The plain ADMM loop before its per-iteration trims.
 
     It hermitizes inside every projection, rebuilds the Toeplitz indices on
     every call, clamps the full eigendecomposition and checks the gap rule
-    with dense_bounds; solve_dual_sdp must reproduce it bit for bit. With
+    with dense_bounds; solve_dual_sdp without Anderson acceleration
+    (``solver._MEMORY = 0``) must reproduce it bit for bit. With
     ``gap_stop=False`` only the residual rule stops it. The last value
     returned names the ending: "residual", "gap" or "cap"; before it come
-    the last iterate X, the primal matrix -rho * U, the iteration count and
-    the diagnostics.
+    the returned iterate X, its primal matrix -rho * U, the iteration count
+    and the diagnostics. The returned pair is the last one, except at the
+    cap, where it is the gap check's with the smallest gap if that gap is
+    below the last pair's.
     """
     n, l = y.shape
     dim = n + l
@@ -344,6 +347,7 @@ def reference_admm(y, lam, max_iterations, gap_stop=True):
     history = []
     iterations = max_iterations
     ending = "cap"
+    best = None  # (gap, X, -rho * U) of the gap check with the smallest gap
     for it in range(1, max_iterations + 1):
         x = affine_prox(z - u, rho)
         x_rel = alpha * x + (1.0 - alpha) * z
@@ -362,8 +366,10 @@ def reference_admm(y, lam, max_iterations, gap_stop=True):
             break
         if gap_stop and it % solver._GAP_EVERY == 0:
             lower, upper, s = dense_bounds(y, lam, x, -rho * u)
-            if (s - 1.0 <= solver._GAP_TOL
-                    and upper - lower <= solver._GAP_TOL * max(1.0, abs(lower))):
+            gap = (upper - lower) / max(1.0, abs(lower))
+            if best is None or gap < best[0]:
+                best = (gap, x, -rho * u)
+            if s - 1.0 <= solver._GAP_TOL and gap <= solver._GAP_TOL:
                 iterations, ending = it, "gap"
                 break
         # relative residuals (Wohlberg 2017), multiplied out
@@ -377,7 +383,12 @@ def reference_admm(y, lam, max_iterations, gap_stop=True):
             u *= 2.0
     if history[-1][0] != iterations:
         history.append((iterations, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
-    return x, -rho * u, iterations, np.array(history, dtype=float), ending
+    m = -rho * u
+    if ending == "cap" and best is not None:
+        lower, upper, _ = dense_bounds(y, lam, x, m)
+        if best[0] < (upper - lower) / max(1.0, abs(lower)):
+            _, x, m = best
+    return x, m, iterations, np.array(history, dtype=float), ending
 
 
 def assert_same_bits(a, b):
@@ -399,7 +410,8 @@ def spectral_measurement(n, l, seed):
 
 @pytest.mark.parametrize("n", [4, 16, 50])
 @pytest.mark.parametrize("l", [1, 3, 5])
-def test_solve_matches_reference_loop_bit_for_bit(n, l):
+def test_solve_matches_reference_loop_bit_for_bit(n, l, monkeypatch):
+    monkeypatch.setattr(solver, "_MEMORY", 0)
     y = spectral_measurement(n, l, seed=100 * n + l)
     lam = default_lambda(n)
     x, primal, iterations, history, ending = reference_admm(y, lam, 300)
@@ -507,3 +519,48 @@ def test_every_lower_bound_is_below_every_upper_bound(kind, seed, n, l, early):
     assert early_lower <= early_upper and late_lower <= late_upper
     if kind == "zero":
         assert early_lower <= 0.0 <= early_upper and late_lower <= 0.0 <= late_upper
+
+
+def test_capped_solve_returns_the_check_with_the_smallest_gap(monkeypatch):
+    # capped at 350, this solve's gap checks fall to 2.46e-4 at iteration 300
+    # and rise to 2.93e-4 at 350, its last
+    gaps = []
+
+    def recording_bounds(*args):
+        lower, upper, s = bounds(*args)
+        gaps.append(solver._relative_gap(lower, upper))
+        return lower, upper, s
+
+    bounds = solver._bounds
+    monkeypatch.setattr(solver, "_bounds", recording_bounds)
+    y = spectral_measurement(16, 3, 1603)
+    sol = solve_dual_sdp(DualSdpProblem(y, default_lambda(16)), SolverOptions(max_iterations=350))
+    assert not sol.converged
+    checks = gaps[:350 // solver._GAP_EVERY]
+    assert min(checks) < checks[-1]
+    assert sol.gap == min(gaps)
+
+
+def test_solve_with_rejected_extrapolations_stays_feasible(monkeypatch):
+    # the safeguard rejects an extrapolated point by returning the last
+    # accepted point's plain image and no longer extrapolating
+    rejected = []
+
+    def recording_step(self, q, g):
+        nxt = step(self, q, g)
+        rejected.append(nxt is not g and not self.extrapolated)
+        return nxt
+
+    step = solver._Anderson.step
+    monkeypatch.setattr(solver._Anderson, "step", recording_step)
+    y = spectral_measurement(50, 3, 503)
+    lam = default_lambda(50)
+    sol = solve_dual_sdp(DualSdpProblem(y, lam))
+    assert sol.converged and any(rejected)
+    target = np.zeros(50)
+    target[0] = 1.0
+    assert np.abs(toeplitz_adjoint(sol.lambda_mat) - target).max() <= 1e-12
+    assert np.linalg.norm(sol.gamma, axis=1).max() <= lam * (1.0 + 1e-12)
+    early = solve_dual_sdp(DualSdpProblem(y, lam), SolverOptions(max_iterations=40))
+    assert sol.lower <= early.upper and early.lower <= sol.upper
+    assert sol.lower <= sol.upper and early.lower <= early.upper

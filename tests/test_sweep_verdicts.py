@@ -47,3 +47,8 @@ def test_compare_rejects_sweeps_of_different_trials():
     change = sweep_verdicts.read_trials(trials_csv([(2, 0.7, 1, 0)]))
     with pytest.raises(ValueError):
         sweep_verdicts.compare(base, change)
+
+
+def test_timing_reports_both_wall_times_and_their_ratio():
+    assert (sweep_verdicts.timing(50.0, 25.0)
+            == "wall time: base 50.0 s, change 25.0 s (0.50x)")

@@ -12,8 +12,10 @@ steps of 0.2, L in {1, 3, 5}, 4 trials per cell (96 trials), each capped at
 3000 iterations, ``--seed 0 --threads 2``. Trial seeds depend only on the
 base seed and the cell, so both sides draw the same instances.
 
-The script prints each trial whose verdict differs and each cell's success
-rate on both sides, and exits 1 if any cell's rate dropped, 0 otherwise.
+The script prints each trial whose verdict differs, each cell's success
+rate on both sides and each side's wall time for its sweep call, and exits 1
+if any cell's rate dropped, 0 otherwise. The two calls run one after the
+other, so their wall times compare the two trees on the same machine.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import csv
 import io
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 CALL_TIMEOUT_S = 1800
@@ -36,12 +39,15 @@ CONFIG = {
 ARGS = ["--seed", "0", "--threads", "2"]
 
 
-def run_sweep(tree: Path, work: Path) -> str:
-    """Run the sweep on the source tree ``tree`` in ``work``; returns its trials.csv."""
+def run_sweep(tree: Path, work: Path) -> tuple[str, float]:
+    """Run the sweep on the source tree ``tree`` in ``work``; returns its
+    trials.csv and the call's wall time in seconds."""
     from parity import run_cli  # tools/ is on sys.path when run as a script
 
+    start = time.perf_counter()
     run_cli(tree, work, CONFIG, ["phase-transition", *ARGS], CALL_TIMEOUT_S).check_returncode()
-    return (work / "out" / "trials.csv").read_text()
+    seconds = time.perf_counter() - start
+    return (work / "out" / "trials.csv").read_text(), seconds
 
 
 def read_trials(text: str) -> dict[tuple[int, float, int], bool]:
@@ -74,6 +80,11 @@ def compare(base: dict, change: dict) -> tuple[list[str], list[str], bool]:
     return changed, lines, dropped
 
 
+def timing(base_s: float, change_s: float) -> str:
+    """One line with each side's wall time and the change's as a multiple of the base's."""
+    return f"wall time: base {base_s:.1f} s, change {change_s:.1f} s ({change_s / base_s:.2f}x)"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="revision to compare against, e.g. HEAD")
@@ -84,10 +95,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="sweep-verdicts-") as tmp:
         tmp = Path(tmp)
         sha = export_revision(args.base, tmp / "tree")
-        base = read_trials(run_sweep(tmp / "tree", tmp / "base"))
-        change = read_trials(run_sweep(ROOT, tmp / "change"))
+        base_text, base_s = run_sweep(tmp / "tree", tmp / "base")
+        change_text, change_s = run_sweep(ROOT, tmp / "change")
+    base, change = read_trials(base_text), read_trials(change_text)
     changed, cells, dropped = compare(base, change)
-    for line in changed + cells:
+    for line in changed + cells + [timing(base_s, change_s)]:
         print(line)
     print(f"{len(changed)} of {len(base)} verdicts differ between {sha[:12]} and the working "
           f"tree; {'a cell rate dropped' if dropped else 'no cell rate dropped'}")
