@@ -69,16 +69,24 @@ _DIAG_EVERY = 25
 # Fixed ADMM settings: initial penalty rho, over-relaxation factor, the
 # absolute and relative tolerances of the residual rule in solve_dual_sdp,
 # and the ratio of the relative residuals at which rho is doubled or halved.
+# The over-relaxation is the top of the 1.5-1.8 range of Boyd et al. 2011;
+# with Anderson memory 40 it took 13% fewer unresolved sweep iterations than
+# 1.6 (solve_dual_sdp has the measurements).
 _PENALTY = 1.0
-_OVER_RELAXATION = 1.6
+_OVER_RELAXATION = 1.8
 _EPS_ABS = 1e-7
 _EPS_REL = 1e-6
 _IMBALANCE = 30.0
 
 # Anderson acceleration of the ADMM keeps _MEMORY past steps (0 runs the plain
 # ADMM) and damps its least-squares weights by _DAMPING * |f|_F^2, f being the
-# fixed-point residual of the last accepted point.
-_MEMORY = 20
+# fixed-point residual of the last accepted point. Memory 40 with
+# over-relaxation 1.8 won among the pairs measured in solve_dual_sdp's
+# docstring: the fewest unresolved sweep iterations of the pairs that kept
+# every symmetric image of 400 random problems within 1e-10 (memory 60 was
+# faster but parted one draw by 2e-8), the same sweep verdicts, and every
+# N=50 line of ten three-line instances within 3.5e-12 of the truth.
+_MEMORY = 40
 _DAMPING = 0.1
 
 # The gap rule: every _GAP_EVERY iterations, stop once the scaled dual point
@@ -258,17 +266,22 @@ class _Anderson:
     differences and their inner products with the last accepted residual.
     A new difference costs one matrix-vector product with the ring for its
     Gram column; the inner products with the residual follow from the old
-    ones, since f = f_last + df.
+    ones, since f = f_last + df. The damping is added in place to the Gram
+    matrix's diagonal, whose undamped values are kept beside it, so the
+    system is solved without copying the matrix.
     """
 
     def __init__(self, memory: int, dim: int):
         rows, cols = np.triu_indices(dim)
         self.upper = rows * dim + cols
         self.lower = cols * dim + rows
-        self.scale = np.where(rows == cols, 1.0, math.sqrt(2.0))
+        # the scale of the residual's real view: re and im of each entry
+        self.scale = np.repeat(np.where(rows == cols, 1.0, math.sqrt(2.0)), 2)
         self.dg = np.empty((memory, 2 * rows.size))
         self.df = np.empty((memory, 2 * rows.size))
         self.gram = np.empty((memory, memory))
+        self.gram_diag = self.gram.reshape(-1)[::memory + 1]  # a view of the diagonal
+        self.diag = np.empty(memory)
         self.rhs = np.empty(memory)
         self.clear()
 
@@ -289,8 +302,8 @@ class _Anderson:
         ``_DAMPING`` * |f|_F^2; it is exactly Hermitian.
         """
         g_up = g.reshape(-1)[self.upper]
-        f_up = (g_up - q.reshape(-1)[self.upper]) * self.scale
-        f_real = f_up.view(float)
+        f_real = np.subtract(g_up, q.reshape(-1)[self.upper]).view(float)
+        f_real *= self.scale
         f_norm = math.sqrt(f_real @ f_real)
         if self.extrapolated and f_norm > self.last[3]:
             self.count = self.slot = 0
@@ -305,6 +318,7 @@ class _Anderson:
             col = self.df[:k] @ self.df[j]
             self.gram[j, :k] = col
             self.gram[:k, j] = col
+            self.diag[j] = col[j]
             self.rhs[:k] += col
             self.rhs[j] = self.df[j] @ f_real
         self.last = (g, g_up.view(float), f_real, f_norm)
@@ -312,10 +326,9 @@ class _Anderson:
         if not self.extrapolated:
             return g
         k = self.count
-        damped = self.gram[:k, :k].copy()
-        damped.flat[::k + 1] += _DAMPING * f_norm**2
+        np.add(self.diag[:k], _DAMPING * f_norm**2, out=self.gram_diag[:k])
         try:
-            weights = np.linalg.solve(damped, self.rhs[:k])
+            weights = np.linalg.solve(self.gram[:k, :k], self.rhs[:k])
         except np.linalg.LinAlgError:  # the damping rounded away on a singular Gram matrix
             self.extrapolated = False
             return g
@@ -361,25 +374,44 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     problem with N <= 24 and its image under a symmetry (unitary mixing,
     row modulation, conjugate row reversal) parted by up to 1e-5 in Gamma
     within 600 iterations in 1 of 5 draws, where the plain ADMM keeps them
-    1e-14 apart. At half this damping 4 of 80 draws still parted by more
-    than 1e-10; at this one none of 400 by more than 5e-12. A change of rho changes the map, so it resets q
-    to Z + U and empties the memory. While extrapolating, X and the new Z
-    come from different points, so r and s are not ADMM residuals and the
-    residual rule is not read. The gap rule met at two checks in a row ends
-    the extrapolation (the plain finish), and plain steps run on until
-    either rule is met. The lines read off an accelerated solve lag its gap:
+    1e-14 apart. With memory 20 and over-relaxation 1.6, at half this
+    damping 4 of 80 draws still parted by more than 1e-10, and at this one
+    none of 400 by more than 5e-12. With memory 40 and 1.8,
+    ``tools/equivariance_stress.py --draws 400`` at seeds 0, 1 and 2 parted
+    none of 1200 draws by more than 7.8e-11. A change of rho changes the
+    map, so it resets q to Z + U and empties the memory. While
+    extrapolating, X and the new Z come from different points, so r and s
+    are not ADMM residuals and the residual rule is not read. The gap rule
+    met at two checks in a row ends the extrapolation (the plain finish),
+    and plain steps run on until either rule is met. The lines read off an accelerated solve lag its gap:
     on ten N=50, L=5 instances with three lines and 15 outliers, ending the
     extrapolation at the first certified check left them a median 2.4e-9
     from the truth, the second check 6.8e-11 and the plain ADMM 1.7e-10.
     With ``_MEMORY`` = 0 the loop is the plain ADMM bit for bit.
 
-    Measured on 2 vCPUs (numpy 2.4.6, one BLAS thread), against the plain
-    ADMM: the 36 trials of six N=50 sweep recipes (L in {1, 3, 5},
-    delta*N in {0.1, 1.5}, cap 3000) took 3668 instead of 9100 iterations
-    on the resolved side and 27851 instead of 45800 on the unresolved one,
-    with the same verdicts and 98-99.8% of the extrapolations kept; those
-    ten instances took 201-423 instead of 432-594. The acceleration adds
-    ~0.09 ms to an iteration of 0.35-0.41 ms there.
+    Measured on 2 vCPUs (numpy 2.4.6, one BLAS thread) on 96 N=50 sweep
+    trials: L in {1, 3, 5}, delta*N in {0.1, 1.5}, trials 0-3 of base seeds
+    7-10, cap 3000, as ``cli._trial_config`` builds them. Iterations on the
+    48 unresolved (delta*N = 0.1) and 48 resolved trials, with the trials
+    that hit the cap, for (memory, over-relaxation):
+
+    * (40, 1.8): 53900 and 9348, none capped; 92% of the resolved and
+      99.5% of the unresolved extrapolations kept;
+    * (20, 1.6), the pair before: 78850 and 10248, 4 capped;
+    * (20, 1.8): 67400 and 10098, 1 capped; (40, 1.6): 62000 and 9448,
+      1 capped, and 1 of 400 stress draws parted by 2.1e-10;
+    * (30, 1.8): 58100 and 9298, none capped;
+    * (60, 1.8): 43700 and 9248, none capped, but 1 of 400 stress draws
+      parted by 2e-8;
+    * the plain ADMM at 1.6 and at 1.8: 120850 and 23860 (20 capped),
+      108350 and 23118 (12 capped).
+
+    Every pair scored 48 of the 96 trials successes. The ten instances above
+    take 151-251 iterations (201-423 with (20, 1.6), 400-594 plain at 1.8)
+    and end on gaps of at most 1e-8. An iteration on two unresolved L=3
+    trials costs 0.51 ms against 0.38 ms plain and 0.46 ms with (20, 1.6);
+    of it, ``_Anderson.step`` takes ~0.1 ms, mostly two passes over its
+    rings of 40 differences (1.8 MB) and the 40 x 40 solve.
     """
     opts = opts or SolverOptions()
     y = np.asarray(problem.measurement, dtype=complex)

@@ -12,7 +12,7 @@ from sinespikes import (
     SynthesisConfig,
     trigpoly,
 )
-from sinespikes import solver
+from sinespikes import cli, solver
 from sinespikes.dual_analysis import (
     locate_frequencies,
     locate_outliers,
@@ -140,10 +140,17 @@ class TestLocateFrequencies:
 
 class TestLocateOutliers:
     def test_row_on_boundary_detected(self):
+        # a row is read where the primal's outlier part outweighs the gap and
+        # the dual row sits on the ball; row 6 fails the first test, row 8
+        # the second
         lam = 0.25
         gamma = np.zeros((10, 2), dtype=complex)
-        gamma[4] = [lam, 0.0]
-        rows = locate_outliers(gamma, lam)
+        gamma[[4, 6]] = [lam, 0.0]
+        gamma[8] = [0.9 * lam, 0.0]
+        y = np.zeros((10, 2), dtype=complex)
+        y[[4, 8]] = [1.0, 0.0]
+        y[6] = [0.1, 0.0]
+        rows = locate_outliers(gamma, np.zeros((12, 12)), y, lam, 0.1)
         assert list(rows) == [4]
 
     def test_clean_instance_empty(self):
@@ -152,8 +159,20 @@ class TestLocateOutliers:
         ))
         lam = default_lambda(32)
         sol = solve_dual_sdp(DualSdpProblem(inst.measurement, lam))
-        assert locate_outliers(sol.gamma, lam).size == 0
+        rows = locate_outliers(sol.gamma, sol.primal, inst.measurement, lam, sol.upper - sol.lower)
+        assert rows.size == 0
         assert np.linalg.norm(sol.gamma, axis=1).max() < lam * (1 - 1e-3)
+
+    # sweep trials (L, delta index, trial) of the grid at base seed 0 on which
+    # rows of Gamma on the ball alone read clean rows too: 0, 38 and 6
+    @pytest.mark.parametrize("l, delta_index, trial", [(5, 10, 3), (1, 10, 8), (3, 13, 13)])
+    def test_clean_row_of_gamma_on_the_ball_is_not_an_outlier(self, l, delta_index, trial):
+        seed = cli.trial_seed(0, l, delta_index, trial)
+        delta = (0.1 + 0.1 * delta_index) / 50
+        inst = synth_instance(cli._trial_config(50, l, 0.2, delta, 10, seed))
+        report, sol = demix(inst.measurement, default_lambda(50))
+        assert sol.converged and success(report.estimated_frequencies, inst.frequencies)
+        np.testing.assert_array_equal(report.estimated_outlier_rows, inst.outlier_rows)
 
 
 class TestRecoverAmplitudes:
@@ -193,7 +212,7 @@ class TestRecoverAmplitudes:
     def test_rows_located_as_outliers_are_accepted(self):
         y = np.arange(20, dtype=complex).reshape(10, 2)
         for norms in (np.zeros(10), np.r_[0.0, 1.0, 0.0, 1.0, np.zeros(6)]):
-            rows = locate_outliers(norms[:, None], 0.5)
+            rows = locate_outliers(norms[:, None], np.zeros((11, 11)), norms[:, None], 0.5, 0.0)
             _, z = recover_amplitudes(y, [0.1], rows)
             np.testing.assert_array_equal(np.flatnonzero(np.abs(z).sum(axis=1)), rows)
 
@@ -257,15 +276,18 @@ class TestSuccess:
 
 class TestDemixReport:
     def test_decomposition_consistency(self):
-        inst = fig1_instance(seed=4)
-        report, sol = demix(inst.measurement, default_lambda(50))
-        # signal + outliers reproduce the measurement up to the LS residual
-        signal = _signal_matrix(report.estimated_frequencies, report.estimated_amplitudes, 50)
-        resid = np.abs(signal + report.estimated_outliers - inst.measurement).max()
-        assert resid <= 1e-6
-        outside = np.setdiff1d(np.arange(50), report.estimated_outlier_rows)
-        assert np.abs(report.estimated_outliers[outside]).max() == 0.0
-        assert report.duality_gap <= 1e-3
+        # signal + outliers reproduce the measurement up to the LS residual,
+        # on every seed: an accelerated solve that stops on a loose iterate
+        # misses on some (1.1e-6-1.3e-6 on seeds 2 and 5 with memory 20)
+        for seed in range(10):
+            inst = fig1_instance(seed=seed)
+            report, sol = demix(inst.measurement, default_lambda(50))
+            signal = _signal_matrix(report.estimated_frequencies, report.estimated_amplitudes, 50)
+            resid = np.abs(signal + report.estimated_outliers - inst.measurement).max()
+            assert resid <= 1e-6, seed
+            outside = np.setdiff1d(np.arange(50), report.estimated_outlier_rows)
+            assert np.abs(report.estimated_outliers[outside]).max() == 0.0, seed
+            assert report.duality_gap <= 1e-3, seed
 
     def test_fig1_solve_converges_in_under_1000_iterations(self):
         # balancing rho on relative residuals ends this solve at 538
