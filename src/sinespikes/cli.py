@@ -235,7 +235,6 @@ def cmd_demix(args, cfg: _DemixConfig) -> int:
     out = _out_dir(args)
     payload = report.to_json()
     payload["lambda"] = lam
-    payload["objective"] = solution.objective
     payload["iterations"] = solution.iterations
     (out / "report.json").write_text(json.dumps(payload, indent=1))
 

@@ -23,14 +23,12 @@ Both projections are exact, so every reported iterate satisfies the affine
 and ball constraints to machine precision while PSD feasibility is driven
 to zero by the residuals.
 
-The solve has two exits. The residual rule stops once both ADMM residuals
-are small. The gap rule stops once the iterate is certified optimal: a
-lower bound on the optimum comes from scaling Gamma by the smallest s >= 1
-that the eigenvalues of X prove feasible, and an upper bound from the
-primal matrix M = -rho * U (Boyd et al. 2011) with its top-left block
-averaged onto Toeplitz matrices, which is a point of the MMV atomic-norm
-SDP (Yang & Xie 2016) once shifted PSD. Weak duality puts the optimum
-between the two.
+The solve stops once its iterate is certified optimal: a lower bound on
+the optimum comes from scaling Gamma by the smallest s >= 1 that the
+eigenvalues of X prove feasible, and an upper bound from the primal matrix
+M = -rho * U (Boyd et al. 2011) with its top-left block averaged onto
+Toeplitz matrices, which is a point of the MMV atomic-norm SDP (Yang & Xie
+2016) once shifted PSD. Weak duality puts the optimum between the two.
 
 The penalty rho is balanced on residuals relative to their own iterates
 (Wohlberg 2017, "ADMM penalty parameter selection by residual balancing"),
@@ -66,31 +64,28 @@ __all__ = [
 
 _DIAG_EVERY = 25
 
-# Fixed ADMM settings: initial penalty rho, over-relaxation factor, the
-# absolute and relative tolerances of the residual rule in solve_dual_sdp,
-# and the ratio of the relative residuals at which rho is doubled or halved.
-# The over-relaxation is the top of the 1.5-1.8 range of Boyd et al. 2011;
-# with Anderson memory 40 it took 13% fewer unresolved sweep iterations than
-# 1.6 (solve_dual_sdp has the measurements).
+# Fixed ADMM settings: initial penalty rho, over-relaxation factor, and the
+# ratio of the relative residuals at which rho is doubled or halved.
+# Over-relaxation 1.8, the top of the 1.5-1.8 range of Boyd et al. 2011, took
+# 13% fewer unresolved N=50 sweep iterations than 1.6 at Anderson memory 40.
+# Imbalance 30 rather than Wohlberg's 10, which runs most unresolved sweep
+# trials to a 3000-iteration cap.
 _PENALTY = 1.0
 _OVER_RELAXATION = 1.8
-_EPS_ABS = 1e-7
-_EPS_REL = 1e-6
 _IMBALANCE = 30.0
 
 # Anderson acceleration of the ADMM keeps _MEMORY past steps (0 runs the plain
 # ADMM) and damps its least-squares weights by _DAMPING * |f|_F^2, f being the
-# fixed-point residual of the last accepted point. Memory 40 with
-# over-relaxation 1.8 won among the pairs measured in solve_dual_sdp's
-# docstring: the fewest unresolved sweep iterations of the pairs that kept
-# every symmetric image of 400 random problems within 1e-10 (memory 60 was
-# faster but parted one draw by 2e-8), the same sweep verdicts, and every
-# N=50 line of ten three-line instances within 3.5e-12 of the truth.
+# fixed-point residual of the last accepted point. Memory 40 took the fewest
+# unresolved sweep iterations of the memories that kept the solves of 1200
+# random problems and their symmetric images within 1e-10 (60 parted one by
+# 2e-8). Undamped, the extrapolation amplifies rounding until a problem and
+# its symmetric image part by up to 1e-5; damping 0.1 kept them within 1e-10.
 _MEMORY = 40
 _DAMPING = 0.1
 
-# The gap rule: every _GAP_EVERY iterations, stop once the scaled dual point
-# is within _GAP_TOL of the unscaled one and the certified gap is below
+# The gap rule, checked every _GAP_EVERY iterations: the scaled dual point is
+# within _GAP_TOL of the unscaled one and the certified gap is below
 # _GAP_TOL. _ROUNDING * |matrix|_F pads each smallest eigenvalue against the
 # rounding of eigvalsh.
 _GAP_EVERY = 50
@@ -136,19 +131,18 @@ class SdpSolution:
     PSD constraint; it is positive semidefinite to rounding, and its
     top-left N x N block carries the spectral support (``dual_analysis``).
     ``lower`` and ``upper`` are the certified bounds of ``_bounds`` on the
-    optimum, from the returned iterate and ``primal``, whichever rule ended
-    the solve; ``objective`` is the returned iterate's Re<Y, Gamma>, which
-    can lie above ``upper`` when that iterate is not dual feasible. ``gap``
-    is their relative gap (upper - lower) / max(1, |lower|). ``converged``
-    says that the residual rule or the gap rule stopped the solve. A solve
-    that reaches the cap returns the gap check's iterate and primal matrix
-    with the smallest gap, which need not be the last; ``diagnostics`` still
-    ends on the last iteration.
+    optimum, from the returned iterate and ``primal``, and ``gap`` is their
+    relative gap (upper - lower) / max(1, |lower|). ``converged`` says that
+    the gap rule held at two gap checks in a row; the solve then returns the
+    second check's iterate and primal matrix, so ``gap`` is at most
+    ``_GAP_TOL``. A solve that reaches the cap returns the gap check's
+    iterate and primal matrix with the smallest gap (the last iterate if it
+    is better or no check ran); ``diagnostics`` ends on the last iteration
+    either way.
     """
 
     gamma: np.ndarray
     lambda_mat: np.ndarray
-    objective: float
     iterations: int
     converged: bool
     diagnostics: np.ndarray = field(repr=False)
@@ -266,9 +260,7 @@ class _Anderson:
     differences and their inner products with the last accepted residual.
     A new difference costs one matrix-vector product with the ring for its
     Gram column; the inner products with the residual follow from the old
-    ones, since f = f_last + df. The damping is added in place to the Gram
-    matrix's diagonal, whose undamped values are kept beside it, so the
-    system is solved without copying the matrix.
+    ones, since f = f_last + df.
     """
 
     def __init__(self, memory: int, dim: int):
@@ -280,8 +272,6 @@ class _Anderson:
         self.dg = np.empty((memory, 2 * rows.size))
         self.df = np.empty((memory, 2 * rows.size))
         self.gram = np.empty((memory, memory))
-        self.gram_diag = self.gram.reshape(-1)[::memory + 1]  # a view of the diagonal
-        self.diag = np.empty(memory)
         self.rhs = np.empty(memory)
         self.clear()
 
@@ -318,7 +308,6 @@ class _Anderson:
             col = self.df[:k] @ self.df[j]
             self.gram[j, :k] = col
             self.gram[:k, j] = col
-            self.diag[j] = col[j]
             self.rhs[:k] += col
             self.rhs[j] = self.df[j] @ f_real
         self.last = (g, g_up.view(float), f_real, f_norm)
@@ -326,9 +315,10 @@ class _Anderson:
         if not self.extrapolated:
             return g
         k = self.count
-        np.add(self.diag[:k], _DAMPING * f_norm**2, out=self.gram_diag[:k])
+        gram = self.gram[:k, :k].copy()
+        gram.flat[::k + 1] += _DAMPING * f_norm**2
         try:
-            weights = np.linalg.solve(self.gram[:k, :k], self.rhs[:k])
+            weights = np.linalg.solve(gram, self.rhs[:k])
         except np.linalg.LinAlgError:  # the damping rounded away on a singular Gram matrix
             self.extrapolated = False
             return g
@@ -340,78 +330,33 @@ class _Anderson:
 
 
 def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
-    """Run the accelerated ADMM until the residual rule or the gap rule stops it.
+    """Run the accelerated ADMM until two gap checks in a row certify its iterate.
 
-    The residual rule: the threshold ``_EPS_ABS * (N + L) + _EPS_REL *
-    max(|X|_F over the last two iterates)`` bounds both the primal residual
-    |X - Z|_F and the dual residual rho * |Z - Z_prev|_F. The gap rule, every
-    ``_GAP_EVERY`` iterations: the scale s of ``_bounds`` is at most
+    Every ``_GAP_EVERY`` iterations the iterate X and the primal matrix
+    M = -rho * U are checked: the scale s of ``_bounds`` is at most
     1 + ``_GAP_TOL`` and the certified gap at most ``_GAP_TOL`` *
-    max(1, |lower|). Either stop sets ``converged=True``. At the cap the
-    gap check with the smallest gap is returned with ``converged=False``
-    (the last iterate if it is better or no check ran), since the gap of a
+    max(1, |lower|). The solve stops with ``converged=True`` at the first
+    check where this holds and also held at the check before, and returns
+    that check's X, M and bounds. A single certified check is not enough:
+    the lines read off an accelerated solve lag its gap, and stopping there
+    left an N=50 decomposition 3e-5 off the measurement. At the cap the gap
+    check with the smallest gap is returned with ``converged=False`` (the
+    last iterate if it is better or no check ran), since the gap of a
     stalled solve can grow.
 
-    rho starts at 1. After each iteration that no rule stops, it doubles
-    (while below 1e4) when the relative primal residual
-    |X - Z|_F / max(|X|_F, |Z|_F) exceeds ``_IMBALANCE`` = 30 times the
-    relative dual residual rho |Z - Z_prev|_F / |rho U|_F, and halves
-    (while above 1e-4) in the opposite case; U is rescaled so that rho * U
-    stays put. The threshold
-    is 30 rather than Wohlberg's 10: at 10, resolved N=50 sweep trials end
-    sooner still (250-400 iterations), but most unresolved ones run to a
-    3000-iteration cap, and an N=50, L=5 instance with 15 outliers stops on
-    an iterate whose decomposition misses the measurement by 5e-6; at 3
-    every count was worse.
+    rho starts at 1. After each iteration, it doubles (while below 1e4) when
+    the relative primal residual |X - Z|_F / max(|X|_F, |Z|_F) exceeds
+    ``_IMBALANCE`` times the relative dual residual rho |Z - Z_prev|_F /
+    |rho U|_F, and halves (while above 1e-4) in the opposite case; U is
+    rescaled so that rho * U stays put.
 
     Anderson acceleration (``_Anderson``) acts on the state q = X_rel + U
     that the PSD step projects, X_rel being the over-relaxed X: each
     iteration hands it q and its plain image g(q) and projects the point it
     returns, so an iteration is still one ``project_psd`` call, a rejected
-    extrapolation included. Its weights solve the Gram system of the
-    residual differences damped by ``_DAMPING`` * |f|_F^2. Undamped, the
-    extrapolation amplifies rounding on slowly converging solves: a random
-    problem with N <= 24 and its image under a symmetry (unitary mixing,
-    row modulation, conjugate row reversal) parted by up to 1e-5 in Gamma
-    within 600 iterations in 1 of 5 draws, where the plain ADMM keeps them
-    1e-14 apart. With memory 20 and over-relaxation 1.6, at half this
-    damping 4 of 80 draws still parted by more than 1e-10, and at this one
-    none of 400 by more than 5e-12. With memory 40 and 1.8,
-    ``tools/equivariance_stress.py --draws 400`` at seeds 0, 1 and 2 parted
-    none of 1200 draws by more than 7.8e-11. A change of rho changes the
-    map, so it resets q to Z + U and empties the memory. While
-    extrapolating, X and the new Z come from different points, so r and s
-    are not ADMM residuals and the residual rule is not read. The gap rule
-    met at two checks in a row ends the extrapolation (the plain finish),
-    and plain steps run on until either rule is met. The lines read off an accelerated solve lag its gap:
-    on ten N=50, L=5 instances with three lines and 15 outliers, ending the
-    extrapolation at the first certified check left them a median 2.4e-9
-    from the truth, the second check 6.8e-11 and the plain ADMM 1.7e-10.
-    With ``_MEMORY`` = 0 the loop is the plain ADMM bit for bit.
-
-    Measured on 2 vCPUs (numpy 2.4.6, one BLAS thread) on 96 N=50 sweep
-    trials: L in {1, 3, 5}, delta*N in {0.1, 1.5}, trials 0-3 of base seeds
-    7-10, cap 3000, as ``cli._trial_config`` builds them. Iterations on the
-    48 unresolved (delta*N = 0.1) and 48 resolved trials, with the trials
-    that hit the cap, for (memory, over-relaxation):
-
-    * (40, 1.8): 53900 and 9348, none capped; 92% of the resolved and
-      99.5% of the unresolved extrapolations kept;
-    * (20, 1.6), the pair before: 78850 and 10248, 4 capped;
-    * (20, 1.8): 67400 and 10098, 1 capped; (40, 1.6): 62000 and 9448,
-      1 capped, and 1 of 400 stress draws parted by 2.1e-10;
-    * (30, 1.8): 58100 and 9298, none capped;
-    * (60, 1.8): 43700 and 9248, none capped, but 1 of 400 stress draws
-      parted by 2e-8;
-    * the plain ADMM at 1.6 and at 1.8: 120850 and 23860 (20 capped),
-      108350 and 23118 (12 capped).
-
-    Every pair scored 48 of the 96 trials successes. The ten instances above
-    take 151-251 iterations (201-423 with (20, 1.6), 400-594 plain at 1.8)
-    and end on gaps of at most 1e-8. An iteration on two unresolved L=3
-    trials costs 0.51 ms against 0.38 ms plain and 0.46 ms with (20, 1.6);
-    of it, ``_Anderson.step`` takes ~0.1 ms, mostly two passes over its
-    rings of 40 differences (1.8 MB) and the 40 x 40 solve.
+    extrapolation included. A change of rho changes the map, so it resets q
+    to Z + U and empties the memory. With ``_MEMORY`` = 0 the loop is the
+    plain ADMM bit for bit.
     """
     opts = opts or SolverOptions()
     y = np.asarray(problem.measurement, dtype=complex)
@@ -450,16 +395,13 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     x[n:, n:] = eye_l
     z = x.copy()
     u = np.zeros_like(x)
-    norm_prev = float(np.linalg.norm(x))
     # q is the matrix the PSD step projects: z = P(q) and u = q - z
     q = z + u
     anderson = _Anderson(_MEMORY, dim) if _MEMORY else None
 
     history = []
     iterations = opts.max_iterations
-    converged = False
-    r_norm = s_norm = math.inf
-    certified = certified_before = False  # the gap rule at the last two checks
+    converged = certified = False  # certified: the gap rule held at the last check
     best = None  # (gap, x, m, lower, upper) of the gap check with the smallest gap
 
     for it in range(1, opts.max_iterations + 1):
@@ -478,15 +420,10 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
                 f"non-finite residuals at iteration {it} (rho={rho})"
             )
 
-        norm_x = float(np.linalg.norm(x))
-        tol = _EPS_ABS * dim + _EPS_REL * max(norm_x, norm_prev)
-        norm_prev = norm_x
-
         if it % _DIAG_EVERY == 0 or it == 1:
             history.append(
                 (it, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm)
             )
-        stop = r_norm < tol and s_norm < tol
         if it % _GAP_EVERY == 0:
             m = -rho * u
             lower, upper, s = _bounds(y, lam, x, m)
@@ -494,24 +431,15 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
             if best is None or gap < best[0]:
                 best = (gap, x, m, lower, upper)
             certified, certified_before = _certified(lower, upper, s), certified
-            stop = stop or certified
-        if anderson:
-            # x and z_new come from different points while extrapolating, so
-            # r and s are not ADMM residuals there; the gap rule met at two
-            # checks in a row ends the extrapolation (the plain finish), and
-            # plain steps run on until a rule is met
             if certified and certified_before:
-                anderson = None
-        elif stop:
-            iterations = it
-            converged = True
-            break
+                iterations, converged = it, True
+                break
         # r / max(|X|, |Z|) against s / |rho U|, multiplied out so that a zero
         # U divides by nothing. Against the absolute rule (r against 10 s) it
         # cut the iterations of the N=50 sweep trials by 26-34% (62-69% on
         # resolved ones), and of demix at N=201 from 5102-5531 to 1100-1168
         r_scaled = r_norm * rho * float(np.linalg.norm(u))
-        s_scaled = s_norm * max(norm_x, float(np.linalg.norm(z)))
+        s_scaled = s_norm * max(float(np.linalg.norm(x)), float(np.linalg.norm(z)))
         if r_scaled > _IMBALANCE * s_scaled and rho < 1e4:
             rho *= 2.0
             u /= 2.0
@@ -526,23 +454,19 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
 
     if history[-1][0] != iterations:
         history.append((iterations, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
-    primal = -rho * u
-    lower, upper, _ = _bounds(y, lam, x, primal)
-    if not converged and best is not None and best[0] < _relative_gap(lower, upper):
-        _, x, primal, lower, upper = best
-    gamma = x[:n, n:].copy()
-    lambda_mat = x[:n, :n].copy()
-    objective = float(np.real(np.vdot(y, gamma)))
+    if not converged:
+        m = -rho * u
+        lower, upper, _ = _bounds(y, lam, x, m)
+        if best is not None and best[0] < _relative_gap(lower, upper):
+            _, x, m, lower, upper = best
     return SdpSolution(
-        gamma=gamma,
-        lambda_mat=lambda_mat,
-        objective=objective,
+        gamma=x[:n, n:].copy(),
+        lambda_mat=x[:n, :n].copy(),
         iterations=iterations,
         converged=converged,
         diagnostics=np.array(history, dtype=float),
-        primal=primal,
+        primal=m,
         lower=lower,
         upper=upper,
         gap=_relative_gap(lower, upper),
     )
-

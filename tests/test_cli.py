@@ -85,7 +85,7 @@ def test_demix_outputs_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-# 25 stops on a sampled iteration, the default runs to convergence at 151
+# 25 stops on a sampled iteration, the default converges at its third gap check, 150
 @pytest.mark.parametrize("solver", [{"max_iterations": 25}, {}])
 def test_demix_diagnostics_csv_is_numeric(tmp_path, solver):
     cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH, "solver": solver})
@@ -98,16 +98,16 @@ def test_demix_diagnostics_csv_is_numeric(tmp_path, solver):
     iterations = [row[0] for row in rows]
     assert iterations[0] == 1
     assert all(a < b for a, b in zip(iterations, iterations[1:]))
-    assert iterations[-1] == solver.get("max_iterations", 151)
+    assert iterations[-1] == solver.get("max_iterations", 150)
 
 
 def test_demix_matches_pinned_report(tmp_path):
     # the outlier rows are pinned from the code that still had settable ADMM
     # tolerances, with the outliers given as s_per_snapshot=2; the
-    # frequencies and iterations from the first code that Anderson-accelerated
-    # the ADMM. It stops at 151 iterations, where the plain ADMM took 350; the
-    # lines read there sit 3e-16 from the truth (1.5e-7 at 350), which the
-    # last check bounds
+    # frequencies from the first code that Anderson-accelerated the ADMM. The
+    # solve stops at 150 iterations, its second certified gap check in a row,
+    # where the plain ADMM took 350; the lines read there sit 3e-16 from the
+    # truth (1.5e-7 at 350), which the last check bounds
     cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH})
     out = tmp_path / "o"
     assert main(["demix", "--config", cfg, "--out", str(out)]) == 0
@@ -115,7 +115,7 @@ def test_demix_matches_pinned_report(tmp_path):
     np.testing.assert_allclose(report["estimated_frequencies"],
                                [0.15000000000000022, 0.6199999999999997], rtol=0, atol=1e-12)
     assert report["estimated_outlier_rows"] == [21, 24, 25, 30]
-    assert report["iterations"] == 151
+    assert report["iterations"] == 150
     np.testing.assert_allclose(report["estimated_frequencies"], SMALL_SYNTH["frequencies"],
                                rtol=0, atol=1e-6)
 
@@ -227,9 +227,9 @@ def unresolved_sweep_trial():
 
 
 def test_unresolved_sweep_trial_ends_on_the_gap_before_the_cap(unresolved_sweep_trial):
-    # the residual rule alone runs this trial to the cap and scores it a
-    # failure; the gap rule certifies its iterate at 1100 iterations, with
-    # the same verdict
+    # the gap rule certifies this trial's iterate at 1050 iterations, well
+    # before the cap; its lines are too close to resolve, so it scores a
+    # failure
     instance, report, solution = unresolved_sweep_trial
     assert solution.converged and solution.iterations < 3000
     assert solution.gap <= 1e-4
@@ -237,9 +237,8 @@ def test_unresolved_sweep_trial_ends_on_the_gap_before_the_cap(unresolved_sweep_
 
 
 def test_unresolved_sweep_trial_ends_in_under_1300_iterations(unresolved_sweep_trial):
-    # the slow tail of the accelerated solve: with Anderson memory 20 and
-    # over-relaxation 1.6 this trial took 1450 iterations, with 40 and 1.8
-    # it takes 1100
+    # the slow tail of the accelerated solve: this trial stops at 1050
+    # iterations; with Anderson memory 20 and over-relaxation 1.6 it took 1450
     _, _, solution = unresolved_sweep_trial
     assert solution.converged and solution.iterations < 1300
 

@@ -2,19 +2,11 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-_TESTS = Path(__file__).resolve().parent
-
-
-def load(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-stress = load("equivariance_stress", _TESTS.parent / "tools" / "equivariance_stress.py")
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "equivariance_stress.py"
+_SPEC = importlib.util.spec_from_file_location("equivariance_stress", _PATH)
+stress = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(stress)
 
 
 def test_two_draws_pass_and_report_the_worst_parting(capsys):
@@ -37,10 +29,3 @@ def test_draws_depend_only_on_the_seed():
     assert first[0] == first[1]
     params = first[0]
     assert 8 <= params["n"] <= 24 and 1 <= params["l"] <= 3 and 0.0 <= params["f0"] < 1.0
-
-
-@pytest.mark.parametrize("n, l, seed", [(8, 1, 0), (17, 3, 12345)])
-def test_measurement_is_the_property_tests_draw(n, l, seed):
-    test_solver = load("test_solver_for_stress", _TESTS / "test_solver.py")
-    np.testing.assert_array_equal(stress.spectral_measurement(n, l, seed),
-                                  test_solver.spectral_measurement(n, l, seed))

@@ -10,8 +10,9 @@ two lines plus two outlier rows, lambda = 1/sqrt(N), every solve capped at
 600 iterations. The moves are Y -> YU (U unitary), Y -> DY (D =
 diag(exp(2i*pi*j*f0))) and Y -> conj(Y) with its rows reversed. Each maps
 the solve of Y onto the solve of the moved problem, so the two must stop at
-the same iteration, with objectives within 1e-12, gaps within 1e-10 and
-Gamma within 1e-10 * max(1, |Y|_F) of the mapped Gamma, as the test asks.
+the same iteration, with lower and upper bounds within 1e-12 * max(1,
+|bound|), gaps within 1e-10 and Gamma within 1e-10 * max(1, |Y|_F) of the
+mapped Gamma, as the test asks.
 The parting of a move is |Gamma_moved - mapped Gamma|_F / max(1, |Y|_F).
 
 The script prints every failing draw with its parameters and the check it
@@ -31,7 +32,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 MAX_ITERATIONS = 600
 PARTING_TOL = 1e-10
-OBJECTIVE_TOL = 1e-12
+BOUND_TOL = 1e-12
 GAP_TOL = 1e-10
 
 
@@ -78,8 +79,10 @@ def check(seed: int, n: int, l: int, mixing_seed: int, f0: float) -> tuple[float
         if (moved.iterations, moved.converged) != (sol.iterations, sol.converged):
             failed.append(f"{name}: stopped at {moved.iterations} ({moved.converged}), "
                           f"not {sol.iterations} ({sol.converged})")
-        if abs(moved.objective - sol.objective) > OBJECTIVE_TOL * max(1.0, abs(sol.objective)):
-            failed.append(f"{name}: objective {moved.objective!r}, not {sol.objective!r}")
+        for bound in ("lower", "upper"):
+            ours, theirs = getattr(moved, bound), getattr(sol, bound)
+            if abs(ours - theirs) > BOUND_TOL * max(1.0, abs(theirs)):
+                failed.append(f"{name}: {bound} {ours!r}, not {theirs!r}")
         if parting > PARTING_TOL:
             failed.append(f"{name}: parting {parting:.2e}")
         if abs(moved.gap - sol.gap) > GAP_TOL:

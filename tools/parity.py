@@ -8,12 +8,13 @@ The committed files of ``--base`` are exported with ``git archive`` (as
 tree, in order, each as ``python -m sinespikes.cli`` with that tree's
 ``src`` on ``PYTHONPATH`` and one BLAS thread. The calls cover every
 command: ``synth`` with explicit and drawn frequencies, ``demix`` from a
-config and from the saved instance of an earlier call, a two-cell
-``phase-transition`` on two processes, and ``certificate`` with three seeds,
-with no outliers, and with two lines 1e-6 apart, whose ill-conditioned
-system (cond ~ 4e16) takes ``run_certificate``'s failure path and writes a
-NaN report. Each call runs in its own directory, so the paths it prints are
-the same on both sides.
+config, from the same config capped at 75 iterations (one gap check, so the
+solve takes the cap's path and the call exits 2) and from the saved
+instance of an earlier call, a two-cell ``phase-transition`` on two
+processes, and ``certificate`` with three seeds, with no outliers, and with
+two lines 1e-6 apart, whose ill-conditioned system (cond ~ 4e16) takes
+``run_certificate``'s failure path and writes a NaN report. Each call runs
+in its own directory, so the paths it prints are the same on both sides.
 
 Every output file, stdout, stderr and exit code is compared; the script
 prints each difference and exits 1 if there is any, 0 otherwise.
@@ -31,6 +32,10 @@ from pathlib import Path
 
 CALL_TIMEOUT_S = 600
 
+DEMIX_SYNTHESIS = {
+    "n_sensors": 32, "n_snapshots": 2, "frequencies": [0.15, 0.62], "total_outliers": 4,
+    "outlier_mode": "distinct-sensors-overall", "seed": 5}
+
 # (name, config, arguments after the command); each call runs in work/<name>
 # and writes to out/, so "../<name>/out" reads an earlier call's output
 CALLS = [
@@ -41,9 +46,8 @@ CALLS = [
         "n_sensors": 32, "n_snapshots": 2, "n_frequencies": 2, "min_separation": 0.1,
         "total_outliers": 4, "outlier_mode": "distinct-sensors-overall"}},
      ["synth", "--seed", "7"]),
-    ("demix-config", {"synthesis": {
-        "n_sensors": 32, "n_snapshots": 2, "frequencies": [0.15, 0.62],
-        "total_outliers": 4, "outlier_mode": "distinct-sensors-overall", "seed": 5}},
+    ("demix-config", {"synthesis": DEMIX_SYNTHESIS}, ["demix"]),
+    ("demix-capped", {"synthesis": DEMIX_SYNTHESIS, "solver": {"max_iterations": 75}},
      ["demix"]),
     ("demix-instance", {"instance": "../synth-drawn/out/instance.json"},
      ["demix", "--lambda", "0.15", "--grid", "4096"]),
