@@ -30,6 +30,7 @@ __all__ = [
     "resolve_lambda",
     "sensor_rows",
     "toeplitz_adjoint",
+    "upper_triangle",
     "wrap_distance",
 ]
 
@@ -101,11 +102,11 @@ def min_separation(freqs) -> float:
 
 
 @lru_cache(maxsize=16)
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+def upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the upper triangle of an n x n matrix and their lags j - i.
 
-    Cached per n (the ADMM solver needs them every iteration); the arrays are
-    read-only.
+    Cached per n (the ADMM's affine step needs them every iteration, its
+    Anderson acceleration once per solve); the arrays are read-only.
     """
     rows, cols = np.triu_indices(n)
     flat, lag = rows * n + cols, cols - rows
@@ -119,7 +120,7 @@ def toeplitz_adjoint(mat: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidConfigurationError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    flat, lag = _upper_triangle(n)
+    flat, lag = upper_triangle(n)
     upper = m.ravel()[flat]
     sums = np.bincount(lag, upper.real, n) + 1j * np.bincount(lag, upper.imag, n)
     return sums if np.iscomplexobj(m) else sums.real

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigurationError, NumericalFailureError
-from .model import hermitian_toeplitz, toeplitz_adjoint
+from .model import hermitian_toeplitz, toeplitz_adjoint, upper_triangle
 
 __all__ = [
     "DualSdpProblem",
@@ -74,9 +74,9 @@ _PENALTY = 1.0
 _OVER_RELAXATION = 1.8
 _IMBALANCE = 30.0
 
-# Anderson acceleration of the ADMM keeps _MEMORY past steps (0 runs the plain
-# ADMM) and damps its least-squares weights by _DAMPING * |f|_F^2, f being the
-# fixed-point residual of the last accepted point. Memory 40 took the fewest
+# Anderson acceleration of the ADMM keeps _MEMORY past steps and damps its
+# least-squares weights by _DAMPING * |f|_F^2, f being the fixed-point
+# residual of the last accepted point. Memory 40 took the fewest
 # unresolved sweep iterations of the memories that kept the solves of 1200
 # random problems and their symmetric images within 1e-10 (60 parted one by
 # 2e-8). Undamped, the extrapolation amplifies rounding until a problem and
@@ -125,20 +125,21 @@ class SdpSolution:
 
     ``diagnostics`` has one row per recorded iteration with columns
     (iteration, objective, primal_residual, dual_residual): iteration 1,
-    every 25th, and the returned iterate, each once. So its last row holds
-    the residuals at exit. ``primal`` is the (N+L) x (N+L) primal matrix
-    M = -rho * U of the ADMM at exit, U being the scaled multiplier of the
-    PSD constraint; it is positive semidefinite to rounding, and its
-    top-left N x N block carries the spectral support (``dual_analysis``).
-    ``lower`` and ``upper`` are the certified bounds of ``_bounds`` on the
-    optimum, from the returned iterate and ``primal``, and ``gap`` is their
-    relative gap (upper - lower) / max(1, |lower|). ``converged`` says that
-    the gap rule held at two gap checks in a row; the solve then returns the
-    second check's iterate and primal matrix, so ``gap`` is at most
-    ``_GAP_TOL``. A solve that reaches the cap returns the gap check's
-    iterate and primal matrix with the smallest gap (the last iterate if it
-    is better or no check ran); ``diagnostics`` ends on the last iteration
-    either way.
+    every 25th, and the last iteration, each once. So its last row holds
+    the residuals at exit, which at the cap need not be those of the
+    returned iterate (see below). Its objective is Re<Y, Gamma> of the raw
+    iterate of that iteration, not a certified bound. ``primal`` is the
+    (N+L) x (N+L) primal matrix M = -rho * U of the ADMM, U being the
+    scaled multiplier of the PSD constraint; it is positive semidefinite to
+    rounding, and its top-left N x N block carries the spectral support
+    (``dual_analysis``). ``lower`` and ``upper`` are the certified bounds
+    of ``_bounds`` on the optimum, from the returned iterate and
+    ``primal``, and ``gap`` is their relative gap (upper - lower) /
+    max(1, |lower|). ``converged`` says that the gap rule held at two gap
+    checks in a row; the solve then returns the second check's iterate and
+    primal matrix, so ``gap`` is at most ``_GAP_TOL``. A solve that reaches
+    the cap returns the gap check's iterate and primal matrix with the
+    smallest gap (the last iterate if it is better or no check ran).
     """
 
     gamma: np.ndarray
@@ -264,13 +265,13 @@ class _Anderson:
     """
 
     def __init__(self, memory: int, dim: int):
-        rows, cols = np.triu_indices(dim)
-        self.upper = rows * dim + cols
+        self.upper, lag = upper_triangle(dim)
+        rows, cols = np.divmod(self.upper, dim)
         self.lower = cols * dim + rows
         # the scale of the residual's real view: re and im of each entry
-        self.scale = np.repeat(np.where(rows == cols, 1.0, math.sqrt(2.0)), 2)
-        self.dg = np.empty((memory, 2 * rows.size))
-        self.df = np.empty((memory, 2 * rows.size))
+        self.scale = np.repeat(np.where(lag == 0, 1.0, math.sqrt(2.0)), 2)
+        self.dg = np.empty((memory, 2 * lag.size))
+        self.df = np.empty((memory, 2 * lag.size))
         self.gram = np.empty((memory, memory))
         self.rhs = np.empty(memory)
         self.clear()
@@ -355,8 +356,7 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     iteration hands it q and its plain image g(q) and projects the point it
     returns, so an iteration is still one ``project_psd`` call, a rejected
     extrapolation included. A change of rho changes the map, so it resets q
-    to Z + U and empties the memory. With ``_MEMORY`` = 0 the loop is the
-    plain ADMM bit for bit.
+    to Z + U and empties the memory.
     """
     opts = opts or SolverOptions()
     y = np.asarray(problem.measurement, dtype=complex)
@@ -397,7 +397,7 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     u = np.zeros_like(x)
     # q is the matrix the PSD step projects: z = P(q) and u = q - z
     q = z + u
-    anderson = _Anderson(_MEMORY, dim) if _MEMORY else None
+    anderson = _Anderson(_MEMORY, dim)
 
     history = []
     iterations = opts.max_iterations
@@ -408,7 +408,7 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
         x = affine_prox(z - u, rho)
         x_rel = alpha * x + (1.0 - alpha) * z
         g = x_rel + u
-        q = anderson.step(q, g) if anderson else g
+        q = anderson.step(q, g)
         z_new = project_psd(q)
         u = q - z_new
 
@@ -448,9 +448,8 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
             u *= 2.0
         else:
             continue
-        if anderson:
-            q = z + u
-            anderson.clear()
+        q = z + u
+        anderson.clear()
 
     if history[-1][0] != iterations:
         history.append((iterations, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))

@@ -46,13 +46,12 @@ __all__ = [
 def evaluate(coef: np.ndarray, freqs) -> np.ndarray:
     """sum_j coef[j] exp(-2i*pi*j*f) per column of ``coef``; rows follow the f values.
 
-    A scalar f yields one row. A derivative is a row weight: the p-th
-    derivative of Q is ``evaluate`` of gamma weighted by (-2i*pi*j)^p.
+    A derivative is a row weight: the p-th derivative of Q is ``evaluate``
+    of gamma weighted by (-2i*pi*j)^p.
     """
     c = np.asarray(coef, dtype=complex)
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    out = np.exp(-2j * np.pi * np.outer(f, np.arange(c.shape[0]))) @ c
-    return out[0] if np.isscalar(freqs) else out
+    return np.exp(-2j * np.pi * np.outer(f, np.arange(c.shape[0]))) @ c
 
 
 def grid_points(n: int, grid_size: int | None = None) -> int:

@@ -293,7 +293,8 @@ class TestSolveCertificate:
         # derivative of ||Q||^2 vanishes at the node
         f0 = cert.system.freqs[0]
         weight = (-2j * np.pi * np.arange(cert.gamma.shape[0]))[:, None]
-        q0, q1 = trigpoly.evaluate(cert.gamma, f0), trigpoly.evaluate(weight * cert.gamma, f0)
+        q0 = trigpoly.evaluate(cert.gamma, [f0])[0]
+        q1 = trigpoly.evaluate(weight * cert.gamma, [f0])[0]
         assert abs(2 * np.real(q1 @ q0.conj().T)) <= 1e-9
 
     def test_nodes_hit_unit_norm_single_snapshot(self):

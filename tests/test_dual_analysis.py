@@ -12,7 +12,7 @@ from sinespikes import (
     SynthesisConfig,
     trigpoly,
 )
-from sinespikes import cli, solver
+from sinespikes import cli
 from sinespikes.dual_analysis import (
     locate_frequencies,
     locate_outliers,
@@ -24,6 +24,7 @@ from sinespikes.errors import (
     NumericalFailureError,
 )
 from sinespikes.model import _signal_matrix, hermitian_toeplitz, toeplitz_adjoint
+from test_solver import dense_bounds, reference_admm
 
 
 def fig1_instance(seed=0):
@@ -38,7 +39,7 @@ class TestEvalDualPoly:
         n, f0 = 16, 0.29
         b = np.array([0.6, 0.8], dtype=complex)
         gamma = np.outer(np.exp(2j * np.pi * np.arange(n) * f0), b.conj()) / n
-        q = trigpoly.evaluate(gamma, f0)
+        q = trigpoly.evaluate(gamma, [f0])[0]
         np.testing.assert_allclose(q, b.conj(), atol=1e-12)
         assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
 
@@ -46,7 +47,7 @@ class TestEvalDualPoly:
         gamma = np.zeros((8, 3), dtype=complex)
         weight = (-2j * np.pi * np.arange(8))[:, None]
         for order in (0, 1, 2):
-            assert np.abs(trigpoly.evaluate(weight**order * gamma, 0.77)).max() == 0.0
+            assert np.abs(trigpoly.evaluate(weight**order * gamma, [0.77])).max() == 0.0
 
     def test_derivative_matches_finite_difference(self):
         rng = np.random.default_rng(0)
@@ -54,16 +55,17 @@ class TestEvalDualPoly:
         gamma = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         h = 1e-6
         for f in rng.random(10):
-            fd = (trigpoly.evaluate(gamma, f + h) - trigpoly.evaluate(gamma, f - h)) / (2 * h)
-            an = trigpoly.evaluate((-2j * np.pi * np.arange(n))[:, None] * gamma, f)
+            below, above = trigpoly.evaluate(gamma, [f - h, f + h])
+            fd = (above - below) / (2 * h)
+            an = trigpoly.evaluate((-2j * np.pi * np.arange(n))[:, None] * gamma, [f])[0]
             assert np.abs(an - fd).max() <= 1e-4 * n * max(1.0, np.abs(an).max())
 
     def test_periodicity(self):
         rng = np.random.default_rng(1)
         gamma = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
         for f in rng.random(20):
-            a = np.linalg.norm(trigpoly.evaluate(gamma, f))
-            b = np.linalg.norm(trigpoly.evaluate(gamma, f + 1.0))
+            a = np.linalg.norm(trigpoly.evaluate(gamma, [f])[0])
+            b = np.linalg.norm(trigpoly.evaluate(gamma, [f + 1.0])[0])
             assert abs(a - b) <= 1e-12
 
 
@@ -239,20 +241,23 @@ class TestCertifiedGap:
 
 class TestAcceleration:
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_accelerated_and_plain_solves_agree(self, seed, monkeypatch):
-        # the two solves stop on different iterates; each brackets the optimum
-        inst = fig1_instance(seed=seed)
+    def test_accelerated_and_plain_solves_agree(self, seed):
+        # the two solves stop on different iterates; each brackets the
+        # optimum. The plain ADMM is the solver tests' reference loop, and its
+        # lines and rows are read off as demix reads them
+        y = fig1_instance(seed=seed).measurement
         lam = default_lambda(50)
-        accelerated, fast = demix(inst.measurement, lam)
-        monkeypatch.setattr(solver, "_MEMORY", 0)
-        plain, slow = demix(inst.measurement, lam)
-        assert fast.converged and slow.converged and fast.iterations < slow.iterations
-        assert accelerated.lower <= plain.upper and plain.lower <= accelerated.upper
-        assert accelerated.estimated_frequencies.size == plain.estimated_frequencies.size == 3
-        np.testing.assert_allclose(accelerated.estimated_frequencies,
-                                   plain.estimated_frequencies, rtol=0, atol=1e-8)
-        np.testing.assert_array_equal(accelerated.estimated_outlier_rows,
-                                      plain.estimated_outlier_rows)
+        accelerated, fast = demix(y, lam)
+        x, primal, iterations, _, converged = reference_admm(y, lam, 100_000)
+        lower, upper, _ = dense_bounds(y, lam, x, primal)
+        gamma = x[:50, 50:]
+        lines = locate_frequencies(gamma, primal)
+        rows = locate_outliers(gamma, primal, y, lam, upper - lower)
+        assert fast.converged and converged and fast.iterations < iterations
+        assert accelerated.lower <= upper and lower <= accelerated.upper
+        assert accelerated.estimated_frequencies.size == lines.size == 3
+        np.testing.assert_allclose(accelerated.estimated_frequencies, lines, rtol=0, atol=1e-8)
+        np.testing.assert_array_equal(accelerated.estimated_outlier_rows, rows)
 
 
 class TestSuccess:

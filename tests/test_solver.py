@@ -315,18 +315,23 @@ def dense_bounds(y, lam, x, m):
     return lower, upper, s
 
 
-def reference_admm(y, lam, max_iterations):
-    """The plain ADMM loop before its per-iteration trims.
+def reference_admm(y, lam, max_iterations, anderson=None):
+    """The ADMM loop before its per-iteration trims.
 
     It hermitizes inside every projection, rebuilds the Toeplitz indices on
     every call, clamps the full eigendecomposition and checks the gap rule
-    with dense_bounds; solve_dual_sdp without Anderson acceleration
-    (``solver._MEMORY = 0``) must reproduce it bit for bit. It stops once the
-    gap rule holds at two checks in a row. It returns the iterate X, its
-    primal matrix -rho * U, the iteration count, the diagnostics and whether
-    it stopped before the cap. The returned pair is that of the stopping
-    check; at the cap it is the gap check's with the smallest gap if that
-    gap is below the last pair's, and the last pair otherwise.
+    with dense_bounds. Given an ``anderson`` (a fresh ``solver._Anderson``),
+    it drives it as solve_dual_sdp does: the point it returns for q and the
+    plain image g = X_rel + U is projected, and a change of rho resets q to
+    Z + U and empties the memory. Given ``solver._Anderson(solver._MEMORY,
+    N + L)``, solve_dual_sdp must reproduce it bit for bit. Without one it
+    is the plain ADMM, the second opinion the accelerated solve is compared
+    against. It stops once the gap rule holds at two checks in a row. It
+    returns the iterate X, its primal matrix -rho * U, the iteration count,
+    the diagnostics and whether it stopped before the cap. The returned pair
+    is that of the stopping check; at the cap it is the gap check's with the
+    smallest gap if that gap is below the last pair's, and the last pair
+    otherwise.
     """
     n, l = y.shape
     dim = n + l
@@ -350,6 +355,7 @@ def reference_admm(y, lam, max_iterations):
     x[n:, n:] = eye_l
     z = x.copy()
     u = np.zeros_like(x)
+    q = z + u
     history = []
     iterations = max_iterations
     converged = certified = False
@@ -357,8 +363,10 @@ def reference_admm(y, lam, max_iterations):
     for it in range(1, max_iterations + 1):
         x = affine_prox(z - u, rho)
         x_rel = alpha * x + (1.0 - alpha) * z
-        z_new = clamp_psd(x_rel + u)
-        u = u + x_rel - z_new
+        g = x_rel + u
+        q = g if anderson is None else anderson.step(q, g)
+        z_new = clamp_psd(q)
+        u = q - z_new
         r_norm = float(np.linalg.norm(x - z_new))
         s_norm = rho * float(np.linalg.norm(z_new - z))
         z = z_new
@@ -384,6 +392,11 @@ def reference_admm(y, lam, max_iterations):
         elif s_scaled > solver._IMBALANCE * r_scaled and rho > 1e-4:
             rho /= 2.0
             u *= 2.0
+        else:
+            continue
+        q = z + u
+        if anderson is not None:
+            anderson.clear()
     if history[-1][0] != iterations:
         history.append((iterations, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
     if not converged:
@@ -402,11 +415,11 @@ def assert_same_bits(a, b):
 
 @pytest.mark.parametrize("n", [4, 16, 50])
 @pytest.mark.parametrize("l", [1, 3, 5])
-def test_solve_matches_reference_loop_bit_for_bit(n, l, monkeypatch):
-    monkeypatch.setattr(solver, "_MEMORY", 0)
+def test_solve_matches_reference_loop_bit_for_bit(n, l):
     y = spectral_measurement(n, l, seed=100 * n + l)
     lam = default_lambda(n)
-    x, primal, iterations, history, converged = reference_admm(y, lam, 300)
+    anderson = solver._Anderson(solver._MEMORY, n + l)
+    x, primal, iterations, history, converged = reference_admm(y, lam, 300, anderson)
     sol = solve_dual_sdp(DualSdpProblem(y, lam), SolverOptions(max_iterations=300))
     assert_same_bits(sol.gamma, x[:n, n:])
     assert_same_bits(sol.lambda_mat, x[:n, :n])
@@ -418,15 +431,105 @@ def test_solve_matches_reference_loop_bit_for_bit(n, l, monkeypatch):
     assert sol.gap == pytest.approx((upper - lower) / max(1.0, abs(lower)), rel=0, abs=1e-12)
 
 
+class CountingAnderson(solver._Anderson):
+    """solver._Anderson that counts its resets and its rejected extrapolations."""
+
+    def __init__(self, memory, dim):
+        self.resets = self.rejected = 0
+        super().__init__(memory, dim)  # calls clear() once
+
+    def clear(self):
+        self.resets += 1
+        super().clear()
+
+    def step(self, q, g):
+        nxt = super().step(q, g)
+        self.rejected += nxt is not g and not self.extrapolated
+        return nxt
+
+
 def test_reference_parity_covers_both_endings():
-    # converged and capped: among the parity cases above, N=4, L=1 meets the
-    # gap rule at its second check (iteration 100), N=16, L=1 at 250, and
-    # N=16, L=3 hits the cap
-    converged = [
-        reference_admm(spectral_measurement(n, l, 100 * n + l), default_lambda(n), 300)[-1]
-        for n, l in [(4, 1), (16, 1), (16, 3)]
-    ]
-    assert converged == [True, True, False]
+    # the parity cases above take every branch of the loop: N=16, L=3 hits
+    # the cap and the others meet the gap rule (N=4, L=1 and N=16, L=1 at
+    # iteration 100), each N=50 case changes rho once, and every case rejects
+    # 3-26 extrapolations
+    converged, rho_changes, rejected = {}, 0, []
+    for n in (4, 16, 50):
+        for l in (1, 3, 5):
+            anderson = CountingAnderson(solver._MEMORY, n + l)
+            y = spectral_measurement(n, l, 100 * n + l)
+            converged[n, l] = reference_admm(y, default_lambda(n), 300, anderson)[-1]
+            rho_changes += anderson.resets - 1
+            rejected.append(anderson.rejected)
+    assert converged[4, 1] and converged[16, 1] and not converged[16, 3]
+    assert rho_changes >= 1 and min(rejected) >= 1
+
+
+class DenseAnderson:
+    """Textbook type-II Anderson acceleration (Walker & Ni 2011) on full matrices.
+
+    It keeps the images g and residuals f = g - q of the accepted points
+    since the last reset, at most ``memory`` + 1 of them, rebuilds their
+    differences and Gram matrix at every step and takes every inner product
+    as Re vdot, the Frobenius one. The weights are damped by
+    solver._DAMPING * |f|_F^2, and the safeguard is solver._Anderson's:
+    after an extrapolation whose residual grew, it returns the last accepted
+    image and keeps only that point.
+    """
+
+    def __init__(self, memory):
+        self.memory = memory
+        self.accepted = []  # (g, f, |f|_F), oldest first
+        self.extrapolated = False
+        self.rejected = self.wraps = 0
+
+    def step(self, q, g):
+        f = g - q
+        f_norm = np.sqrt(np.vdot(f, f).real)
+        if self.extrapolated and f_norm > self.accepted[-1][2]:
+            del self.accepted[:-1]
+            self.extrapolated = False
+            self.rejected += 1
+            return self.accepted[-1][0]
+        self.accepted.append((g, f, f_norm))
+        if len(self.accepted) > self.memory + 1:
+            del self.accepted[0]
+            self.wraps += 1
+        pairs = list(zip(self.accepted, self.accepted[1:]))
+        self.extrapolated = bool(pairs) and f_norm > 0.0
+        if not self.extrapolated:
+            return g
+        dg = [new[0] - old[0] for old, new in pairs]
+        df = [new[1] - old[1] for old, new in pairs]
+        gram = np.array([[np.vdot(a, b).real for b in df] for a in df])
+        gram += solver._DAMPING * f_norm**2 * np.eye(len(df))
+        weights = np.linalg.solve(gram, [np.vdot(a, f).real for a in df])
+        return g - sum(w * d for w, d in zip(weights, dg))
+
+
+def test_anderson_step_matches_the_dense_textbook_step():
+    # both are handed the same points and images of a nonlinear map that
+    # keeps matrices Hermitian; on this map the safeguard rejects four
+    # extrapolations, none of its decisions is within 1.5% of a tie (so
+    # rounding cannot flip one), and the ring overwrites its oldest
+    # difference 40 times
+    d, memory = 6, 3
+    rng = np.random.default_rng(0)
+    c = random_hermitian(rng, d)
+
+    def image(q):
+        m = c + 6.0 * q / (1.0 + np.abs(q))
+        return (m + m.conj().T) / 2
+
+    q = random_hermitian(rng, d)
+    fast, dense = solver._Anderson(memory, d), DenseAnderson(memory)
+    for _ in range(20 * memory):
+        g = image(q)
+        nxt, expected = fast.step(q, g), dense.step(q, g)
+        assert np.abs(nxt - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(nxt, nxt.conj().T)
+        q = nxt
+    assert dense.rejected >= 1 and dense.wraps >= 1
 
 
 def test_project_affine_lambda_matches_full_affine_bit_for_bit():
@@ -447,8 +550,11 @@ def test_project_psd_matches_full_clamp_bit_for_bit():
 
 # Each example runs four solves at N <= 24, capped at 600 iterations (~0.1 s):
 # most of these instances converge within 600, a few need tens of thousands.
-# Shrinking would rerun the four solves at every step, so it is left out.
-@settings(max_examples=5, deadline=None,
+# Shrinking would rerun the four solves at every step, so it is left out. The
+# 1e-10 bound is only 1.1-1.3 times the worst parting over 400 stress draws,
+# so the five examples are the same on every run; tools/equivariance_stress.py
+# draws the breadth.
+@settings(max_examples=5, deadline=None, derandomize=True,
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 24), l=st.integers(1, 3),
        mixing_seed=st.integers(0, 2**32 - 1), f0=st.floats(0.0, 1.0, exclude_max=True))

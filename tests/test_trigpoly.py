@@ -29,7 +29,7 @@ def test_scan_equals_point_evaluation(seed, n, l, extra):
     f, norms = scan(gamma, grid)
     assert f.size == grid
     np.testing.assert_array_equal(f, np.arange(grid) / grid)
-    points = np.stack([trigpoly.evaluate(gamma, fi) for fi in f])
+    points = np.stack([trigpoly.evaluate(gamma, [fi])[0] for fi in f])
     scale = np.linalg.norm(gamma)
     assert np.abs(norms - np.linalg.norm(points, axis=1)).max() <= 1e-12 * scale
 
@@ -164,7 +164,7 @@ def test_curvature_matches_finite_difference(seed, n, l, f):
     h = 1e-4 / n
 
     def half_sq(x):
-        return 0.5 * np.sum(np.abs(trigpoly.evaluate(gamma, x)) ** 2)
+        return 0.5 * np.sum(np.abs(trigpoly.evaluate(gamma, [x])[0]) ** 2)
 
     fd = (half_sq(f + h) - 2 * half_sq(f) + half_sq(f - h)) / h**2
     exact = trigpoly.arc_curvature(trigpoly.coefficients(gamma), [f], h, 3)[1, 0]
