@@ -275,13 +275,14 @@ def _phase_trial(payload) -> tuple:
     try:
         instance = synth_instance(
             _trial_config(n_sensors, n_snapshots, f1, delta, total_outliers, seed))
-        report, _solution = demix(instance.measurement, default_lambda(n_sensors), solver_opts)
+        report, solution = demix(instance.measurement, default_lambda(n_sensors), solver_opts)
         ok = success(report.estimated_frequencies, instance.frequencies)
+        iterations, gap = solution.iterations, solution.gap
     except SineSpikesError as exc:  # counted as failure, never aborts the sweep
         print(f"trial failed (L={n_snapshots}, delta={delta}, seed={seed}): {exc}",
               file=sys.stderr)
-        ok = False
-    return (n_snapshots, delta_idx, delta, trial, seed, bool(ok))
+        ok, iterations, gap = False, "", ""
+    return (n_snapshots, delta_idx, delta, trial, seed, bool(ok), iterations, gap)
 
 
 def cmd_phase_transition(args, cfg: _PhaseTransitionConfig) -> int:
@@ -307,8 +308,9 @@ def cmd_phase_transition(args, cfg: _PhaseTransitionConfig) -> int:
         for t in range(sweep.trials)
     ]
     # the fork start method starts every worker at the first submit, so no
-    # more are asked for than there are trials or cores
-    workers = min(cfg.threads, len(payloads), os.cpu_count() or 1)
+    # more are asked for than there are trials or cores this process may run on
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.threads, len(payloads), cores or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_phase_trial, payloads, chunksize=1))
@@ -317,10 +319,10 @@ def cmd_phase_transition(args, cfg: _PhaseTransitionConfig) -> int:
     results.sort(key=lambda r: (r[0], r[1], r[3]))
 
     out = _out_dir(args)
-    _write_csv(out / "trials.csv", ["seed", "delta", "L", "success"],
-               ((r[4], r[2], r[0], int(r[5])) for r in results))
+    _write_csv(out / "trials.csv", ["seed", "delta", "L", "success", "iterations", "gap"],
+               ((r[4], r[2], r[0], int(r[5]), r[6], r[7]) for r in results))
     agg = {}
-    for L, di, delta, _t, _s, ok in results:
+    for L, di, delta, _t, _s, ok, *_ in results:
         agg.setdefault((L, di, delta), []).append(ok)
     rows = [
         (L, delta * n_sensors, float(np.mean(flags)))

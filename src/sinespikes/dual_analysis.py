@@ -85,16 +85,18 @@ def locate_outliers(gamma: np.ndarray, primal: np.ndarray, measurement: np.ndarr
                     lam: float, excess: float) -> np.ndarray:
     """Rows of the primal's outlier part that outweigh the certified gap.
 
-    ``primal`` is the primal matrix M of the solve (``SdpSolution.primal``).
-    It splits the N x L measurement Y into the atom part S = -2 M[:N, N:]
-    and the outlier part Z = Y + 2 M[:N, N:], and the solve's upper bound
-    is at least the primal objective |S|_A + lam * sum_j |Z_j| at that
-    split (``solver._bounds``). So that objective is at most ``excess`` =
-    upper - lower above the optimum, and a row whose term lam * |Z_j| is no
-    larger than this gap cannot be told apart from a zero row. The threshold is therefore in
-    units of the objective: row j is an outlier row where lam * |Z_j| >
-    ``excess`` and, as complementary slackness asks of a row where Z_j is
-    not zero, |Gamma_j| >= lam * (1 - _ROW_TOL).
+    ``primal`` is the repaired primal matrix M of the solve
+    (``SdpSolution.primal``). It splits the N x L measurement Y into the
+    atom part S = -2 M[:N, N:] and the outlier part Z = Y + 2 M[:N, N:],
+    and the solve's upper bound is the value of M (``solver._upper``),
+    which is at least the primal objective |S|_A + lam * sum_j |Z_j| at
+    exactly this split, since M's top-left block and its Schur complement
+    certify |S|_A. So that objective is at most ``excess`` = upper - lower
+    above the optimum, and a row whose term lam * |Z_j| is no larger than
+    this gap cannot be told apart from a zero row. The threshold is
+    therefore in units of the objective: row j is an outlier row where
+    lam * |Z_j| > ``excess`` and, as complementary slackness asks of a row
+    where Z_j is not zero, |Gamma_j| >= lam * (1 - _ROW_TOL).
 
     The dual rule alone over-reports: at an exact optimum a clean row of
     Gamma can sit on the ball too. On the N=50 instances of three lines and

@@ -26,9 +26,12 @@ to zero by the residuals.
 The solve stops once its iterate is certified optimal: a lower bound on
 the optimum comes from scaling Gamma by the smallest s >= 1 that the
 eigenvalues of X prove feasible, and an upper bound from the primal matrix
-M = -rho * U (Boyd et al. 2011) with its top-left block averaged onto
-Toeplitz matrices, which is a point of the MMV atomic-norm SDP (Yang & Xie
-2016) once shifted PSD. Weak duality puts the optimum between the two.
+M = -rho * U (Boyd et al. 2011) repaired into a point of the MMV
+atomic-norm SDP (Yang & Xie 2016): its top-left block is averaged onto
+Toeplitz matrices and shifted positive definite, its top-right block is
+cut to the leading eigenvectors of that block, and its bottom-right block
+is the Schur complement that makes the whole PSD. Weak duality puts the
+optimum between the two.
 
 The penalty rho is balanced on residuals relative to their own iterates
 (Wohlberg 2017, "ADMM penalty parameter selection by residual balancing"),
@@ -87,8 +90,12 @@ _DAMPING = 0.1
 # The gap rule, checked every _GAP_EVERY iterations: the scaled dual point is
 # within _GAP_TOL of the unscaled one and the certified gap is below
 # _GAP_TOL. _ROUNDING * |matrix|_F pads each smallest eigenvalue against the
-# rounding of eigvalsh.
-_GAP_EVERY = 50
+# rounding of eigvalsh. Checks every 25 iterations rather than 50 end the
+# N=50 sweep trials sooner; with checks every 10, two certified checks in a
+# row came too early for the lines read off the fig1 instances (seed 4
+# misread a line, leaving a decomposition residual of 2.1, and seed 8 one of
+# 4.8e-6), while every 25 the worst residual over seeds 0-9 is 1.6e-7.
+_GAP_EVERY = 25
 _GAP_TOL = 1e-4
 _ROUNDING = 8 * np.finfo(float).eps
 
@@ -130,16 +137,20 @@ class SdpSolution:
     returned iterate (see below). Its objective is Re<Y, Gamma> of the raw
     iterate of that iteration, not a certified bound. ``primal`` is the
     (N+L) x (N+L) primal matrix M = -rho * U of the ADMM, U being the
-    scaled multiplier of the PSD constraint; it is positive semidefinite to
-    rounding, and its top-left N x N block carries the spectral support
-    (``dual_analysis``). ``lower`` and ``upper`` are the certified bounds
-    of ``_bounds`` on the optimum, from the returned iterate and
-    ``primal``, and ``gap`` is their relative gap (upper - lower) /
+    scaled multiplier of the PSD constraint, as ``_repair`` makes it a
+    point of the MMV atomic-norm SDP: exactly Hermitian, positive
+    semidefinite to rounding, with a Hermitian Toeplitz top-left N x N block
+    that carries the spectral support and a top-right block that splits the
+    measurement into atoms and outliers (``dual_analysis``). ``lower`` and
+    ``upper`` are the certified bounds of ``_bounds`` on the optimum, from
+    the returned iterate and ``primal``; ``upper`` is the value of
+    ``primal``. ``gap`` is their relative gap (upper - lower) /
     max(1, |lower|). ``converged`` says that the gap rule held at two gap
     checks in a row; the solve then returns the second check's iterate and
     primal matrix, so ``gap`` is at most ``_GAP_TOL``. A solve that reaches
-    the cap returns the gap check's iterate and primal matrix with the
-    smallest gap (the last iterate if it is better or no check ran).
+    the cap returns, of its last iterate and the gap checks that computed
+    an upper bound, the one with the smallest gap (a check whose scale s
+    breaks the gap rule computes none).
     """
 
     gamma: np.ndarray
@@ -210,43 +221,101 @@ def _min_eig(mat: np.ndarray) -> float:
     return float(w[0]) - _ROUNDING * float(np.linalg.norm(mat))
 
 
-def _bounds(y: np.ndarray, lam: float, x: np.ndarray, m: np.ndarray) -> tuple[float, float, float]:
-    """(lower, upper, s): certified bounds on the optimum from one ADMM iterate.
+def _lower(y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """(lower, s): a certified lower bound on the optimum from one ADMM iterate.
 
     ``x`` = [[Lambda, Gamma], [Gamma^H, I]] meets the diagonal sums and the
-    row ball exactly, and x + tI >= 0 with t = max(0, -lambda_min(x)). Then
+    row ball exactly, and x + tI >= 0 with t = max(0, -lambda_min(x)), the
+    smallest eigenvalue carrying the rounding pad of ``_min_eig``. Then
     ||Q(f)||^2 <= (1 + t) a(f)^H (Lambda + tI) a(f) = (1 + t)(1 + N t) = s^2
     for every f, so Gamma / s is dual feasible and lower = Re<Y, Gamma> / s.
-
-    ``m`` is the primal matrix -rho * U. Replace its top-left block by the
-    Toeplitz T whose lags t_k are that block's superdiagonal means, and shift
-    the result by eps I, eps = max(0, -lambda_min), to make it PSD. The
-    Lagrangian of the dual program with that multiplier is bounded over the
-    feasible set by upper = t_0 + tr m[N:, N:] + (L + 1) eps +
-    lam * sum_j ||(Y + 2 m[:N, N:])_j||, which is the MMV atomic-norm SDP's
-    value at the atom part S = -2 m[:N, N:] and outliers Y - S (Yang & Xie
-    2016). Both smallest eigenvalues carry the rounding pad of ``_min_eig``.
     """
-    n, l = y.shape
+    n = y.shape[0]
     t = max(0.0, -_min_eig(x))
     s = math.sqrt((1.0 + t) * (1.0 + n * t))
-    lower = float(np.real(np.vdot(y, x[:n, n:]))) / s
+    return float(np.real(np.vdot(y, x[:n, n:]))) / s, s
+
+
+def _repair(y: np.ndarray, lam: float, m: np.ndarray) -> np.ndarray:
+    """The primal matrix -rho * U of the ADMM repaired into a point of the MMV
+    atomic-norm SDP (Yang & Xie 2016), which ``_upper`` values.
+
+    The top-left block of ``m`` becomes the Hermitian Toeplitz T whose lags
+    t_k are that block's superdiagonal means, T = V diag(mu) V^H. It is
+    shifted by tau = max(0, -mu_min) plus the rounding pad of ``_min_eig``,
+    so that T + tau I has the eigenvalues d = mu + tau > 0, taken in
+    descending order with the columns of V. With C = V^H m[:N, N:], the cut
+    r keeps the top-right block B_r = V_r C_r on the r leading eigenvectors
+    and takes the Schur complement C_r^H diag(1 / d_r) C_r as the
+    bottom-right block, so that
+
+        M_r = [[T + tau I, B_r], [B_r^H, C_r^H diag(1 / d_r) C_r]] >= 0
+
+    by construction. Its value is t_0 + tau + sum_{i <= r} |C_i|^2 / d_i +
+    lam * sum_j ||(Y + 2 B_r)_j||, and the M_r of the smallest value is
+    returned (the first at a tie). The sum over i never falls as r grows, so
+    a cut whose sum alone exceeds the value of the cut r = 0, which keeps
+    nothing, is not evaluated. The result is exactly Hermitian, its
+    top-left block is exactly Toeplitz, and it is PSD up to rounding.
+    """
+    n, l = y.shape
     lags = toeplitz_adjoint(m[:n, :n]) / np.arange(n, 0, -1)
-    mt = m.copy()
-    mt[:n, :n] = hermitian_toeplitz(lags)
-    eps = max(0.0, -_min_eig(mt))
-    upper = (lags[0].real + float(np.trace(m[n:, n:]).real) + (l + 1) * eps
-             + lam * float(np.linalg.norm(y + 2.0 * m[:n, n:], axis=1).sum()))
-    return lower, upper, s
+    lags[0] = lags[0].real
+    top = hermitian_toeplitz(lags)
+    try:
+        mu, v = np.linalg.eigh(top)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    tau = max(0.0, -float(mu[0])) + _ROUNDING * float(np.linalg.norm(top))
+    d, v = mu[::-1] + tau, v[:, ::-1]
+    c = v.conj().T @ m[:n, n:]
+    # the value of each cut less t_0 + tau; d > 0 is a prefix of d, empty
+    # only where T = 0
+    schur = np.cumsum(np.linalg.norm(c, axis=1)[d > 0.0] ** 2 / d[d > 0.0])
+    values = [lam * float(np.linalg.norm(y, axis=1).sum())]
+    k = int(np.searchsorted(schur, values[0], side="right"))
+    twice = np.cumsum(v[:, :k].T[:, :, None] * (2.0 * c[:k, None, :]), axis=0)  # 2 B_r at r - 1
+    split = (y + twice).view(float)
+    values.extend(schur[:k] + lam * np.sqrt(np.einsum("rjk,rjk->rj", split, split)).sum(axis=1))
+    r = int(np.argmin(values))
+    top.flat[::n + 1] += tau
+    out = np.empty((n + l, n + l), dtype=complex)
+    out[:n, :n] = top
+    out[:n, n:] = twice[r - 1] / 2.0 if r else 0.0
+    out[n:, :n] = out[:n, n:].conj().T
+    w = (c[:r].conj().T / d[:r]) @ c[:r]
+    out[n:, n:] = (w + w.conj().T) / 2.0
+    return out
+
+
+def _upper(y: np.ndarray, lam: float, primal: np.ndarray) -> float:
+    """A certified upper bound on the optimum from a primal matrix of ``_repair``.
+
+    ``primal`` is exactly Hermitian with a Toeplitz top-left block, of lag
+    t_0 = primal[0, 0], and primal + eps I >= 0 with eps = max(0,
+    -lambda_min), the smallest eigenvalue carrying the rounding pad of
+    ``_min_eig``. The Lagrangian of the dual program with the multiplier
+    primal + eps I is bounded over the feasible set by its value t_0 +
+    tr primal[N:, N:] + (L + 1) eps + lam * sum_j ||(Y + 2 primal[:N, N:])_j||,
+    the MMV atomic-norm SDP's objective at the atom part S = -2 primal[:N, N:]
+    and the outliers Y - S.
+    """
+    n, l = y.shape
+    eps = max(0.0, -_min_eig(primal))
+    return (float(primal[0, 0].real) + float(np.trace(primal[n:, n:]).real) + (l + 1) * eps
+            + lam * float(np.linalg.norm(y + 2.0 * primal[:n, n:], axis=1).sum()))
+
+
+def _bounds(y: np.ndarray, lam: float, x: np.ndarray,
+            primal: np.ndarray) -> tuple[float, float, float]:
+    """(lower, upper, s): the certified bounds of ``_lower`` on the iterate ``x``
+    and of ``_upper`` on the ``primal`` matrix, which ``_repair`` made."""
+    lower, s = _lower(y, x)
+    return lower, _upper(y, lam, primal), s
 
 
 def _relative_gap(lower: float, upper: float) -> float:
     return (upper - lower) / max(1.0, abs(lower))
-
-
-def _certified(lower: float, upper: float, s: float) -> bool:
-    """The gap rule: Gamma needs scaling by at most 1 + _GAP_TOL, and the gap is below _GAP_TOL."""
-    return s - 1.0 <= _GAP_TOL and _relative_gap(lower, upper) <= _GAP_TOL
 
 
 class _Anderson:
@@ -333,17 +402,18 @@ class _Anderson:
 def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     """Run the accelerated ADMM until two gap checks in a row certify its iterate.
 
-    Every ``_GAP_EVERY`` iterations the iterate X and the primal matrix
-    M = -rho * U are checked: the scale s of ``_bounds`` is at most
-    1 + ``_GAP_TOL`` and the certified gap at most ``_GAP_TOL`` *
-    max(1, |lower|). The solve stops with ``converged=True`` at the first
-    check where this holds and also held at the check before, and returns
-    that check's X, M and bounds. A single certified check is not enough:
-    the lines read off an accelerated solve lag its gap, and stopping there
-    left an N=50 decomposition 3e-5 off the measurement. At the cap the gap
-    check with the smallest gap is returned with ``converged=False`` (the
-    last iterate if it is better or no check ran), since the gap of a
-    stalled solve can grow.
+    Every ``_GAP_EVERY`` iterations the iterate X is checked: the scale s of
+    ``_lower`` is at most 1 + ``_GAP_TOL``, and only then is the primal
+    matrix M = -rho * U repaired (``_repair``) and valued (``_upper``), the
+    certified gap being at most ``_GAP_TOL`` * max(1, |lower|). The solve
+    stops with ``converged=True`` at the first check where this holds and
+    also held at the check before, and returns that check's X, repaired M
+    and bounds. A single certified check is not enough: the lines read off
+    an accelerated solve lag its gap, and stopping there left an N=50
+    decomposition 3e-5 off the measurement. At the cap the check with the
+    smallest gap among those that computed one is returned with
+    ``converged=False`` (the last iterate if it is better or no check
+    did), since the gap of a stalled solve can grow.
 
     rho starts at 1. After each iteration, it doubles (while below 1e4) when
     the relative primal residual |X - Z|_F / max(|X|_F, |Z|_F) exceeds
@@ -402,7 +472,7 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     history = []
     iterations = opts.max_iterations
     converged = certified = False  # certified: the gap rule held at the last check
-    best = None  # (gap, x, m, lower, upper) of the gap check with the smallest gap
+    best = None  # (gap, x, m, lower, upper) of the bounded gap check with the smallest gap
 
     for it in range(1, opts.max_iterations + 1):
         x = affine_prox(z - u, rho)
@@ -425,12 +495,16 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
                 (it, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm)
             )
         if it % _GAP_EVERY == 0:
-            m = -rho * u
-            lower, upper, s = _bounds(y, lam, x, m)
-            gap = _relative_gap(lower, upper)
-            if best is None or gap < best[0]:
-                best = (gap, x, m, lower, upper)
-            certified, certified_before = _certified(lower, upper, s), certified
+            # a check whose scale s already breaks the gap rule skips the upper bound
+            certified_before, certified = certified, False
+            lower, s = _lower(y, x)
+            if s - 1.0 <= _GAP_TOL:
+                m = _repair(y, lam, -rho * u)
+                upper = _upper(y, lam, m)
+                gap = _relative_gap(lower, upper)
+                if best is None or gap < best[0]:
+                    best = (gap, x, m, lower, upper)
+                certified = gap <= _GAP_TOL
             if certified and certified_before:
                 iterations, converged = it, True
                 break
@@ -454,7 +528,7 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
     if history[-1][0] != iterations:
         history.append((iterations, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
     if not converged:
-        m = -rho * u
+        m = _repair(y, lam, -rho * u)
         lower, upper, _ = _bounds(y, lam, x, m)
         if best is not None and best[0] < _relative_gap(lower, upper):
             _, x, m, lower, upper = best

@@ -85,7 +85,7 @@ def test_demix_outputs_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-# 25 stops on a sampled iteration, the default converges at its third gap check, 150
+# 25 stops on a sampled iteration, the default converges at its fourth gap check, 100
 @pytest.mark.parametrize("solver", [{"max_iterations": 25}, {}])
 def test_demix_diagnostics_csv_is_numeric(tmp_path, solver):
     cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH, "solver": solver})
@@ -98,14 +98,14 @@ def test_demix_diagnostics_csv_is_numeric(tmp_path, solver):
     iterations = [row[0] for row in rows]
     assert iterations[0] == 1
     assert all(a < b for a, b in zip(iterations, iterations[1:]))
-    assert iterations[-1] == solver.get("max_iterations", 150)
+    assert iterations[-1] == solver.get("max_iterations", 100)
 
 
 def test_demix_matches_pinned_report(tmp_path):
     # the outlier rows are pinned from the code that still had settable ADMM
     # tolerances, with the outliers given as s_per_snapshot=2; the
     # frequencies from the first code that Anderson-accelerated the ADMM. The
-    # solve stops at 150 iterations, its second certified gap check in a row,
+    # solve stops at 100 iterations, its second certified gap check in a row,
     # where the plain ADMM took 350; the lines read there sit 3e-16 from the
     # truth (1.5e-7 at 350), which the last check bounds
     cfg = write_config(tmp_path / "c.json", {"synthesis": SMALL_SYNTH})
@@ -115,7 +115,7 @@ def test_demix_matches_pinned_report(tmp_path):
     np.testing.assert_allclose(report["estimated_frequencies"],
                                [0.15000000000000022, 0.6199999999999997], rtol=0, atol=1e-12)
     assert report["estimated_outlier_rows"] == [21, 24, 25, 30]
-    assert report["iterations"] == 150
+    assert report["iterations"] == 100
     np.testing.assert_allclose(report["estimated_frequencies"], SMALL_SYNTH["frequencies"],
                                rtol=0, atol=1e-6)
 
@@ -145,12 +145,13 @@ def test_phase_transition_tiny_sweep(tmp_path):
     assert agg[0] == "L,delta_times_N,success_rate"
     assert len(agg) == 3  # two sweep points
     trials = (out / "trials.csv").read_text().splitlines()
-    assert trials[0] == "seed,delta,L,success"
+    assert trials[0] == "seed,delta,L,success,iterations,gap"
     assert len(trials) == 5
     # aggregate equals the mean of the per-trial flags
     flags = {}
     for line in trials[1:]:
-        seed, delta, l, ok = line.split(",")
+        seed, delta, l, ok, iterations, gap = line.split(",")
+        assert int(iterations) >= 1 and float(gap) >= 0.0
         flags.setdefault(delta, []).append(int(ok))
     for line in agg[1:]:
         l, dn, rate = line.split(",")
@@ -173,16 +174,18 @@ def test_phase_transition_reproducible(tmp_path):
     assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
 
 
-PINNED_TRIALS = """seed,delta,L,success
-3886216201191665862,0.03125,2,0
-8362005876132538287,0.03125,2,0
-18304334200714115485,0.09375,2,1
-16741583152582010800,0.09375,2,1
+PINNED_TRIALS = """seed,delta,L,success,iterations,gap
+3886216201191665862,0.03125,2,0,325,3.338980260692416e-05
+8362005876132538287,0.03125,2,0,300,5.0552894140283895e-05
+18304334200714115485,0.09375,2,1,100,6.83331696223979e-14
+16741583152582010800,0.09375,2,1,100,6.510236574504386e-14
 """
 
 
 def test_phase_transition_matches_pinned_trials(tmp_path):
-    # pinned from the code that still had settable ADMM and peak-picking tolerances
+    # the verdicts are pinned from the code that still had settable ADMM and
+    # peak-picking tolerances, the iterations and gaps from the first code
+    # that repaired the primal bound and checked the gap every 25 iterations
     cfg = write_config(tmp_path / "c.json", {
         "synthesis": {"n_sensors": 16},
         "phase_transition": {
@@ -227,7 +230,7 @@ def unresolved_sweep_trial():
 
 
 def test_unresolved_sweep_trial_ends_on_the_gap_before_the_cap(unresolved_sweep_trial):
-    # the gap rule certifies this trial's iterate at 1050 iterations, well
+    # the gap rule certifies this trial's iterate at 925 iterations, well
     # before the cap; its lines are too close to resolve, so it scores a
     # failure
     instance, report, solution = unresolved_sweep_trial
@@ -237,10 +240,25 @@ def test_unresolved_sweep_trial_ends_on_the_gap_before_the_cap(unresolved_sweep_
 
 
 def test_unresolved_sweep_trial_ends_in_under_1300_iterations(unresolved_sweep_trial):
-    # the slow tail of the accelerated solve: this trial stops at 1050
+    # the slow tail of the accelerated solve: this trial stops at 925
     # iterations; with Anderson memory 20 and over-relaxation 1.6 it took 1450
     _, _, solution = unresolved_sweep_trial
     assert solution.converged and solution.iterations < 1300
+
+
+def test_unresolved_sweep_trial_with_a_crawling_gap_stops_sooner():
+    # trial 0 of the L=1, delta*N=0.1 cell in the first call of the sweep-n50
+    # benchmark at seed 3301. From iteration ~1100 its certified gap crawls
+    # down from 1.1e-4 to 1e-4 while the iterate no longer improves. The
+    # Schur-repaired primal bound and checks every 25 iterations end it at
+    # 1725; the Toeplitz-averaged bound shifted by eps I, checked every 50
+    # iterations, ended it at 2100
+    instance = synth_instance(
+        cli._trial_config(50, 1, 0.12379470824156269, 0.1 / 50, 10, 2296115802779669052))
+    _, solution = demix(instance.measurement, default_lambda(50),
+                        SolverOptions(max_iterations=3000))
+    assert solution.converged and solution.gap <= 1e-4
+    assert solution.iterations < 2000
 
 
 def record_trials(monkeypatch):
@@ -249,7 +267,7 @@ def record_trials(monkeypatch):
     def fake_trial(payload):
         payloads.append(payload)
         _n, n_snapshots, _f1, delta, delta_idx, trial, seed, *_ = payload
-        return (n_snapshots, delta_idx, delta, trial, seed, True)
+        return (n_snapshots, delta_idx, delta, trial, seed, True, 1, 0.0)
 
     monkeypatch.setattr(cli, "_phase_trial", fake_trial)
     return payloads
@@ -675,14 +693,8 @@ def test_values_rejected_by_key_before_any_work(tmp_path, capsys, monkeypatch, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads, cores, workers", [
-    (4000, 8, [6]),  # one per trial
-    (4000, 2, [2]),  # one per core
-    (3, 8, [3]),
-    (4000, None, []),  # an unknown core count runs the trials in process
-    (1, 8, []),
-])
-def test_phase_transition_pool_is_bounded(tmp_path, monkeypatch, threads, cores, workers):
+def recorded_pools(tmp_path, monkeypatch, threads):
+    """The max_workers of every pool a six-trial sweep with ``--threads threads`` opens."""
     payloads = record_trials(monkeypatch)
     pools = []
 
@@ -700,7 +712,6 @@ def test_phase_transition_pool_is_bounded(tmp_path, monkeypatch, threads, cores,
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     cfg = write_config(tmp_path / "c.json", {"phase_transition": {
         "delta_start": 0.5, "delta_step": 0.5, "delta_stop": 1.0, "snapshot_counts": [1, 3, 5],
         "trials": 1}})
@@ -708,7 +719,33 @@ def test_phase_transition_pool_is_bounded(tmp_path, monkeypatch, threads, cores,
             "--threads", str(threads)]
     assert main(argv) == 0
     assert len(payloads) == 6
-    assert pools == workers
+    return pools
+
+
+@pytest.mark.parametrize("threads, cores, workers", [
+    (4000, 8, [6]),  # one per trial
+    (4000, 2, [2]),  # one per core
+    (3, 8, [3]),
+    (4000, None, []),  # an unknown core count runs the trials in process
+    (1, 8, []),
+])
+def test_phase_transition_pool_is_bounded(tmp_path, monkeypatch, threads, cores, workers):
+    # cores is the process's CPU affinity set; None stands for a platform
+    # without one whose CPU count is unknown
+    if cores is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    assert recorded_pools(tmp_path, monkeypatch, threads) == workers
+
+
+def test_phase_transition_runs_serially_on_one_allowed_cpu(tmp_path, monkeypatch):
+    # the machine has 8 CPUs, but the process may run on one of them only
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    assert recorded_pools(tmp_path, monkeypatch, 4000) == []
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyError, TypeError])
@@ -745,8 +782,8 @@ def test_numerical_failure_is_one_failed_sweep_trial(tmp_path, monkeypatch, caps
         "trials": 2}})
     out = tmp_path / "o"
     assert main(["phase-transition", "--config", cfg, "--out", str(out)]) == 0
-    assert [line.split(",")[-1] for line in (out / "trials.csv").read_text().splitlines()] == [
-        "success", "0", "0"]
+    assert [line.split(",")[3:] for line in (out / "trials.csv").read_text().splitlines()] == [
+        ["success", "iterations", "gap"], ["0", "", ""], ["0", "", ""]]
     assert capsys.readouterr().err.count("eigendecomposition failed") == 2
 
 

@@ -24,7 +24,7 @@ from sinespikes.errors import (
     NumericalFailureError,
 )
 from sinespikes.model import _signal_matrix, hermitian_toeplitz, toeplitz_adjoint
-from test_solver import dense_bounds, reference_admm
+from test_solver import dense_lower, dense_value, reference_admm
 
 
 def fig1_instance(seed=0):
@@ -249,7 +249,8 @@ class TestAcceleration:
         lam = default_lambda(50)
         accelerated, fast = demix(y, lam)
         x, primal, iterations, _, converged = reference_admm(y, lam, 100_000)
-        lower, upper, _ = dense_bounds(y, lam, x, primal)
+        lower, _ = dense_lower(y, x)
+        upper = dense_value(y, lam, primal)
         gamma = x[:50, 50:]
         lines = locate_frequencies(gamma, primal)
         rows = locate_outliers(gamma, primal, y, lam, upper - lower)
@@ -295,7 +296,7 @@ class TestDemixReport:
             assert report.duality_gap <= 1e-3, seed
 
     def test_fig1_solve_converges_in_under_1000_iterations(self):
-        # the accelerated solve stops at 200 iterations, on its fourth gap
+        # the accelerated solve stops at 150 iterations, on its sixth gap
         # check; the plain ADMM with rho balanced on absolute residuals took
         # 1810
         inst = fig1_instance(seed=4)

@@ -230,8 +230,8 @@ class TestSolveDualSdp:
         assert np.abs(a.gamma - b.gamma).max() <= 5e-4
 
     def test_gap_stop_brackets_the_plain_admm_optimum(self):
-        # the accelerated solve stops at iteration 150 on a gap of 2e-12, the
-        # plain reference loop at 400 on a gap of 6e-6; each pair of certified
+        # the accelerated solve stops at iteration 125 on a gap of 6e-9, the
+        # plain reference loop at 350 on a gap of 2e-5; each pair of certified
         # bounds holds the optimum, so the two overlap
         rng = np.random.default_rng(13)
         y = rng.standard_normal((14, 2)) + 1j * rng.standard_normal((14, 2))
@@ -242,9 +242,10 @@ class TestSolveDualSdp:
         assert upper - lower <= 1e-4 * max(1.0, abs(lower))
         assert (sol.lower, sol.upper) == (lower, upper)
         assert sol.gap == solver._relative_gap(lower, upper)
-        x, m, *_, converged = reference_admm(y, lam, 100_000)
+        x, primal, *_, converged = reference_admm(y, lam, 100_000)
         assert converged
-        lower_ref, upper_ref, _ = dense_bounds(y, lam, x, m)
+        lower_ref, _ = dense_lower(y, x)
+        upper_ref = dense_value(y, lam, primal)
         assert lower <= upper_ref and lower_ref <= upper
 
     def test_non_convergence_flag(self):
@@ -293,26 +294,60 @@ def full_affine(mat):
     return h - np.where(offset >= 0, shift, shift.conj())
 
 
-def dense_bounds(y, lam, x, m):
-    """(lower, upper, s) of the gap rule, averaging T's diagonals one by one."""
-    n, l = y.shape
+def dense_min_eig(a):
+    return np.linalg.eigvalsh(a)[0] - solver._ROUNDING * np.linalg.norm(a)
 
-    def min_eig(a):
-        return np.linalg.eigvalsh(a)[0] - solver._ROUNDING * np.linalg.norm(a)
 
-    t = max(0.0, -min_eig(x))
-    s = np.sqrt((1.0 + t) * (1.0 + n * t))
-    lower = np.real(np.vdot(y, x[:n, n:])) / s
-    mt = m.copy()
+def dense_repair(y, lam, m):
+    """The primal matrix of solver._repair, with T's diagonals averaged one by
+    one, every cut r = 0..N valued in a plain loop and the bottom-right block
+    of a cut taken through the explicit inverse of T + tau I on the span of
+    its r leading eigenvectors."""
+    n = y.shape[0]
+    top = m[:n, :n].copy()
     for k in range(n):
         mean = sum(m[i, i + k] for i in range(n - k)) / (n - k)
         for i in range(n - k):
-            mt[i, i + k] = mean
-            mt[i + k, i] = np.conj(mean)
-    eps = max(0.0, -min_eig(mt))
-    rows = sum(np.linalg.norm(y[j] + 2.0 * m[j, n:]) for j in range(n))
-    upper = mt[0, 0].real + np.trace(m[n:, n:]).real + (l + 1) * eps + lam * rows
-    return lower, upper, s
+            top[i, i + k] = mean
+            top[i + k, i] = np.conj(mean)
+    mu, v = np.linalg.eigh(top)
+    tau = max(0.0, -mu[0]) + solver._ROUNDING * np.linalg.norm(top)
+    top += tau * np.eye(n)
+    v = v[:, ::-1]
+    best = None
+    for r in range(np.count_nonzero(mu + tau > 0.0) + 1):
+        kept = v[:, :r]
+        b = kept @ (kept.conj().T @ m[:n, n:])
+        w = b.conj().T @ kept @ np.linalg.inv(kept.conj().T @ top @ kept) @ kept.conj().T @ b
+        value = np.trace(w).real + lam * sum(np.linalg.norm(y[j] + 2.0 * b[j]) for j in range(n))
+        if best is None or value < best[0]:
+            best = (value, b, (w + w.conj().T) / 2.0)
+    _, b, w = best
+    return np.block([[top, b], [b.conj().T, w]])
+
+
+def dense_value(y, lam, primal):
+    """The Lagrangian value that solver._upper gives ``primal``, row by row."""
+    n, l = y.shape
+    eps = max(0.0, -dense_min_eig(primal))
+    rows = sum(np.linalg.norm(y[j] + 2.0 * primal[j, n:]) for j in range(n))
+    return primal[0, 0].real + np.trace(primal[n:, n:]).real + (l + 1) * eps + lam * rows
+
+
+def dense_lower(y, x):
+    """(lower, s) that solver._lower gives the iterate ``x``."""
+    n = y.shape[0]
+    t = max(0.0, -dense_min_eig(x))
+    s = np.sqrt((1.0 + t) * (1.0 + n * t))
+    return np.real(np.vdot(y, x[:n, n:])) / s, s
+
+
+def dense_bounds(y, lam, x, m):
+    """(lower, upper, s, primal) of a gap check on the iterate ``x`` and the
+    primal matrix ``m``, which dense_repair repairs into ``primal``."""
+    lower, s = dense_lower(y, x)
+    primal = dense_repair(y, lam, m)
+    return lower, dense_value(y, lam, primal), s, primal
 
 
 def reference_admm(y, lam, max_iterations, anderson=None):
@@ -320,18 +355,20 @@ def reference_admm(y, lam, max_iterations, anderson=None):
 
     It hermitizes inside every projection, rebuilds the Toeplitz indices on
     every call, clamps the full eigendecomposition and checks the gap rule
-    with dense_bounds. Given an ``anderson`` (a fresh ``solver._Anderson``),
-    it drives it as solve_dual_sdp does: the point it returns for q and the
-    plain image g = X_rel + U is projected, and a change of rho resets q to
-    Z + U and empties the memory. Given ``solver._Anderson(solver._MEMORY,
-    N + L)``, solve_dual_sdp must reproduce it bit for bit. Without one it
+    with dense_bounds, ignoring the upper bound wherever s already breaks
+    the rule, as the solve skips it there. Given an ``anderson`` (a fresh
+    ``solver._Anderson``), it drives it as solve_dual_sdp does: the point it
+    returns for q and the plain image g = X_rel + U is projected, and a
+    change of rho resets q to Z + U and empties the memory. Given
+    ``solver._Anderson(solver._MEMORY, N + L)``, solve_dual_sdp must
+    reproduce it bit for bit, its primal matrix to rounding. Without one it
     is the plain ADMM, the second opinion the accelerated solve is compared
     against. It stops once the gap rule holds at two checks in a row. It
-    returns the iterate X, its primal matrix -rho * U, the iteration count,
+    returns the iterate X, its repaired primal matrix, the iteration count,
     the diagnostics and whether it stopped before the cap. The returned pair
-    is that of the stopping check; at the cap it is the gap check's with the
-    smallest gap if that gap is below the last pair's, and the last pair
-    otherwise.
+    is that of the stopping check; at the cap it is the pair of the bounded
+    gap check with the smallest gap if that gap is below the last pair's,
+    and the last pair otherwise.
     """
     n, l = y.shape
     dim = n + l
@@ -359,7 +396,7 @@ def reference_admm(y, lam, max_iterations, anderson=None):
     history = []
     iterations = max_iterations
     converged = certified = False
-    best = None  # (gap, X, -rho * U) of the gap check with the smallest gap
+    best = None  # (gap, X, primal) of the bounded gap check with the smallest gap
     for it in range(1, max_iterations + 1):
         x = affine_prox(z - u, rho)
         x_rel = alpha * x + (1.0 - alpha) * z
@@ -373,13 +410,12 @@ def reference_admm(y, lam, max_iterations, anderson=None):
         if it % solver._DIAG_EVERY == 0 or it == 1:
             history.append((it, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
         if it % solver._GAP_EVERY == 0:
-            m = -rho * u
-            lower, upper, s = dense_bounds(y, lam, x, m)
+            lower, upper, s, m = dense_bounds(y, lam, x, -rho * u)
             gap = (upper - lower) / max(1.0, abs(lower))
-            if best is None or gap < best[0]:
+            bounded = s - 1.0 <= solver._GAP_TOL
+            if bounded and (best is None or gap < best[0]):
                 best = (gap, x, m)
-            certified, certified_before = (
-                s - 1.0 <= solver._GAP_TOL and gap <= solver._GAP_TOL), certified
+            certified, certified_before = bounded and gap <= solver._GAP_TOL, certified
             if certified and certified_before:
                 iterations, converged = it, True
                 break
@@ -400,11 +436,9 @@ def reference_admm(y, lam, max_iterations, anderson=None):
     if history[-1][0] != iterations:
         history.append((iterations, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
     if not converged:
-        m = -rho * u
-        if best is not None:
-            lower, upper, _ = dense_bounds(y, lam, x, m)
-            if best[0] < (upper - lower) / max(1.0, abs(lower)):
-                _, x, m = best
+        lower, upper, _, m = dense_bounds(y, lam, x, -rho * u)
+        if best is not None and best[0] < (upper - lower) / max(1.0, abs(lower)):
+            _, x, m = best
     return x, m, iterations, np.array(history, dtype=float), converged
 
 
@@ -424,10 +458,12 @@ def test_solve_matches_reference_loop_bit_for_bit(n, l):
     assert_same_bits(sol.gamma, x[:n, n:])
     assert_same_bits(sol.lambda_mat, x[:n, :n])
     assert_same_bits(sol.diagnostics, history)
-    assert_same_bits(sol.primal, primal)
     assert (sol.iterations, sol.converged) == (iterations, converged)
-    # the dense bounds sum in another order, so the gap agrees to rounding
-    lower, upper, _ = dense_bounds(y, lam, x, primal)
+    # the dense repair sums and inverts in another order, so its primal
+    # matrix and gap agree to rounding
+    np.testing.assert_allclose(sol.primal, primal, rtol=0, atol=1e-12 * np.abs(primal).max())
+    lower, _ = dense_lower(y, x)
+    upper = dense_value(y, lam, primal)
     assert sol.gap == pytest.approx((upper - lower) / max(1.0, abs(lower)), rel=0, abs=1e-12)
 
 
@@ -450,9 +486,9 @@ class CountingAnderson(solver._Anderson):
 
 def test_reference_parity_covers_both_endings():
     # the parity cases above take every branch of the loop: N=16, L=3 hits
-    # the cap and the others meet the gap rule (N=4, L=1 and N=16, L=1 at
-    # iteration 100), each N=50 case changes rho once, and every case rejects
-    # 3-26 extrapolations
+    # the cap and the others meet the gap rule (N=4, L=1 at iteration 50 and
+    # N=16, L=1 at 75), each N=50 case changes rho once, and every case
+    # rejects 2-10 extrapolations
     converged, rho_changes, rejected = {}, 0, []
     for n in (4, 16, 50):
         for l in (1, 3, 5):
@@ -608,23 +644,92 @@ def test_every_lower_bound_is_below_every_upper_bound(kind, seed, n, l, early):
         assert early_lower <= 0.0 <= early_upper and late_lower <= 0.0 <= late_upper
 
 
+def random_primal(rng, n, l):
+    """A Hermitian (N+L) x (N+L) matrix like -rho * U: neither PSD nor Toeplitz."""
+    a = rng.standard_normal((n + l, 3)) + 1j * rng.standard_normal((n + l, 3))
+    return a @ a.conj().T + 0.1 * random_hermitian(rng, n + l)
+
+
+def assert_repaired(primal, n):
+    """Exactly Hermitian, exactly Toeplitz top-left, PSD to the rounding pad."""
+    assert np.array_equal(primal, primal.conj().T)
+    top = primal[:n, :n]
+    for k in range(n):
+        assert np.all(np.diagonal(top, k) == top[0, k])
+    assert np.linalg.eigvalsh(primal)[0] >= -solver._ROUNDING * np.linalg.norm(primal)
+
+
+@pytest.mark.parametrize("n, l", [(1, 1), (4, 2), (16, 3), (50, 5)])
+def test_repair_keeps_the_cut_of_smallest_value(n, l):
+    # the dense repair values all N + 1 cuts one by one, so the two reach the
+    # same value; the measurement is the scale of the primal's top-right block
+    rng = np.random.default_rng(17 + n)
+    for _ in range(5):
+        m = random_primal(rng, n, l)
+        y = rng.standard_normal((n, l)) + 1j * rng.standard_normal((n, l))
+        lam = default_lambda(n)
+        primal = solver._repair(y, lam, m)
+        assert_repaired(primal, n)
+        assert solver._upper(y, lam, primal) == pytest.approx(
+            dense_value(y, lam, dense_repair(y, lam, m)), rel=1e-12)
+
+
+def test_repair_of_a_zero_primal_keeps_nothing():
+    y = np.ones((6, 2), dtype=complex)
+    primal = solver._repair(y, 0.4, np.zeros((8, 8), dtype=complex))
+    assert np.array_equal(primal, np.zeros((8, 8)))
+    assert solver._upper(y, 0.4, primal) == pytest.approx(0.4 * 6 * np.sqrt(2.0), rel=1e-15)
+
+
+def test_upper_charges_the_shift_that_makes_the_primal_psd():
+    # primal + eps I >= 0 for eps = 0.5 plus the rounding pad, which the
+    # bound pays once in t_0 and L times in the bottom-right trace
+    n, l = 6, 2
+    y = np.ones((n, l), dtype=complex)
+    primal = np.zeros((n + l, n + l), dtype=complex)
+    primal[:n, :n] = -0.5 * np.eye(n)
+    eps = 0.5 + solver._ROUNDING * np.linalg.norm(primal)
+    assert solver._upper(y, 0.4, primal) == pytest.approx(
+        -0.5 + (l + 1) * eps + 0.4 * n * np.sqrt(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("n, l, cap", [(4, 1, 300), (16, 3, 300), (50, 5, 300), (50, 3, 60)])
+def test_solve_returns_a_repaired_primal_and_its_lagrangian_value(n, l, cap):
+    # the returned primal is a point of the MMV atomic-norm SDP, and the
+    # upper bound is its value, whether the solve converged or was capped
+    y = spectral_measurement(n, l, seed=100 * n + l)
+    lam = default_lambda(n)
+    sol = solve_dual_sdp(DualSdpProblem(y, lam), SolverOptions(max_iterations=cap))
+    assert_repaired(sol.primal, n)
+    assert sol.upper == pytest.approx(dense_value(y, lam, sol.primal), rel=1e-12)
+    assert sol.upper == solver._upper(y, lam, sol.primal)
+
+
 def test_capped_solve_returns_the_check_with_the_smallest_gap(monkeypatch):
-    # capped at 350, this solve's gap checks fall to 2.46e-4 at iteration 300
-    # and rise to 2.93e-4 at 350, its last
-    gaps = []
+    # capped at 350, this solve's gap checks fall to 1.18e-4 at iteration 300
+    # and rise to 1.31e-4 at 350, its last; the checks at 175 and 200 break
+    # the gap rule on s alone, so they skip the upper bound
+    lowers, gaps = [], []
 
-    def recording_bounds(*args):
-        lower, upper, s = bounds(*args)
-        gaps.append(solver._relative_gap(lower, upper))
-        return lower, upper, s
+    def recording_lower(*args):
+        bound, s = lower(*args)
+        lowers.append(bound)
+        return bound, s
 
-    bounds = solver._bounds
-    monkeypatch.setattr(solver, "_bounds", recording_bounds)
+    def recording_upper(*args):
+        bound = upper(*args)
+        gaps.append(solver._relative_gap(lowers[-1], bound))
+        return bound
+
+    lower, upper = solver._lower, solver._upper
+    monkeypatch.setattr(solver, "_lower", recording_lower)
+    monkeypatch.setattr(solver, "_upper", recording_upper)
     y = spectral_measurement(16, 3, 1603)
     sol = solve_dual_sdp(DualSdpProblem(y, default_lambda(16)), SolverOptions(max_iterations=350))
     assert not sol.converged
-    checks = gaps[:350 // solver._GAP_EVERY]
-    assert min(checks) < checks[-1]
+    checks = 350 // solver._GAP_EVERY
+    assert len(lowers) == checks + 1 and len(gaps) < checks + 1  # the cap adds one
+    assert min(gaps[:-1]) < gaps[-2]
     assert sol.gap == min(gaps)
 
 

@@ -10,9 +10,12 @@ _SPEC.loader.exec_module(sweep_verdicts)
 
 
 def trials_csv(rows):
-    """trials.csv as the sweep writes it, from (seed, delta*N, L, success) rows."""
-    lines = ["seed,delta,L,success"]
-    lines += [f"{seed},{repr(dn / 50)},{L},{ok}" for seed, dn, L, ok in rows]
+    """trials.csv as the sweep writes it, from (seed, delta*N, L, success) rows,
+    with (seed, delta*N, L, success, iterations, gap) rows taken as they are."""
+    lines = ["seed,delta,L,success,iterations,gap"]
+    for seed, dn, L, ok, *rest in rows:
+        iterations, gap = rest or (100, 1e-5)
+        lines.append(f"{seed},{repr(dn / 50)},{L},{ok},{iterations},{gap}")
     return "\n".join(lines) + "\n"
 
 
@@ -52,3 +55,18 @@ def test_compare_rejects_sweeps_of_different_trials():
 def test_timing_reports_both_wall_times_and_their_ratio():
     assert (sweep_verdicts.timing(50.0, 25.0)
             == "wall time: base 50.0 s, change 25.0 s (0.50x)")
+
+
+def test_iteration_totals_split_resolved_from_unresolved_cells():
+    # delta*N = 1.0 is resolved; a trial that raised has empty cells
+    text = trials_csv([(1, 0.1, 1, 0, 3000, 2e-3), (2, 0.9, 3, 1, 250, 5e-5),
+                       (3, 1.0, 5, 1, 75, 1e-9), (4, 1.5, 1, 0, "", "")])
+    assert sweep_verdicts.iteration_totals(text) == (75, 3250)
+    assert (sweep_verdicts.iterations_line("change", (75, 3250))
+            == "ADMM iterations: change 3325 (75 resolved, 3250 unresolved)")
+
+
+def test_iteration_totals_of_a_sweep_without_the_column_are_unknown():
+    text = "seed,delta,L,success\n1,0.002,1,0\n"
+    assert sweep_verdicts.iteration_totals(text) is None
+    assert sweep_verdicts.iterations_line("base", None) == "ADMM iterations: base not recorded"

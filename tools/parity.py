@@ -8,13 +8,14 @@ The committed files of ``--base`` are exported with ``git archive`` (as
 tree, in order, each as ``python -m sinespikes.cli`` with that tree's
 ``src`` on ``PYTHONPATH`` and one BLAS thread. The calls cover every
 command: ``synth`` with explicit and drawn frequencies, ``demix`` from a
-config, from the same config capped at 75 iterations (one gap check, so the
-solve takes the cap's path and the call exits 2) and from the saved
-instance of an earlier call, a two-cell ``phase-transition`` on two
-processes, and ``certificate`` with three seeds, with no outliers, and with
-two lines 1e-6 apart, whose ill-conditioned system (cond ~ 4e16) takes
-``run_certificate``'s failure path and writes a NaN report. Each call runs
-in its own directory, so the paths it prints are the same on both sides.
+config, from the same config capped at 75 iterations (three gap checks, no
+two certified in a row, so the solve takes the cap's path and the call
+exits 2) and from the saved instance of an earlier call, a two-cell
+``phase-transition`` on two processes, and ``certificate`` with three
+seeds, with no outliers, and with two lines 1e-6 apart, whose
+ill-conditioned system (cond ~ 4e16) takes ``run_certificate``'s failure
+path and writes a NaN report. Each call runs in its own directory, so the
+paths it prints are the same on both sides.
 
 Every output file, stdout, stderr and exit code is compared; the script
 prints each difference and exits 1 if there is any, 0 otherwise.

@@ -13,9 +13,11 @@ steps of 0.2, L in {1, 3, 5}, 4 trials per cell (96 trials), each capped at
 base seed and the cell, so both sides draw the same instances.
 
 The script prints each trial whose verdict differs, each cell's success
-rate on both sides and each side's wall time for its sweep call, and exits 1
-if any cell's rate dropped, 0 otherwise. The two calls run one after the
-other, so their wall times compare the two trees on the same machine.
+rate on both sides, each side's total ADMM iterations (split into resolved
+cells, delta*N >= 1.0, and unresolved ones) and each side's wall time for
+its sweep call, and exits 1 if any cell's rate dropped, 0 otherwise. The
+two calls run one after the other, so their wall times compare the two
+trees on the same machine.
 """
 
 from __future__ import annotations
@@ -55,6 +57,32 @@ def read_trials(text: str) -> dict[tuple[int, float, int], bool]:
     return {(int(row["L"]), round(float(row["delta"]) * N_SENSORS, 9), int(row["seed"])):
             row["success"] == "1"
             for row in csv.DictReader(io.StringIO(text))}
+
+
+def iteration_totals(text: str) -> tuple[int, int] | None:
+    """(resolved, unresolved) sums of the iterations column of trials.csv.
+
+    A trial is resolved when delta*N >= 1.0; a trial that raised has an
+    empty cell and adds nothing. None if the sweep wrote no iterations
+    column, as trees older than that column do.
+    """
+    reader = csv.DictReader(io.StringIO(text))
+    if "iterations" not in (reader.fieldnames or ()):
+        return None
+    totals = [0, 0]
+    for row in reader:
+        unresolved = round(float(row["delta"]) * N_SENSORS, 9) < 1.0
+        totals[unresolved] += int(row["iterations"] or 0)
+    return totals[0], totals[1]
+
+
+def iterations_line(side: str, totals: tuple[int, int] | None) -> str:
+    """One line with a side's total ADMM iterations, split as ``iteration_totals`` splits them."""
+    if totals is None:
+        return f"ADMM iterations: {side} not recorded"
+    resolved, unresolved = totals
+    return (f"ADMM iterations: {side} {resolved + unresolved} ({resolved} resolved, "
+            f"{unresolved} unresolved)")
 
 
 def compare(base: dict, change: dict) -> tuple[list[str], list[str], bool]:
@@ -99,7 +127,9 @@ def main(argv=None) -> int:
         change_text, change_s = run_sweep(ROOT, tmp / "change")
     base, change = read_trials(base_text), read_trials(change_text)
     changed, cells, dropped = compare(base, change)
-    for line in changed + cells + [timing(base_s, change_s)]:
+    totals = [iterations_line("base", iteration_totals(base_text)),
+              iterations_line("change", iteration_totals(change_text))]
+    for line in changed + cells + totals + [timing(base_s, change_s)]:
         print(line)
     print(f"{len(changed)} of {len(base)} verdicts differ between {sha[:12]} and the working "
           f"tree; {'a cell rate dropped' if dropped else 'no cell rate dropped'}")
