@@ -65,8 +65,6 @@ __all__ = [
     "solve_dual_sdp",
 ]
 
-_DIAG_EVERY = 25
-
 # Fixed ADMM settings: initial penalty rho, over-relaxation factor, and the
 # ratio of the relative residuals at which rho is doubled or halved.
 # Over-relaxation 1.8, the top of the 1.5-1.8 range of Boyd et al. 2011, took
@@ -131,26 +129,27 @@ class SdpSolution:
     """Dual variables, primal matrix and convergence diagnostics of one solve.
 
     ``diagnostics`` has one row per recorded iteration with columns
-    (iteration, objective, primal_residual, dual_residual): iteration 1,
-    every 25th, and the last iteration, each once. So its last row holds
-    the residuals at exit, which at the cap need not be those of the
-    returned iterate (see below). Its objective is Re<Y, Gamma> of the raw
-    iterate of that iteration, not a certified bound. ``primal`` is the
+    (iteration, objective, primal_residual, dual_residual): iteration 1 and
+    every gap check, each once. The last iteration is a check, so the last
+    row holds the residuals at exit, which at the cap need not be those of
+    the returned iterate (see below). Its objective is Re<Y, Gamma> of the
+    raw iterate of that iteration, not a certified bound. ``primal`` is the
     (N+L) x (N+L) primal matrix M = -rho * U of the ADMM, U being the
     scaled multiplier of the PSD constraint, as ``_repair`` makes it a
     point of the MMV atomic-norm SDP: exactly Hermitian, positive
     semidefinite to rounding, with a Hermitian Toeplitz top-left N x N block
     that carries the spectral support and a top-right block that splits the
     measurement into atoms and outliers (``dual_analysis``). ``lower`` and
-    ``upper`` are the certified bounds of ``_bounds`` on the optimum, from
-    the returned iterate and ``primal``; ``upper`` is the value of
-    ``primal``. ``gap`` is their relative gap (upper - lower) /
-    max(1, |lower|). ``converged`` says that the gap rule held at two gap
-    checks in a row; the solve then returns the second check's iterate and
-    primal matrix, so ``gap`` is at most ``_GAP_TOL``. A solve that reaches
-    the cap returns, of its last iterate and the gap checks that computed
-    an upper bound, the one with the smallest gap (a check whose scale s
-    breaks the gap rule computes none).
+    ``upper`` are the certified bounds on the optimum that the gap check of
+    the returned iterate took: ``_lower`` of that iterate and ``_upper`` of
+    ``primal``, which is the value of ``primal``. ``gap`` is their relative
+    gap (upper - lower) / max(1, |lower|). ``converged`` says that the gap
+    rule held at two scheduled gap checks in a row; the solve then returns
+    the second check's iterate and primal matrix, so ``gap`` is at most
+    ``_GAP_TOL``. A solve that reaches the cap returns, of the checks that
+    computed an upper bound, the one with the smallest gap, the later at a
+    tie. The last check always computes one, and so does every other check
+    whose scale s meets the gap rule.
     """
 
     gamma: np.ndarray
@@ -306,14 +305,6 @@ def _upper(y: np.ndarray, lam: float, primal: np.ndarray) -> float:
             + lam * float(np.linalg.norm(y + 2.0 * primal[:n, n:], axis=1).sum()))
 
 
-def _bounds(y: np.ndarray, lam: float, x: np.ndarray,
-            primal: np.ndarray) -> tuple[float, float, float]:
-    """(lower, upper, s): the certified bounds of ``_lower`` on the iterate ``x``
-    and of ``_upper`` on the ``primal`` matrix, which ``_repair`` made."""
-    lower, s = _lower(y, x)
-    return lower, _upper(y, lam, primal), s
-
-
 def _relative_gap(lower: float, upper: float) -> float:
     return (upper - lower) / max(1.0, abs(lower))
 
@@ -402,18 +393,18 @@ class _Anderson:
 def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     """Run the accelerated ADMM until two gap checks in a row certify its iterate.
 
-    Every ``_GAP_EVERY`` iterations the iterate X is checked: the scale s of
-    ``_lower`` is at most 1 + ``_GAP_TOL``, and only then is the primal
-    matrix M = -rho * U repaired (``_repair``) and valued (``_upper``), the
-    certified gap being at most ``_GAP_TOL`` * max(1, |lower|). The solve
-    stops with ``converged=True`` at the first check where this holds and
-    also held at the check before, and returns that check's X, repaired M
-    and bounds. A single certified check is not enough: the lines read off
-    an accelerated solve lag its gap, and stopping there left an N=50
-    decomposition 3e-5 off the measurement. At the cap the check with the
-    smallest gap among those that computed one is returned with
-    ``converged=False`` (the last iterate if it is better or no check
-    did), since the gap of a stalled solve can grow.
+    Every ``_GAP_EVERY`` iterations, and at the last iteration, the iterate
+    X is checked: the scale s of ``_lower`` is at most 1 + ``_GAP_TOL``,
+    and only then is the primal matrix M = -rho * U repaired (``_repair``)
+    and valued (``_upper``), the certified gap being at most ``_GAP_TOL`` *
+    max(1, |lower|). The last check repairs and values M whatever s is. The
+    solve stops with ``converged=True`` at the first scheduled check where
+    this holds and also held at the check before, and returns that check's
+    X, repaired M and bounds. A single certified check is not enough: the
+    lines read off an accelerated solve lag its gap, and stopping there left
+    an N=50 decomposition 3e-5 off the measurement. At the cap the check
+    with the smallest gap among those that computed one is returned with
+    ``converged=False``, since the gap of a stalled solve can grow.
 
     rho starts at 1. After each iteration, it doubles (while below 1e4) when
     the relative primal residual |X - Z|_F / max(|X|_F, |Z|_F) exceeds
@@ -490,22 +481,26 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
                 f"non-finite residuals at iteration {it} (rho={rho})"
             )
 
-        if it % _DIAG_EVERY == 0 or it == 1:
+        scheduled, last = it % _GAP_EVERY == 0, it == opts.max_iterations
+        if scheduled or last or it == 1:
             history.append(
                 (it, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm)
             )
-        if it % _GAP_EVERY == 0:
-            # a check whose scale s already breaks the gap rule skips the upper bound
+        if scheduled or last:
+            # a check whose scale s already breaks the gap rule skips the
+            # upper bound, unless it is the last, which the cap may return
             certified_before, certified = certified, False
             lower, s = _lower(y, x)
-            if s - 1.0 <= _GAP_TOL:
+            if s - 1.0 <= _GAP_TOL or last:
                 m = _repair(y, lam, -rho * u)
                 upper = _upper(y, lam, m)
                 gap = _relative_gap(lower, upper)
-                if best is None or gap < best[0]:
+                if best is None or gap <= best[0]:
                     best = (gap, x, m, lower, upper)
-                certified = gap <= _GAP_TOL
-            if certified and certified_before:
+                certified = s - 1.0 <= _GAP_TOL and gap <= _GAP_TOL
+            # a last check off the schedule confirms nothing: one 10
+            # iterations after a certified check came too early for fig1
+            if certified and certified_before and scheduled:
                 iterations, converged = it, True
                 break
         # r / max(|X|, |Z|) against s / |rho U|, multiplied out so that a zero
@@ -525,13 +520,8 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
         q = z + u
         anderson.clear()
 
-    if history[-1][0] != iterations:
-        history.append((iterations, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
     if not converged:
-        m = _repair(y, lam, -rho * u)
-        lower, upper, _ = _bounds(y, lam, x, m)
-        if best is not None and best[0] < _relative_gap(lower, upper):
-            _, x, m, lower, upper = best
+        gap, x, m, lower, upper = best
     return SdpSolution(
         gamma=x[:n, n:].copy(),
         lambda_mat=x[:n, :n].copy(),
@@ -541,5 +531,5 @@ def solve_dual_sdp(problem: DualSdpProblem, opts: SolverOptions | None = None) -
         primal=m,
         lower=lower,
         upper=upper,
-        gap=_relative_gap(lower, upper),
+        gap=gap,
     )

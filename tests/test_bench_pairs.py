@@ -75,3 +75,32 @@ def test_failure_summary_pools_the_ops_of_every_run():
         "failed": 3, "attempted": 80, "share": 3 / 80, "incorrect_runs": 2, "runs": 3}
     assert bench_pairs.failure_summary([]) == {
         "failed": 0, "attempted": 0, "share": 0.0, "incorrect_runs": 0, "runs": 0}
+
+
+# base p50s of median 1.0 and IQR 0.125; throughput is 1 / p50
+BASE_P50 = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.1, 0.9, 1.05, 0.95]
+
+
+def p50_pairs(values):
+    """Parsed (base, change) results of the given (base p50, change p50) pairs."""
+    return [tuple(bench_pairs.parse_result(result_line(p50, 1.0 / p50)) for p50 in pair)
+            for pair in values]
+
+
+def test_claim_is_met_on_nine_tenths_of_ten_pairs_beyond_the_base_iqr():
+    values = [(1.0, 1.0)] + [(b, 0.8 * b) for b in BASE_P50[1:]]  # a tie and nine wins
+    summary = bench_pairs.summarize(p50_pairs(values), BETTER)
+    assert summary["p50_adj_s"]["base"]["iqr"] == pytest.approx(0.125)
+    assert summary["p50_adj_s"]["wins"] == 9
+    assert summary["p50_adj_s"]["claim_met"] and summary["throughput_adj_per_s"]["claim_met"]
+    assert summary["success_rate"]["wins"] == 0 and not summary["success_rate"]["claim_met"]
+
+
+@pytest.mark.parametrize("values", [
+    [(1.0, 1.0), (1.1, 1.2)] + [(b, 0.8 * b) for b in BASE_P50[2:]],  # 8 wins of 10
+    [(b, b - 0.01) for b in BASE_P50],  # 10 wins, inside the base IQR
+    [(b, 0.8 * b) for b in BASE_P50[1:]],  # 9 wins of 9 pairs
+])
+def test_claim_is_not_met_on_fewer_wins_a_gain_inside_the_iqr_or_fewer_pairs(values):
+    summary = bench_pairs.summarize(p50_pairs(values), BETTER)
+    assert not any(s["claim_met"] for s in summary.values())

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from sinespikes import solver
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
 _SPEC = importlib.util.spec_from_file_location("parity", _PATH)
 parity = importlib.util.module_from_spec(_SPEC)
@@ -40,3 +42,12 @@ def test_compare_runs_names_the_call_and_the_stream():
         "demix: exit code differs: base 0, change 2",
         "demix: stderr differs: base '', change 'warn'",
     ]
+
+
+def test_one_capped_demix_call_ends_off_the_gap_check_schedule():
+    # the solve's last check then is not a scheduled one
+    caps = {name: config["solver"]["max_iterations"] for name, config, _ in parity.CALLS
+            if "solver" in config}
+    assert sorted(caps) == ["demix-capped", "demix-capped-60"]
+    assert caps["demix-capped"] % solver._GAP_EVERY == 0
+    assert caps["demix-capped-60"] % solver._GAP_EVERY

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -238,7 +239,8 @@ class TestSolveDualSdp:
         lam = default_lambda(14)
         sol = solve_dual_sdp(DualSdpProblem(y, lam))
         assert sol.converged
-        lower, upper, _ = solver._bounds(y, lam, iterate(sol), sol.primal)
+        lower, _ = solver._lower(y, iterate(sol))
+        upper = solver._upper(y, lam, sol.primal)
         assert upper - lower <= 1e-4 * max(1.0, abs(lower))
         assert (sol.lower, sol.upper) == (lower, upper)
         assert sol.gap == solver._relative_gap(lower, upper)
@@ -407,7 +409,7 @@ def reference_admm(y, lam, max_iterations, anderson=None):
         r_norm = float(np.linalg.norm(x - z_new))
         s_norm = rho * float(np.linalg.norm(z_new - z))
         z = z_new
-        if it % solver._DIAG_EVERY == 0 or it == 1:
+        if it % solver._GAP_EVERY == 0 or it == 1:
             history.append((it, float(np.real(np.vdot(y, x[:n, n:]))), r_norm, s_norm))
         if it % solver._GAP_EVERY == 0:
             lower, upper, s, m = dense_bounds(y, lam, x, -rho * u)
@@ -447,14 +449,14 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("n", [4, 16, 50])
-@pytest.mark.parametrize("l", [1, 3, 5])
-def test_solve_matches_reference_loop_bit_for_bit(n, l):
+def assert_matches_reference(n, l, cap):
+    """solve_dual_sdp capped at ``cap`` against reference_admm, bit for bit;
+    returns the solution."""
     y = spectral_measurement(n, l, seed=100 * n + l)
     lam = default_lambda(n)
     anderson = solver._Anderson(solver._MEMORY, n + l)
-    x, primal, iterations, history, converged = reference_admm(y, lam, 300, anderson)
-    sol = solve_dual_sdp(DualSdpProblem(y, lam), SolverOptions(max_iterations=300))
+    x, primal, iterations, history, converged = reference_admm(y, lam, cap, anderson)
+    sol = solve_dual_sdp(DualSdpProblem(y, lam), SolverOptions(max_iterations=cap))
     assert_same_bits(sol.gamma, x[:n, n:])
     assert_same_bits(sol.lambda_mat, x[:n, :n])
     assert_same_bits(sol.diagnostics, history)
@@ -465,6 +467,38 @@ def test_solve_matches_reference_loop_bit_for_bit(n, l):
     lower, _ = dense_lower(y, x)
     upper = dense_value(y, lam, primal)
     assert sol.gap == pytest.approx((upper - lower) / max(1.0, abs(lower)), rel=0, abs=1e-12)
+    return sol
+
+
+@pytest.mark.parametrize("n", [4, 16, 50])
+@pytest.mark.parametrize("l", [1, 3, 5])
+def test_solve_matches_reference_loop_bit_for_bit(n, l):
+    assert_matches_reference(n, l, 300)
+
+
+@pytest.mark.parametrize("n, l, cap", [(16, 3, 310), (50, 3, 60), (4, 1, 7)])
+def test_solve_matches_reference_loop_at_a_cap_off_the_check_schedule(n, l, cap):
+    # the solve's last check falls between two scheduled ones, where the
+    # reference values its last iterate after the loop
+    sol = assert_matches_reference(n, l, cap)
+    assert cap % solver._GAP_EVERY and (sol.iterations, sol.converged) == (cap, False)
+
+
+def test_capped_solve_repairs_each_primal_matrix_once(monkeypatch):
+    # the cap's check is the last iteration's, so the returned bounds need no
+    # second repair of the last primal matrix
+    digests = []
+
+    def recording_repair(y, lam, m):
+        digests.append(hashlib.sha256(m.tobytes()).hexdigest())
+        return repair(y, lam, m)
+
+    repair = solver._repair
+    monkeypatch.setattr(solver, "_repair", recording_repair)
+    y = spectral_measurement(16, 3, 1603)
+    sol = solve_dual_sdp(DualSdpProblem(y, default_lambda(16)), SolverOptions(max_iterations=350))
+    assert not sol.converged and digests
+    assert len(set(digests)) == len(digests)
 
 
 class CountingAnderson(solver._Anderson):
@@ -631,7 +665,8 @@ def test_every_lower_bound_is_below_every_upper_bound(kind, seed, n, l, early):
     bounds = []
     for cap in (early, 3000):
         sol = solve_dual_sdp(DualSdpProblem(y, lam), SolverOptions(max_iterations=cap))
-        lower, upper, s = solver._bounds(y, lam, iterate(sol), sol.primal)
+        lower, s = solver._lower(y, iterate(sol))
+        upper = solver._upper(y, lam, sol.primal)
         assert s >= 1.0 and (lower, upper) == (sol.lower, sol.upper)
         assert sol.gap == solver._relative_gap(lower, upper)
         if sol.converged:
@@ -728,8 +763,8 @@ def test_capped_solve_returns_the_check_with_the_smallest_gap(monkeypatch):
     sol = solve_dual_sdp(DualSdpProblem(y, default_lambda(16)), SolverOptions(max_iterations=350))
     assert not sol.converged
     checks = 350 // solver._GAP_EVERY
-    assert len(lowers) == checks + 1 and len(gaps) < checks + 1  # the cap adds one
-    assert min(gaps[:-1]) < gaps[-2]
+    assert len(lowers) == checks and len(gaps) < checks  # the cap's check is the last
+    assert min(gaps[:-1]) < gaps[-1]
     assert sol.gap == min(gaps)
 
 

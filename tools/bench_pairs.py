@@ -14,8 +14,12 @@ it holds exactly what the revision committed, as a fresh checkout would.
 otherwise) records every run, and for each end-to-end metric of
 BENCHMARK.json the median and interquartile range of each side and the
 number of pairs in which the working tree did better, with nproc and the
-numpy version. For each side it also records, and prints, the failed share:
-failed ops over attempted ops, and the number of runs that reported
+numpy version. It also records, and prints, whether a claimed gain on the
+metric would be met: the working tree wins at least nine tenths of at least
+ten pairs, a tie counting for neither side, and its median is better than
+the base side's by more than the base side's interquartile range. For each
+side it also records, and prints, the failed share: failed ops over
+attempted ops, and the number of runs that reported
 ``correct=False``. The script only reads the benchmark's output; it does not
 import or change anything under ``perfbench/``.
 """
@@ -70,10 +74,14 @@ def side_summary(values) -> dict:
 
 
 def summarize(pairs, better: dict[str, str]) -> dict:
-    """Per-metric medians, IQRs and wins over (base result, change result) pairs.
+    """Per-metric medians, IQRs, wins and claim verdicts over (base result,
+    change result) pairs.
 
     ``better`` maps each metric to "lower" or "higher". The change wins a
-    pair when its value is strictly better; a tie is no win.
+    pair when its value is strictly better; a tie is no win. ``claim_met``
+    says that a gain on the metric may be claimed: at least ten pairs, wins
+    in at least nine tenths of them, and a change median better than the
+    base median by more than the base IQR.
     """
     summary = {}
     for name, direction in better.items():
@@ -81,12 +89,16 @@ def summarize(pairs, better: dict[str, str]) -> dict:
         change = [c["metrics"][name]["value"] for _, c in pairs]
         sign = -1.0 if direction == "lower" else 1.0
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        base_side, change_side = side_summary(base), side_summary(change)
+        gain = sign * (change_side["median"] - base_side["median"])
         summary[name] = {
             "better": direction,
-            "base": side_summary(base),
-            "change": side_summary(change),
+            "base": base_side,
+            "change": change_side,
             "wins": wins,
             "pairs": len(pairs),
+            "claim_met": (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                          and gain > base_side["iqr"]),
         }
     return summary
 
@@ -178,7 +190,8 @@ def main(argv=None) -> int:
     for name, s in summary.items():
         print(f"{name:22} base {s['base']['median']:.6g} (IQR {s['base']['iqr']:.3g})  "
               f"change {s['change']['median']:.6g} (IQR {s['change']['iqr']:.3g})  "
-              f"wins {s['wins']}/{s['pairs']}")
+              f"wins {s['wins']}/{s['pairs']}  "
+              f"claim {'met' if s['claim_met'] else 'not met'}")
     for side, f in failures.items():
         print(f"failed ops {side:6} {f['failed']}/{f['attempted']} ({f['share']:.3g}), "
               f"{f['incorrect_runs']} of {f['runs']} runs incorrect")

@@ -10,7 +10,8 @@ tree, in order, each as ``python -m sinespikes.cli`` with that tree's
 command: ``synth`` with explicit and drawn frequencies, ``demix`` from a
 config, from the same config capped at 75 iterations (three gap checks, no
 two certified in a row, so the solve takes the cap's path and the call
-exits 2) and from the saved instance of an earlier call, a two-cell
+exits 2) and at 60 (the last check falls off the 25-iteration schedule),
+and from the saved instance of an earlier call, a two-cell
 ``phase-transition`` on two processes, and ``certificate`` with three
 seeds, with no outliers, and with two lines 1e-6 apart, whose
 ill-conditioned system (cond ~ 4e16) takes ``run_certificate``'s failure
@@ -49,6 +50,8 @@ CALLS = [
      ["synth", "--seed", "7"]),
     ("demix-config", {"synthesis": DEMIX_SYNTHESIS}, ["demix"]),
     ("demix-capped", {"synthesis": DEMIX_SYNTHESIS, "solver": {"max_iterations": 75}},
+     ["demix"]),
+    ("demix-capped-60", {"synthesis": DEMIX_SYNTHESIS, "solver": {"max_iterations": 60}},
      ["demix"]),
     ("demix-instance", {"instance": "../synth-drawn/out/instance.json"},
      ["demix", "--lambda", "0.15", "--grid", "4096"]),
